@@ -64,15 +64,6 @@ def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class StockWindow:
-    """K standardized feature rows for one stock, oldest first; row K is t."""
-
-    stock_id: str
-    t: int
-    matrix: np.ndarray  # (K, F)
-
-
-@dataclass(frozen=True)
 class WindowSet:
     """All eligible stocks' windows at one decision time, plus rank priors."""
 
@@ -83,9 +74,6 @@ class WindowSet:
 
     def __len__(self) -> int:
         return len(self.stock_ids)
-
-    def window(self, i: int) -> StockWindow:
-        return StockWindow(self.stock_ids[i], self.t, self.features[i])
 
 
 def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:

@@ -162,11 +162,6 @@ class MarketPanel:
             div=float(v["div"][si, pi]),
         )
 
-    def window_present(self, first: int, last: int) -> np.ndarray:
-        """Boolean per stock: every bar in [first, last] (absolute months) present."""
-        i0, i1 = self.index_of(first), self.index_of(last)
-        return self.mask[:, i0 : i1 + 1].all(axis=1)
-
 
 def load_panel(path) -> MarketPanel:
     """Parse a panel CSV (schema in CSV_HEADER); absent months are masked."""

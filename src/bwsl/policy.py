@@ -41,6 +41,37 @@ PARAM_ORDER = (
 )
 
 
+def _check_shapes(tensors: dict[str, Tensor]) -> None:
+    """Every tensor's shape must follow from F, H (lstm_wx) and E, L (rank_emb)."""
+    wx, emb = tensors["lstm_wx"].shape, tensors["rank_emb"].shape
+    if len(wx) != 2 or wx[1] % 4 or len(emb) != 2 or min(wx + emb) < 1:
+        raise DataError(
+            f"policy params: lstm_wx {wx} must be (F, 4H) and rank_emb {emb} must be (E, L)"
+        )
+    f, h, (e, l) = wx[0], wx[1] // 4, emb
+    expected = {
+        "lstm_wx": (f, 4 * h),
+        "lstm_wh": (h, 4 * h),
+        "lstm_b": (4 * h,),
+        "att_w1": (h, h),
+        "att_w2": (h, h),
+        "att_w": (h,),
+        "wq": (h, h),
+        "wk": (h, h),
+        "wv": (h, h),
+        "w_score": (h,),
+        "b_score": (),
+        "rank_emb": (e, l),
+        "rank_w": (e,),
+    }
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise DataError(
+                f"policy params: {name} has shape {tensors[name].shape}, expected {shape} "
+                f"for F={f}, H={h}, E={e}, L={l}"
+            )
+
+
 class PolicyParams:
     """All learnable tensors plus the rank-distance quantization step."""
 
@@ -49,6 +80,7 @@ class PolicyParams:
         if missing:
             raise DataError(f"policy params missing tensors: {missing}")
         self._tensors = {n: tensors[n] for n in PARAM_ORDER}
+        _check_shapes(self._tensors)
         if q < 1:
             raise DataError("quantization step q must be at least 1")
         self.q = int(q)
@@ -143,27 +175,46 @@ class PolicyParams:
 
     @classmethod
     def load(cls, path) -> "PolicyParams":
+        """Read a checkpoint written by save; DataError on any malformed,
+        unknown, duplicate or shape-inconsistent content."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.read().splitlines()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise DataError(f"cannot read checkpoint {path}: {e}") from None
         if not lines or lines[0] != _CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a policy checkpoint")
         if len(lines) < 2 or not lines[1].startswith("q="):
             raise DataError(f"{path}: missing quantization line")
-        q = int(lines[1][2:])
+        try:
+            q = int(lines[1][2:])
+        except ValueError:
+            raise DataError(f"{path}: malformed quantization line {lines[1]!r}") from None
         tensors = {}
-        for line in lines[2:]:
+        for lineno, line in enumerate(lines[2:], start=3):
             if not line.strip():
                 continue
             parts = line.split(" ")
-            name, shape_text = parts[0], parts[1]
-            shape = () if shape_text == "scalar" else tuple(int(s) for s in shape_text.split("x"))
-            values = np.array([float.fromhex(v) for v in parts[2:]])
+            name = parts[0]
+            if name not in PARAM_ORDER:
+                raise DataError(f"{path}:{lineno}: unknown tensor {name!r}")
+            if name in tensors:
+                raise DataError(f"{path}:{lineno}: tensor {name} given twice")
+            if len(parts) < 2:
+                raise DataError(f"{path}:{lineno}: tensor {name} has no shape")
+            shape_text = parts[1]
+            try:
+                shape = () if shape_text == "scalar" else tuple(int(s) for s in shape_text.split("x"))
+                values = np.array([float.fromhex(v) for v in parts[2:]])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed tensor {name}") from None
+            if any(d < 0 for d in shape):
+                raise DataError(f"{path}:{lineno}: tensor {name} has a negative dimension")
             expected = int(np.prod(shape)) if shape else 1
             if values.size != expected:
                 raise DataError(f"{path}: tensor {name} has wrong element count")
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{path}: tensor {name} has non-finite values")
             tensors[name] = Tensor(values.reshape(shape), requires_grad=True)
         return cls(tensors, q)
 

@@ -1,16 +1,27 @@
 """Sharpe-ratio policy-gradient training.
 
-A trajectory is T consecutive holding periods: at each period the policy
-scores the eligible universe, the generator picks the legs, and the
-period return is realized. The trajectory reward is the Sharpe ratio of
-its T returns; the market's Sharpe over the same window is subtracted as
-a threshold, so ascent only reinforces trajectories that beat an
-equal-weight buy-and-hold.
+A trajectory is T consecutive holding periods from a start t0. At each
+decision time t the policy scores the eligible universe, the generator
+picks the legs, and the period return is realized (:func:`period_step`).
+The trajectory reward H_n is the Sharpe ratio of its T returns; the
+market's Sharpe H0_n over the same window is subtracted as a threshold,
+so ascent only reinforces trajectories that beat an equal-weight
+buy-and-hold.
 
-The surrogate differentiated on the tape is sum_t sum_{supported i}
-log b_c(i): leg selection is treated as non-differentiable, gradients
-flow through the within-leg softmaxes, and the advantage (H_pi - H0)
-weights each trajectory's gradient as a constant.
+The surrogate differentiated on the tape is log b(t) = sum over the
+supported stocks i of log b_c(i), summed over a trajectory's periods:
+leg selection is treated as non-differentiable, gradients flow through
+the within-leg softmaxes, and the advantage A_n = H_n - H0_n weights each
+trajectory as a constant. The parameters are fixed within an epoch, so
+the batch surrogate is linear in the per-period log-probabilities:
+
+    (1/N) sum_n A_n sum_{t in n} log b(t) = (1/N) sum_t w_t log b(t),
+    w_t = sum of A_n over the trajectories n whose window covers t.
+
+Sampled windows overlap, so an epoch (:func:`epoch_gradient`) scores and
+backpropagates each distinct decision time once, keeps that period's
+parameter gradient g_t and return, rebuilds every trajectory's returns
+and advantage from the stored returns, and combines (1/N) sum_t w_t g_t.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError
 from .features import PreparedPanel
-from .market import MarketPanel, format_month, substream
+from .market import format_month, substream
 from .metrics import sharpe
 from .policy import PolicyParams, WinnerScores, policy_forward
 from .portfolio import (
@@ -33,7 +44,6 @@ from .portfolio import (
     ReturnsSlice,
     generate,
     realize_return,
-    select_legs,
 )
 
 
@@ -65,6 +75,17 @@ class TrainConfig:
             raise DataError(f"train: unknown mode {self.mode!r}")
 
 
+@dataclass(frozen=True)
+class PeriodStep:
+    """One decision time: the pair held, its realized return, and its leg
+    log-probability log b(t) (recorded on the tape active at the step)."""
+
+    pair: PortfolioPair
+    ret: float
+    logprob: Tensor
+    score_dev: float  # mean |score - 1/2| over the universe, degeneracy probe
+
+
 @dataclass
 class Trajectory:
     """One simulated T-period investment with its differentiable surrogate."""
@@ -76,6 +97,7 @@ class Trajectory:
     logprob: Tensor
     sharpe: float
     score_dev: float  # mean |score - 1/2| across periods, degeneracy probe
+    flat: bool = False  # returns had zero volatility; sharpe is 0.0
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,18 @@ class EpochStats:
     mean_sharpe: float
     mean_advantage: float
     grad_norm: float
+    flat_trajectories: int = 0  # trajectories scored Sharpe 0.0 for zero volatility
+
+
+@dataclass(frozen=True)
+class EpochGradient:
+    """One epoch's batch gradient and the per-trajectory figures behind it."""
+
+    grads: dict[str, np.ndarray]
+    sharpes: np.ndarray
+    advantages: np.ndarray
+    score_dev: float  # mean over trajectories of their mean |score - 1/2|
+    flat: int  # trajectories whose returns had zero volatility
 
 
 @dataclass
@@ -109,39 +143,57 @@ def _prepared(panel, k: int) -> PreparedPanel:
     return PreparedPanel(panel, k)
 
 
+def _month(prep: PreparedPanel, t) -> int:
+    """Absolute month number of a period given in any form index_of takes."""
+    return prep.panel.index_of(t) + prep.panel.start
+
+
+def _sharpe_or_flat(returns, theta: float, tc: float) -> tuple[float, bool]:
+    """(Sharpe, False), or (0.0, True) when the returns have zero volatility."""
+    try:
+        return sharpe(returns, theta, tc), False
+    except ZeroVolatilityError:
+        return 0.0, True
+
+
+def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainConfig) -> PeriodStep:
+    """Score -> legs -> leg log-prob -> realized return at decision time t.
+
+    Runs under whatever tape is active (none records nothing); training,
+    simulation and the surrogate all go through this one step.
+    """
+    ws = prep.windows(t)
+    if ws is None:
+        raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
+    scores = policy_forward(ws.features, ws.ranks, params)
+    g = leg_size(len(ws), cfg.g)
+    pair = generate(WinnerScores(ws.stock_ids, scores.data.copy()), g, cfg.mode)
+    z, _ = prep.forward_ratios(t, ws.stock_ids)
+    return PeriodStep(
+        pair=pair,
+        ret=realize_return(pair, ReturnsSlice(ws.stock_ids, z)),
+        logprob=_leg_logprob(scores, pair.long_indices, pair.short_indices),
+        score_dev=float(np.mean(np.abs(scores.data - 0.5))),
+    )
+
+
 def _rollout(prep: PreparedPanel, t0: int, params: PolicyParams, cfg: TrainConfig):
-    """T periods of score -> select -> realize under the caller's tape."""
-    returns = np.zeros(cfg.t)
-    pairs: list[PortfolioPair] = []
-    score_dev = 0.0
-    logprob = None
-    for step in range(cfg.t):
-        t = t0 + step
-        ws = prep.windows(t)
-        if ws is None:
-            raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
-        scores = policy_forward(ws.features, ws.ranks, params)
-        g = leg_size(len(ws), cfg.g)
-        long_idx, short_idx = select_legs(scores.data, ws.stock_ids, g, cfg.mode)
-        term = _leg_logprob(scores, long_idx, short_idx)
-        logprob = term if logprob is None else logprob + term
-        pair = generate(WinnerScores(ws.stock_ids, scores.data.copy()), g, cfg.mode)
-        z, _ = prep.forward_ratios(t, ws.stock_ids)
-        returns[step] = realize_return(pair, ReturnsSlice(ws.stock_ids, z))
-        pairs.append(pair)
-        score_dev += float(np.mean(np.abs(scores.data - 0.5)))
-    return logprob, returns, pairs, score_dev / cfg.t
+    """cfg.t period steps from t0 and the sum of their log-probabilities."""
+    steps = [period_step(prep, t0 + s, params, cfg) for s in range(cfg.t)]
+    logprob = steps[0].logprob
+    for step in steps[1:]:
+        logprob = logprob + step.logprob
+    return steps, logprob
 
 
 def trajectory_logprob(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tensor:
-    """The trainer surrogate sum_t sum_i log b_c as a tape expression.
+    """The trainer surrogate sum_t log b(t) as a tape expression.
 
     Runs under whatever tape is currently active (none records nothing),
     which makes the surrogate directly checkable by finite differences.
     """
     prep = _prepared(panel, cfg.k)
-    t0 = prep.panel.index_of(t0) + prep.panel.start
-    logprob, _, _, _ = _rollout(prep, t0, params, cfg)
+    _, logprob = _rollout(prep, _month(prep, t0), params, cfg)
     return logprob
 
 
@@ -152,20 +204,22 @@ def simulate_trajectory(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tr
     trajectory's log-probability surrogate with respect to the parameters.
     """
     prep = _prepared(panel, cfg.k)
-    t0 = prep.panel.index_of(t0) + prep.panel.start
+    t0 = _month(prep, t0)
     tape = Tape()
     with tape:
-        logprob, returns, pairs, score_dev = _rollout(prep, t0, params, cfg)
+        steps, logprob = _rollout(prep, t0, params, cfg)
     tape.root = logprob
-    h_pi = sharpe(returns, cfg.theta, cfg.tc)
+    returns = np.array([s.ret for s in steps])
+    h_pi, flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
     return Trajectory(
         t0=t0,
-        pairs=pairs,
+        pairs=[s.pair for s in steps],
         returns=returns,
         tape=tape,
         logprob=logprob,
         sharpe=h_pi,
-        score_dev=score_dev,
+        score_dev=float(np.mean([s.score_dev for s in steps])),
+        flat=flat,
     )
 
 
@@ -186,7 +240,7 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     volatility, h0 is 0.0 and the flag is set.
     """
     prep = _prepared(panel, k)
-    t0 = prep.panel.index_of(t0) + prep.panel.start
+    t0 = _month(prep, t0)
     returns = np.zeros(t)
     for step in range(t):
         at = t0 + step
@@ -196,21 +250,19 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
         ids = tuple(prep.panel.stock_ids[i] for i in universe)
         z, _ = prep.forward_ratios(at, ids)
         returns[step] = float(np.mean(z)) - 1.0
-    try:
-        return sharpe(returns, theta, tc), False
-    except ZeroVolatilityError:
-        return 0.0, True
+    return _sharpe_or_flat(returns, theta, tc)
 
 
-def _accumulate(acc: dict, traj: Trajectory, advantage: float, params: PolicyParams, index: int):
-    if advantage == 0.0:
-        return
-    grads = ad.backward(traj.tape)
+def _param_grads(tape: Tape, params: PolicyParams, label: str) -> dict[str, np.ndarray]:
+    """Backpropagate the tape's root; its gradient for every parameter."""
+    grads = ad.backward(tape)
+    out = {}
     for name, tensor in params.tensors().items():
         g = grads[tensor]
         if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"trajectory {index}: non-finite gradient for {name}")
-        acc[name] += advantage * g
+            raise NonFiniteError(f"{label}: non-finite gradient for {name}")
+        out[name] = g
+    return out
 
 
 def batch_gradient(
@@ -226,9 +278,60 @@ def batch_gradient(
             raise NonFiniteError(f"trajectory {i}: non-finite sharpe")
     acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
     for i, (traj, h0) in enumerate(zip(trajectories, thresholds)):
-        _accumulate(acc, traj, traj.sharpe - float(h0), params, i)
+        advantage = traj.sharpe - float(h0)
+        if advantage == 0.0:
+            continue
+        for name, g in _param_grads(traj.tape, params, f"trajectory {i}").items():
+            acc[name] += advantage * g
     n = len(trajectories)
     return {name: g / n for name, g in acc.items()}
+
+
+def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainConfig) -> EpochGradient:
+    """batch_gradient over the trajectories starting at ``starts``, with
+    each distinct decision time scored and backpropagated once.
+
+    Equal to batch_gradient over simulate_trajectory of the same starts up
+    to the order of floating-point summation.
+    """
+    if len(starts) != len(thresholds):
+        raise DataError("epoch_gradient: one threshold per trajectory required")
+    prep = _prepared(panel, cfg.k)
+    windows = [range(t0, t0 + cfg.t) for t0 in (_month(prep, s) for s in starts)]
+    periods: dict[int, tuple[PeriodStep, dict[str, np.ndarray]]] = {}
+    for t in sorted({t for window in windows for t in window}):
+        tape = Tape()
+        with tape:
+            step = period_step(prep, t, params, cfg)
+        tape.root = step.logprob
+        periods[t] = (step, _param_grads(tape, params, f"period {format_month(t)}"))
+
+    n = len(starts)
+    sharpes, advantages = np.zeros(n), np.zeros(n)
+    weights = dict.fromkeys(periods, 0.0)
+    score_dev = 0.0
+    flat = 0
+    for i, (window, h0) in enumerate(zip(windows, thresholds)):
+        returns = np.array([periods[t][0].ret for t in window])
+        sharpes[i], is_flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
+        advantages[i] = sharpes[i] - float(h0)
+        flat += is_flat
+        score_dev += float(np.mean([periods[t][0].score_dev for t in window]))
+        for t in window:
+            weights[t] += advantages[i]
+
+    acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
+    for t, (_, grads) in periods.items():
+        if weights[t] != 0.0:
+            for name, g in grads.items():
+                acc[name] += weights[t] * g
+    return EpochGradient(
+        grads={name: g / n for name, g in acc.items()},
+        sharpes=sharpes,
+        advantages=advantages,
+        score_dev=score_dev / n,
+        flat=flat,
+    )
 
 
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
@@ -240,9 +343,10 @@ def train(panel, cfg: TrainConfig, params: PolicyParams | None = None) -> TrainR
 
     Start times are sampled uniformly with replacement from every t0 whose
     T periods all trade. Updates use global-norm gradient clipping. The
-    epoch with the highest mean trajectory Sharpe is kept as best_params.
-    Aborts when the policy degenerates: scores pinned to 1/2 with zero
-    advantage for 10 straight epochs.
+    parameters of the epoch with the highest mean trajectory Sharpe, as
+    they were when scored (before that epoch's update), are kept as
+    best_params. Aborts when the policy degenerates: scores pinned to 1/2
+    with zero advantage for 10 straight epochs.
     """
     prep = _prepared(panel, cfg.k)
     if params is None:
@@ -259,36 +363,25 @@ def train(panel, cfg: TrainConfig, params: PolicyParams | None = None) -> TrainR
     best_mean = -np.inf
     degenerate_streak = 0
     for epoch in range(1, cfg.epochs + 1):
-        picks = sampler.integers(0, len(starts), size=cfg.n)
-        acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
-        sharpes = np.zeros(cfg.n)
-        advantages = np.zeros(cfg.n)
-        score_dev = 0.0
-        for i, pick in enumerate(picks):
-            t0 = starts[int(pick)]
-            traj = simulate_trajectory(prep, t0, params, cfg)
+        picks = [starts[int(p)] for p in sampler.integers(0, len(starts), size=cfg.n)]
+        for t0 in picks:
             if t0 not in h0_cache:
                 h0_cache[t0], _ = market_threshold(
                     prep, t0, cfg.t, cfg.theta, cfg.tc, cfg.k
                 )
-            advantage = traj.sharpe - h0_cache[t0]
-            _accumulate(acc, traj, advantage, params, i)
-            sharpes[i] = traj.sharpe
-            advantages[i] = advantage
-            score_dev += traj.score_dev
-        grads = {name: g / cfg.n for name, g in acc.items()}
-        norm = grad_global_norm(grads)
-        if norm > 0.0 and cfg.eta > 0.0:
-            scale = cfg.eta * (min(1.0, cfg.clip / norm) if cfg.clip > 0 else 1.0)
-            params.apply_update({name: scale * g for name, g in grads.items()})
-        mean_sharpe = float(sharpes.mean())
-        mean_advantage = float(advantages.mean())
-        log.append(EpochStats(epoch, mean_sharpe, mean_advantage, norm))
+        batch = epoch_gradient(prep, picks, [h0_cache[t0] for t0 in picks], params, cfg)
+        norm = grad_global_norm(batch.grads)
+        mean_sharpe = float(batch.sharpes.mean())
+        mean_advantage = float(batch.advantages.mean())
+        log.append(EpochStats(epoch, mean_sharpe, mean_advantage, norm, batch.flat))
         if mean_sharpe > best_mean:
             best_mean = mean_sharpe
             best_params = params.copy()
             best_epoch = epoch
-        if score_dev / cfg.n < 1e-6 and mean_advantage == 0.0:
+        if norm > 0.0 and cfg.eta > 0.0:
+            scale = cfg.eta * (min(1.0, cfg.clip / norm) if cfg.clip > 0 else 1.0)
+            params.apply_update({name: scale * g for name, g in batch.grads.items()})
+        if batch.score_dev < 1e-6 and mean_advantage == 0.0:
             degenerate_streak += 1
             if degenerate_streak >= 10:
                 raise TrainingDivergedError(

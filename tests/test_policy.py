@@ -5,7 +5,7 @@ import pytest
 
 from bwsl import autodiff as ad
 from bwsl.autodiff import Tensor
-from bwsl.errors import ShapeError
+from bwsl.errors import DataError, ShapeError
 from bwsl.policy import (
     PARAM_ORDER,
     PolicyParams,
@@ -285,3 +285,41 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     path2 = tmp_path / "ckpt2.txt"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _edited_checkpoint(tmp_path, edit):
+    """A saved small checkpoint (H=6) with its lines passed through ``edit``."""
+    path = tmp_path / "ckpt.txt"
+    small_params(32).save(path)
+    lines = edit(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_checkpoint_malformed_q_raises_data_error(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda lines: [lines[0], "q=x"] + lines[2:])
+    with pytest.raises(DataError, match="quantization"):
+        PolicyParams.load(path)
+
+
+def test_checkpoint_tensor_line_without_shape_raises_data_error(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda lines: lines[:2] + ["lstm_wx"] + lines[3:])
+    with pytest.raises(DataError, match="no shape"):
+        PolicyParams.load(path)
+
+
+def test_checkpoint_unknown_tensor_raises_data_error(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda lines: lines + ["extra 1 0x1.0p+0"])
+    with pytest.raises(DataError, match="unknown tensor 'extra'"):
+        PolicyParams.load(path)
+
+
+def test_checkpoint_inconsistent_shapes_raise_data_error(tmp_path):
+    wq_5x5 = "wq 5x5 " + " ".join([(0.0).hex()] * 25)
+
+    def edit(lines):
+        return [wq_5x5 if line.startswith("wq ") else line for line in lines]
+
+    path = _edited_checkpoint(tmp_path, edit)
+    with pytest.raises(DataError, match=r"wq has shape \(5, 5\), expected \(6, 6\)"):
+        PolicyParams.load(path)

@@ -1,0 +1,93 @@
+"""Deduplicated epoch gradient, best-parameter snapshot, flat trajectories."""
+
+import numpy as np
+import pytest
+
+import bwsl.trainer as trainer_mod
+from bwsl.market import SynthConfig, synth_market
+from bwsl.policy import PARAM_ORDER, PolicyParams
+from bwsl.trainer import (
+    TrainConfig,
+    batch_gradient,
+    epoch_gradient,
+    market_threshold,
+    simulate_trajectory,
+    train,
+)
+from test_features import panel_from_closes
+
+CFG = TrainConfig(t=3, n=6, epochs=1, eta=1e-3, k=4, seed=0, tc=0.0)
+
+
+@pytest.fixture(scope="module")
+def panel():
+    return synth_market(SynthConfig(num_stocks=8, num_periods=30, seed=42))
+
+
+def small_params(seed):
+    return PolicyParams.init(np.random.default_rng(seed), hidden=6, embed=4, l_cols=8)
+
+
+def test_epoch_gradient_matches_per_trajectory_batch_gradient(panel):
+    # a repeated start and overlapping windows: dedup must weight shared
+    # periods by the sum of the covering trajectories' advantages
+    params = small_params(0)
+    s = panel.start
+    starts = [s + 5, s + 6, s + 5, s + 7, s + 12, s + 13]
+    thresholds = [market_threshold(panel, t0, CFG.t, CFG.theta, CFG.tc, CFG.k)[0] for t0 in starts]
+    trajs = [simulate_trajectory(panel, t0, params, CFG) for t0 in starts]
+    expected = batch_gradient(trajs, thresholds, params)
+    got = epoch_gradient(panel, starts, thresholds, params, CFG)
+    for name in PARAM_ORDER:
+        np.testing.assert_allclose(got.grads[name], expected[name], rtol=1e-12, atol=0.0)
+    assert got.sharpes.tolist() == [t.sharpe for t in trajs]
+    assert got.advantages.tolist() == [t.sharpe - h0 for t, h0 in zip(trajs, thresholds)]
+    assert got.score_dev == pytest.approx(np.mean([t.score_dev for t in trajs]), rel=1e-12)
+    assert got.flat == 0
+
+
+def test_epoch_scores_each_distinct_decision_time_once(panel, monkeypatch):
+    forward = trainer_mod.policy_forward
+    calls = []
+    starts_seen = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    def recording_epoch_gradient(prep, starts, *args, **kwargs):
+        starts_seen.extend(starts)
+        return epoch_gradient(prep, starts, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "policy_forward", counting_forward)
+    monkeypatch.setattr(trainer_mod, "epoch_gradient", recording_epoch_gradient)
+    cfg = TrainConfig(t=4, n=8, epochs=1, eta=1e-3, k=4, seed=2, tc=0.0)
+    train(panel, cfg, small_params(1))
+    assert len(starts_seen) == cfg.n
+    covered = {t0 + s for t0 in starts_seen for s in range(cfg.t)}
+    assert len(covered) < cfg.n * cfg.t  # the sampled windows do overlap
+    assert len(calls) == len(covered)
+
+
+def test_best_params_are_the_scored_parameters_not_the_updated_ones(panel):
+    initial = small_params(11)
+    cfg = TrainConfig(t=3, n=2, epochs=1, eta=0.01, k=4, seed=4, tc=0.0)
+    result = train(panel, cfg, initial.copy())
+    assert result.best_epoch == 1
+    assert result.log[0].grad_norm > 0.0
+    for name in PARAM_ORDER:
+        assert result.best_params[name].data.tobytes() == initial[name].data.tobytes()
+    assert any(
+        result.params[name].data.tobytes() != initial[name].data.tobytes() for name in PARAM_ORDER
+    )
+
+
+def test_flat_trajectories_score_zero_and_are_counted():
+    flat_panel = panel_from_closes(np.ones((4, 12)))
+    cfg = TrainConfig(t=3, n=2, epochs=2, eta=1e-3, k=2, seed=0, tc=0.0)
+    params = small_params(12)
+    traj = simulate_trajectory(flat_panel, flat_panel.start + 2, params, cfg)
+    assert traj.flat and traj.sharpe == 0.0
+    result = train(flat_panel, cfg, params)
+    assert [s.flat_trajectories for s in result.log] == [cfg.n] * cfg.epochs
+    assert [s.mean_sharpe for s in result.log] == [0.0] * cfg.epochs
