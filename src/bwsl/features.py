@@ -115,7 +115,8 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
 
 
 class PreparedPanel:
-    """Caches per-decision-time windows, universes, and forward price ratios.
+    """A panel with its look-back k: caches per-decision-time windows and
+    reads universes and forward price ratios.
 
     Windows depend only on the panel and k, so one prepared panel serves
     every training epoch, backtest, and interpretation pass.
@@ -157,22 +158,30 @@ class PreparedPanel:
     def forward_ratios(self, t, stock_ids) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Price rising rates close_{t+1}/close_t for the given stocks.
 
-        A stock with no bar at t+1 (delisted mid-hold) gets its last
-        observed one-month ratio instead, and the substitution is reported
-        as an event ``(stock_id, 'missing_next_close')``.
+        Every stock needs a bar at t. A stock with no bar at t+1 (delisted
+        mid-hold) gets its last observed one-month ratio close_t/close_{t-1}
+        instead, and the substitution is reported as an event
+        ``(stock_id, 'missing_next_close')``; with no bar at t-1 either,
+        nothing is substituted and DataError is raised.
         """
         panel = self.panel
         pi = panel.index_of(t)
+        when = format_month(panel.start + pi)
         if pi + 1 >= panel.n_periods:
-            raise DataError(f"no close after {format_month(panel.start + pi)}")
+            raise DataError(f"no close after {when}")
+        rows = np.array([panel.stock_index(sid) for sid in stock_ids], dtype=np.intp)
+        mask = panel.mask
+        absent = np.flatnonzero(~mask[rows, pi])
+        if absent.size:
+            raise DataError(f"no bar for {stock_ids[absent[0]]} at {when}")
         close = panel.field("close")
-        z = np.zeros(len(stock_ids))
-        events = []
-        for j, sid in enumerate(stock_ids):
-            si = panel.stock_index(sid)
-            if panel.mask[si, pi + 1]:
-                z[j] = close[si, pi + 1] / close[si, pi]
-            else:
-                z[j] = close[si, pi] / close[si, pi - 1]
-                events.append((sid, "missing_next_close"))
-        return z, events
+        z = close[rows, pi + 1] / close[rows, pi]
+        missing = np.flatnonzero(~mask[rows, pi + 1])
+        if missing.size:
+            no_prev = missing if pi == 0 else missing[~mask[rows[missing], pi - 1]]
+            if no_prev.size:
+                raise DataError(
+                    f"no close for {stock_ids[no_prev[0]]} after {when} and no ratio to substitute"
+                )
+            z[missing] = close[rows[missing], pi] / close[rows[missing], pi - 1]
+        return z, [(stock_ids[j], "missing_next_close") for j in missing]

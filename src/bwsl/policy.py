@@ -227,22 +227,15 @@ class WinnerScores:
     values: np.ndarray
 
 
-def _batched(windows) -> tuple[Tensor, bool]:
-    t = windows if isinstance(windows, Tensor) else Tensor(windows)
-    if t.ndim == 2:
-        return t.reshape((1,) + t.shape), True
-    if t.ndim != 3:
-        raise ShapeError(f"windows must be (I, K, F) or (K, F), got {t.shape}")
-    return t, False
-
-
 def lstm_encode(windows, params: PolicyParams) -> list[Tensor]:
-    """Run the shared recurrent encoder over every stock's window.
+    """Run the shared recurrent encoder over every stock's (I, K, F) window.
 
-    Returns the K hidden states, each (I, H) ((H,) for a single window).
-    Initial hidden and cell states are zero.
+    Returns the K hidden states, each (I, H). Initial hidden and cell
+    states are zero.
     """
-    x, single = _batched(windows)
+    x = windows if isinstance(windows, Tensor) else Tensor(windows)
+    if x.ndim != 3:
+        raise ShapeError(f"windows must be (I, K, F), got {x.shape}")
     n_stocks, k_steps, n_feat = x.shape
     if n_feat != params.n_features:
         raise ShapeError(
@@ -262,18 +255,15 @@ def lstm_encode(windows, params: PolicyParams) -> list[Tensor]:
         c = gate_forget * c + gate_in * candidate
         h = gate_out * ad.tanh(c)
         states.append(h)
-    if single:
-        return [s.reshape((h_dim,)) for s in states]
     return states
 
 
 def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
-    """Softmax-attend the last hidden state over all hidden states."""
+    """Softmax-attend the last hidden state over all (I, H) hidden states."""
     if not states:
         raise ShapeError("history_attention: no hidden states")
-    single = states[0].ndim == 1
-    if single:
-        states = [s.reshape((1, s.shape[0])) for s in states]
+    if states[0].ndim != 2:
+        raise ShapeError(f"history_attention: states must be (I, H), got {states[0].shape}")
     n_stocks = states[0].shape[0]
     last_proj = states[-1] @ params["att_w2"]
     cols = []
@@ -284,8 +274,6 @@ def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
     rep = weights[:, 0:1] * states[0]
     for k in range(1, len(states)):
         rep = rep + weights[:, k : k + 1] * states[k]
-    if single:
-        return rep.reshape((rep.shape[1],))
     return rep
 
 

@@ -11,6 +11,7 @@ carry weight 0 in the combined record vector.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,33 +42,6 @@ class PortfolioPair:
 
     def short_weights(self) -> dict[str, float]:
         return {self.stock_ids[i]: float(w) for i, w in zip(self.short_indices, self.b_minus)}
-
-    @property
-    def supported_indices(self) -> tuple[int, ...]:
-        return self.long_indices + self.short_indices
-
-
-@dataclass(frozen=True)
-class ReturnsSlice:
-    """Price rising rates z = p_{t+1}/p_t keyed by stock."""
-
-    stock_ids: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.values) <= 0):
-            raise DataError("price rising rates must be positive")
-
-    @classmethod
-    def from_dict(cls, z: dict[str, float]) -> "ReturnsSlice":
-        ids = tuple(z)
-        return cls(ids, np.array([z[s] for s in ids], dtype=float))
-
-    def get(self, stock_id: str) -> float:
-        try:
-            return float(self.values[self.stock_ids.index(stock_id)])
-        except ValueError:
-            raise MissingReturnError(f"no realized price ratio for {stock_id}") from None
 
 
 def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
@@ -122,19 +96,28 @@ def generate(scores: WinnerScores, g: int, mode: str = LONG_SHORT) -> PortfolioP
     )
 
 
-def realize_return(pair: PortfolioPair, z: ReturnsSlice | dict) -> float:
-    """Holding-period rate of return of the pair given price rising rates.
+def realize_return(pair: PortfolioPair, z: Mapping[str, float]) -> float:
+    """Holding-period rate of return of the pair given price rising rates
+    z = p_{t+1}/p_t keyed by stock id.
 
     Long-short: sum(b+ z) - sum(b- z). Long-only: sum(b+ z) - 1. Every
-    supported stock must have a rate; mid-hold delistings are the caller's
-    responsibility (the backtester substitutes and logs them).
+    rate must be positive and every supported stock must have one;
+    mid-hold delistings are the caller's responsibility
+    (``PreparedPanel.forward_ratios`` substitutes them and reports events).
     """
-    if isinstance(z, dict):
-        z = ReturnsSlice.from_dict(z)
-    long_z = np.array([z.get(pair.stock_ids[i]) for i in pair.long_indices])
+    if np.any(np.fromiter(z.values(), dtype=float, count=len(z)) <= 0):
+        raise DataError("price rising rates must be positive")
+
+    def rates(indices) -> np.ndarray:
+        try:
+            return np.array([z[pair.stock_ids[i]] for i in indices], dtype=float)
+        except KeyError as e:
+            raise MissingReturnError(f"no realized price ratio for {e.args[0]}") from None
+
+    long_z = rates(pair.long_indices)
     long_part = float(pair.b_plus @ long_z) if len(long_z) else 0.0
     if pair.mode == LONG_ONLY:
         return long_part - 1.0
-    short_z = np.array([z.get(pair.stock_ids[i]) for i in pair.short_indices])
+    short_z = rates(pair.short_indices)
     short_part = float(pair.b_minus @ short_z) if len(short_z) else 0.0
     return long_part - short_part

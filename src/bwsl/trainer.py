@@ -22,6 +22,10 @@ Sampled windows overlap, so an epoch (:func:`epoch_gradient`) scores and
 backpropagates each distinct decision time once, keeps that period's
 parameter gradient g_t and return, rebuilds every trajectory's returns
 and advantage from the stored returns, and combines (1/N) sum_t w_t g_t.
+
+The threshold and the policy step read each decision time the same way
+(:func:`_period_data`): the eligible universe's windows, their forward
+price ratios, and the delisting substitutions those ratios needed.
 """
 
 from __future__ import annotations
@@ -33,18 +37,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError
-from .features import PreparedPanel
+from .features import PreparedPanel, WindowSet
 from .market import format_month, substream
 from .metrics import sharpe
 from .policy import PolicyParams, WinnerScores, policy_forward
-from .portfolio import (
-    LONG_SHORT,
-    MODES,
-    PortfolioPair,
-    ReturnsSlice,
-    generate,
-    realize_return,
-)
+from .portfolio import LONG_SHORT, MODES, PortfolioPair, generate, realize_return
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,7 @@ class PeriodStep:
     ret: float
     logprob: Tensor
     score_dev: float  # mean |score - 1/2| over the universe, degeneracy probe
+    events: tuple[tuple[str, str], ...]  # (stock_id, 'missing_next_close') substitutions
 
 
 @dataclass
@@ -107,6 +105,7 @@ class EpochStats:
     mean_advantage: float
     grad_norm: float
     flat_trajectories: int = 0  # trajectories scored Sharpe 0.0 for zero volatility
+    substitutions: int = 0  # delisting substitutions over the epoch's distinct decision times
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,7 @@ class EpochGradient:
     advantages: np.ndarray
     score_dev: float  # mean over trajectories of their mean |score - 1/2|
     flat: int  # trajectories whose returns had zero volatility
+    substitutions: int  # substitution events over the distinct decision times
 
 
 @dataclass
@@ -156,24 +156,40 @@ def _sharpe_or_flat(returns, theta: float, tc: float) -> tuple[float, bool]:
         return 0.0, True
 
 
+def _reward(steps: list[PeriodStep], cfg: TrainConfig) -> tuple[np.ndarray, float, bool, float]:
+    """A trajectory's returns, its Sharpe (0.0 when flat), the flat flag and
+    its mean score deviation."""
+    returns = np.array([s.ret for s in steps])
+    h_pi, flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
+    return returns, h_pi, flat, float(np.mean([s.score_dev for s in steps]))
+
+
+def _period_data(prep: PreparedPanel, t: int) -> tuple[WindowSet, np.ndarray, list]:
+    """The eligible windows at t, their forward price ratios, and the
+    substitution events behind those ratios."""
+    ws = prep.windows(t)
+    if ws is None:
+        raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
+    z, events = prep.forward_ratios(t, ws.stock_ids)
+    return ws, z, events
+
+
 def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainConfig) -> PeriodStep:
     """Score -> legs -> leg log-prob -> realized return at decision time t.
 
     Runs under whatever tape is active (none records nothing); training,
     simulation and the surrogate all go through this one step.
     """
-    ws = prep.windows(t)
-    if ws is None:
-        raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
+    ws, z, events = _period_data(prep, t)
     scores = policy_forward(ws.features, ws.ranks, params)
     g = leg_size(len(ws), cfg.g)
     pair = generate(WinnerScores(ws.stock_ids, scores.data.copy()), g, cfg.mode)
-    z, _ = prep.forward_ratios(t, ws.stock_ids)
     return PeriodStep(
         pair=pair,
-        ret=realize_return(pair, ReturnsSlice(ws.stock_ids, z)),
+        ret=realize_return(pair, dict(zip(ws.stock_ids, z))),
         logprob=_leg_logprob(scores, pair.long_indices, pair.short_indices),
         score_dev=float(np.mean(np.abs(scores.data - 0.5))),
+        events=tuple(events),
     )
 
 
@@ -209,8 +225,7 @@ def simulate_trajectory(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tr
     with tape:
         steps, logprob = _rollout(prep, t0, params, cfg)
     tape.root = logprob
-    returns = np.array([s.ret for s in steps])
-    h_pi, flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
+    returns, h_pi, flat, score_dev = _reward(steps, cfg)
     return Trajectory(
         t0=t0,
         pairs=[s.pair for s in steps],
@@ -218,7 +233,7 @@ def simulate_trajectory(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tr
         tape=tape,
         logprob=logprob,
         sharpe=h_pi,
-        score_dev=float(np.mean([s.score_dev for s in steps])),
+        score_dev=score_dev,
         flat=flat,
     )
 
@@ -234,7 +249,8 @@ def _leg_logprob(scores: Tensor, long_idx, short_idx) -> Tensor:
 
 
 def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
-    """Sharpe of the equal-weight buy-and-hold over the same T periods.
+    """Sharpe of the equal-weight buy-and-hold of the policy's universe
+    over the same T periods, read through the same :func:`_period_data`.
 
     Returns (h0, degenerate): when the market return series has zero
     volatility, h0 is 0.0 and the flag is set.
@@ -243,12 +259,7 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     t0 = _month(prep, t0)
     returns = np.zeros(t)
     for step in range(t):
-        at = t0 + step
-        universe = prep.universe(at)
-        if not universe:
-            raise DataError(f"empty universe at {format_month(at)}")
-        ids = tuple(prep.panel.stock_ids[i] for i in universe)
-        z, _ = prep.forward_ratios(at, ids)
+        _, z, _ = _period_data(prep, t0 + step)
         returns[step] = float(np.mean(z)) - 1.0
     return _sharpe_or_flat(returns, theta, tc)
 
@@ -265,6 +276,17 @@ def _param_grads(tape: Tape, params: PolicyParams, label: str) -> dict[str, np.n
     return out
 
 
+def _weighted_grad_sum(weights: dict, grads_of, params: PolicyParams, n: int) -> dict:
+    """(1/n) sum_key weights[key] * grads_of(key); grads_of is never called
+    for a zero weight, so those tapes are not backpropagated."""
+    acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
+    for key, w in weights.items():
+        if w != 0.0:
+            for name, g in grads_of(key).items():
+                acc[name] += w * g
+    return {name: g / n for name, g in acc.items()}
+
+
 def batch_gradient(
     trajectories: list[Trajectory],
     thresholds: list[float],
@@ -276,15 +298,13 @@ def batch_gradient(
     for i, traj in enumerate(trajectories):
         if not np.isfinite(traj.sharpe):
             raise NonFiniteError(f"trajectory {i}: non-finite sharpe")
-    acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
-    for i, (traj, h0) in enumerate(zip(trajectories, thresholds)):
-        advantage = traj.sharpe - float(h0)
-        if advantage == 0.0:
-            continue
-        for name, g in _param_grads(traj.tape, params, f"trajectory {i}").items():
-            acc[name] += advantage * g
-    n = len(trajectories)
-    return {name: g / n for name, g in acc.items()}
+    advantages = [traj.sharpe - float(h0) for traj, h0 in zip(trajectories, thresholds)]
+    return _weighted_grad_sum(
+        dict(enumerate(advantages)),
+        lambda i: _param_grads(trajectories[i].tape, params, f"trajectory {i}"),
+        params,
+        len(trajectories),
+    )
 
 
 def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainConfig) -> EpochGradient:
@@ -298,39 +318,35 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
         raise DataError("epoch_gradient: one threshold per trajectory required")
     prep = _prepared(panel, cfg.k)
     windows = [range(t0, t0 + cfg.t) for t0 in (_month(prep, s) for s in starts)]
-    periods: dict[int, tuple[PeriodStep, dict[str, np.ndarray]]] = {}
+    steps: dict[int, PeriodStep] = {}
+    grads: dict[int, dict[str, np.ndarray]] = {}
     for t in sorted({t for window in windows for t in window}):
         tape = Tape()
         with tape:
-            step = period_step(prep, t, params, cfg)
-        tape.root = step.logprob
-        periods[t] = (step, _param_grads(tape, params, f"period {format_month(t)}"))
+            steps[t] = period_step(prep, t, params, cfg)
+        tape.root = steps[t].logprob
+        grads[t] = _param_grads(tape, params, f"period {format_month(t)}")
 
     n = len(starts)
     sharpes, advantages = np.zeros(n), np.zeros(n)
-    weights = dict.fromkeys(periods, 0.0)
+    weights = dict.fromkeys(steps, 0.0)
     score_dev = 0.0
     flat = 0
     for i, (window, h0) in enumerate(zip(windows, thresholds)):
-        returns = np.array([periods[t][0].ret for t in window])
-        sharpes[i], is_flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
+        _, sharpes[i], is_flat, dev = _reward([steps[t] for t in window], cfg)
         advantages[i] = sharpes[i] - float(h0)
         flat += is_flat
-        score_dev += float(np.mean([periods[t][0].score_dev for t in window]))
+        score_dev += dev
         for t in window:
             weights[t] += advantages[i]
 
-    acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
-    for t, (_, grads) in periods.items():
-        if weights[t] != 0.0:
-            for name, g in grads.items():
-                acc[name] += weights[t] * g
     return EpochGradient(
-        grads={name: g / n for name, g in acc.items()},
+        grads=_weighted_grad_sum(weights, grads.__getitem__, params, n),
         sharpes=sharpes,
         advantages=advantages,
         score_dev=score_dev / n,
         flat=flat,
+        substitutions=sum(len(step.events) for step in steps.values()),
     )
 
 
@@ -373,7 +389,9 @@ def train(panel, cfg: TrainConfig, params: PolicyParams | None = None) -> TrainR
         norm = grad_global_norm(batch.grads)
         mean_sharpe = float(batch.sharpes.mean())
         mean_advantage = float(batch.advantages.mean())
-        log.append(EpochStats(epoch, mean_sharpe, mean_advantage, norm, batch.flat))
+        log.append(
+            EpochStats(epoch, mean_sharpe, mean_advantage, norm, batch.flat, batch.substitutions)
+        )
         if mean_sharpe > best_mean:
             best_mean = mean_sharpe
             best_params = params.copy()

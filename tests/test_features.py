@@ -11,7 +11,7 @@ from bwsl.features import (
     raw_features,
     zscore_crosssection,
 )
-from bwsl.market import MarketPanel, SynthConfig, parse_month, synth_market
+from bwsl.market import MarketPanel, SynthConfig, format_month, parse_month, synth_market
 
 START = parse_month("2000-01")
 
@@ -188,3 +188,21 @@ def test_prepared_panel_forward_ratios_and_delisting_substitution():
     assert z[0] == pytest.approx(1.1)
     assert z[1] == pytest.approx(1.0)  # last observed ratio
     assert events == [("S1", "missing_next_close")]
+
+
+def test_forward_ratios_rejects_stock_without_bar_at_t():
+    closes = np.array([[1.0, 1.1, 1.2, 1.3, 1.4], [1.0, 1.2, 1.4, 1.6, 0.4]])
+    mask = np.ones((2, 5), dtype=bool)
+    mask[1, 3] = False  # S1 has no bar at the decision time
+    prep = PreparedPanel(panel_from_closes(closes, mask=mask), k=2)
+    with pytest.raises(DataError, match=f"S1.*{format_month(START + 3)}"):
+        prep.forward_ratios(START + 3, ("S0", "S1"))
+
+
+def test_forward_ratios_does_not_substitute_across_the_axis_start():
+    closes = np.array([[1.0, 1.1, 1.2], [1.0, 1.0, 2.0]])
+    mask = np.ones((2, 3), dtype=bool)
+    mask[1, 1] = False  # S1 has no next close, and no month before the first
+    prep = PreparedPanel(panel_from_closes(closes, mask=mask), k=2)
+    with pytest.raises(DataError, match=f"S1.*{format_month(START)}"):
+        prep.forward_ratios(START, ("S0", "S1"))

@@ -88,15 +88,15 @@ def test_lstm_zero_params_gives_zero_states():
 
 def test_lstm_single_step_matches_gate_equations():
     params = small_params(2)
-    x = np.random.default_rng(3).normal(size=(1, 7))
+    x = np.random.default_rng(3).normal(size=(1, 1, 7))
     (state,) = lstm_encode(x, params)
     p = {n: t.data for n, t in params.tensors().items()}
     h_dim = params.hidden
-    z = x[0] @ p["lstm_wx"] + p["lstm_b"]
+    z = x[0, 0] @ p["lstm_wx"] + p["lstm_b"]
     expected = _sigmoid(z[2 * h_dim : 3 * h_dim]) * np.tanh(
         _sigmoid(z[0:h_dim]) * np.tanh(z[3 * h_dim : 4 * h_dim])
     )
-    np.testing.assert_allclose(state.data, expected, atol=1e-12)
+    np.testing.assert_allclose(state.data[0], expected, atol=1e-12)
 
 
 def test_lstm_random_case_matches_step_by_step_recomputation():

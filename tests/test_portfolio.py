@@ -8,7 +8,6 @@ from bwsl.policy import WinnerScores
 from bwsl.portfolio import (
     LONG_ONLY,
     LONG_SHORT,
-    ReturnsSlice,
     generate,
     realize_return,
     select_legs,
@@ -128,9 +127,10 @@ def test_return_monotonicity():
     assert realize_return(pair, up_short) < base
 
 
-def test_returns_slice_rejects_non_positive():
+def test_realize_return_rejects_non_positive():
+    pair = generate(scores_of([0.9, 0.1], ids=("A", "B")), g=1)
     with pytest.raises(DataError):
-        ReturnsSlice(("A",), np.array([0.0]))
+        realize_return(pair, {"A": 0.0, "B": 1.0})
 
 
 def test_select_legs_descending_with_tail_short():

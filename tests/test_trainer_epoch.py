@@ -1,9 +1,12 @@
-"""Deduplicated epoch gradient, best-parameter snapshot, flat trajectories."""
+"""Deduplicated epoch gradient, best-parameter snapshot, flat trajectories,
+substitution events and the shared period read."""
 
 import numpy as np
 import pytest
 
 import bwsl.trainer as trainer_mod
+from bwsl.errors import DataError
+from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, synth_market
 from bwsl.policy import PARAM_ORDER, PolicyParams
 from bwsl.trainer import (
@@ -11,10 +14,11 @@ from bwsl.trainer import (
     batch_gradient,
     epoch_gradient,
     market_threshold,
+    period_step,
     simulate_trajectory,
     train,
 )
-from test_features import panel_from_closes
+from test_features import START, panel_from_closes
 
 CFG = TrainConfig(t=3, n=6, epochs=1, eta=1e-3, k=4, seed=0, tc=0.0)
 
@@ -91,3 +95,35 @@ def test_flat_trajectories_score_zero_and_are_counted():
     result = train(flat_panel, cfg, params)
     assert [s.flat_trajectories for s in result.log] == [cfg.n] * cfg.epochs
     assert [s.mean_sharpe for s in result.log] == [0.0] * cfg.epochs
+
+
+def delisting_panel(n_periods):
+    # 4 stocks; S0 has no bar from month index 5 on
+    closes = np.cumprod(np.random.default_rng(13).uniform(0.9, 1.1, size=(4, n_periods)), axis=1)
+    mask = np.ones((4, n_periods), dtype=bool)
+    mask[0, 5:] = False
+    return panel_from_closes(closes, mask=mask)
+
+
+def test_period_step_reports_the_substitution_event():
+    cfg = TrainConfig(t=3, n=2, epochs=1, k=2, seed=0, tc=0.0)
+    prep = PreparedPanel(delisting_panel(8), k=2)
+    step = period_step(prep, START + 4, small_params(14), cfg)
+    assert list(step.events) == [("S0", "missing_next_close")]
+    assert period_step(prep, START + 3, small_params(14), cfg).events == ()
+
+
+def test_train_logs_substitutions():
+    # 7 months, k=2, t=3: the only starts are indices 2 and 3, and both cover index 4
+    cfg = TrainConfig(t=3, n=2, epochs=2, eta=1e-3, k=2, seed=0, tc=0.0)
+    result = train(delisting_panel(7), cfg, small_params(15))
+    assert all(s.substitutions >= 1 for s in result.log)
+
+
+def test_market_threshold_rejects_a_single_stock_period():
+    closes = np.cumprod(np.full((3, 10), 1.01), axis=1)
+    mask = np.ones((3, 10), dtype=bool)
+    mask[1:, 5] = False  # only S0 is eligible at index 6
+    panel = panel_from_closes(closes, mask=mask)
+    with pytest.raises(DataError, match="fewer than 2 eligible stocks"):
+        market_threshold(panel, START + 6, 2, 0.0, 0.0, k=2)
