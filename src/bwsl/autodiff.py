@@ -2,16 +2,16 @@
 
 A small tape machine: while a :class:`Tape` is active, every primitive
 operation appends one record holding vector-Jacobian closures for its
-differentiable operands. ``backward`` replays the records once, in reverse
-order, accumulating gradients in a fixed order so repeated passes over the
+differentiable operands. :meth:`Tape.gradients` is the one backward entry
+point: it replays the records once, in reverse order, from a given scalar
+root, accumulating gradients in a fixed order so repeated passes over the
 same tape are bitwise identical.
 
-Primitives are closed under the set needed by the scoring network and the
-trainer surrogate: add, mul, matmul, transpose, reshape, concatenate,
-basic slicing, take (row gather), tanh, sigmoid, exp, log, sqrt, square,
-softmax, sum, mean, and vmax (max of a vector with the subgradient sent to
-the first maximal index). Every exposed operation checks its output for
-finiteness and raises :class:`NonFiniteError` otherwise.
+The primitives are the set the scoring network, the trainer surrogate and
+the interpretation pass use: add, mul, matmul, transpose, reshape,
+concatenate, basic slicing, take (row gather), tanh, sigmoid, log,
+softmax and sum. Every exposed operation checks its output for finiteness
+and raises :class:`NonFiniteError` otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "forward",
-    "backward",
     "finite_diff_check",
     "add",
     "mul",
@@ -39,14 +38,9 @@ __all__ = [
     "take",
     "tanh",
     "sigmoid",
-    "exp",
     "log",
-    "sqrt",
-    "square",
     "softmax",
     "tsum",
-    "tmean",
-    "vmax",
 ]
 
 _local = threading.local()
@@ -130,9 +124,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, shape):
         return reshape(self, shape)
 
@@ -154,8 +145,6 @@ class Tape:
 
     def __init__(self):
         self._records: list[_Record] = []
-        self.root: Tensor | None = None
-        self.inputs: tuple = ()
 
     def __enter__(self) -> "Tape":
         _stack().append(self)
@@ -168,15 +157,13 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def gradients(self, root: Tensor, seed: float = 1.0) -> "GradientMap":
+    def gradients(self, root: Tensor) -> "GradientMap":
         """Gradient of the scalar ``root`` w.r.t. every tensor on the tape."""
         if root.size != 1:
             raise ShapeError(
-                f"backward: root must be scalar, got shape {root.shape}"
+                f"gradients: root must be scalar, got shape {root.shape}"
             )
-        grads: dict[int, np.ndarray] = {
-            root.tid: np.full(root.shape, float(seed))
-        }
+        grads: dict[int, np.ndarray] = {root.tid: np.ones(root.shape)}
         for rec in reversed(self._records):
             g = grads.get(rec.out_id)
             if g is None:
@@ -200,9 +187,6 @@ class GradientMap:
             return np.zeros(t.shape)
         return np.asarray(g, dtype=np.float64).reshape(t.shape)
 
-    def __contains__(self, t: Tensor) -> bool:
-        return t.tid in self._grads
-
 
 def forward(fn: Callable, *inputs: Tensor) -> tuple[Tensor, Tape]:
     """Evaluate ``fn(*inputs)`` under a fresh tape and return (value, tape)."""
@@ -211,16 +195,7 @@ def forward(fn: Callable, *inputs: Tensor) -> tuple[Tensor, Tape]:
         value = fn(*inputs)
     if not isinstance(value, Tensor):
         raise TypeError("forward: expression must return a Tensor")
-    tape.root = value
-    tape.inputs = inputs
     return value, tape
-
-
-def backward(tape: Tape, seed: float = 1.0) -> GradientMap:
-    """Replay ``tape`` once and return gradients of its root."""
-    if tape.root is None:
-        raise ShapeError("backward: tape has no root; produce it via forward()")
-    return tape.gradients(tape.root, seed)
 
 
 def finite_diff_check(
@@ -242,7 +217,7 @@ def finite_diff_check(
     value, tape = forward(fn, point)
     if value.size != 1:
         raise ShapeError("finite_diff_check: fn must be scalar-valued")
-    analytic = backward(tape)[point].ravel()
+    analytic = tape.gradients(value)[point].ravel()
     n = point.size
     if max_coords is not None and max_coords < n:
         if rng is None:
@@ -464,33 +439,12 @@ def sigmoid(a) -> Tensor:
     return _emit("sigmoid", y, ((a, lambda g, y=y: g * y * (1.0 - y)),))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    with np.errstate(over="ignore"):
-        y = np.exp(a.data)
-    return _emit("exp", y, ((a, lambda g, y=y: g * y),))
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
     if np.any(a.data <= 0):
         raise DomainError("log: input must be strictly positive")
     x = a.data
     return _emit("log", np.log(x), ((a, lambda g, x=x: g / x),))
-
-
-def sqrt(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data < 0):
-        raise DomainError("sqrt: input must be non-negative")
-    y = np.sqrt(a.data)
-    return _emit("sqrt", y, ((a, lambda g, y=y: g / (2.0 * y)),))
-
-
-def square(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    return _emit("square", x * x, ((a, lambda g, x=x: 2.0 * x * g),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -508,49 +462,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _emit("softmax", y, ((a, vjp),))
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple, axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
     shape = a.shape
-    return _emit(
-        "sum",
-        out,
-        ((a, lambda g: _expand_reduced(g, shape, axis, keepdims).copy()),),
-    )
 
+    def vjp(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, shape).copy()
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.size if axis is None else a.shape[axis]
-    shape = a.shape
-
-    def vjp(g, shape=shape, axis=axis, keepdims=keepdims, count=count):
-        return _expand_reduced(g, shape, axis, keepdims) / count
-
-    return _emit("mean", out, ((a, vjp),))
-
-
-def vmax(a) -> Tensor:
-    """Max of a vector; ties send the whole subgradient to the first index."""
-    a = _as_tensor(a)
-    if a.ndim != 1 or a.size == 0:
-        raise ShapeError(f"vmax: expected a non-empty vector, got shape {a.shape}")
-    j = int(np.argmax(a.data))
-    out = np.asarray(a.data[j])
-    shape = a.shape
-
-    def vjp(g, j=j, shape=shape):
-        z = np.zeros(shape)
-        z[j] = g
-        return z
-
-    return _emit("vmax", out, ((a, vjp),))
+    return _emit("sum", out, ((a, vjp),))

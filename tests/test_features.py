@@ -177,6 +177,17 @@ def test_prepared_panel_universe_and_windows():
     assert prep.windows(t) is ws  # cached
 
 
+def test_prepared_panel_of_reuses_a_matching_k_and_reads_any_period_form():
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=8))
+    prep = PreparedPanel.of(panel, 6)
+    assert prep.k == 6 and PreparedPanel.of(prep, 6) is prep
+    with pytest.raises(DataError, match="k=6, requested k=12"):
+        PreparedPanel.of(prep, 12)
+    t = prep.decision_times[0]
+    assert prep.month(format_month(t)) == t
+    assert prep.windows(format_month(t)) is prep.windows(t)
+
+
 def test_prepared_panel_forward_ratios_and_delisting_substitution():
     closes = np.ones((2, 6))
     closes[0] = [1.0, 1.1, 1.21, 1.331, 1.4641, 1.61051]

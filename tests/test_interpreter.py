@@ -41,6 +41,19 @@ def test_sensitivity_shape_is_k_by_f(case):
     assert sens2.shape == (3, 7)
 
 
+def test_sensitivity_rejects_a_single_window(case):
+    windows, ranks = case
+    with pytest.raises(DataError, match="windows must be"):
+        input_sensitivity(windows[0], ranks, small_params(3), 0)
+
+
+@pytest.mark.parametrize("stock", [-1, 4])
+def test_sensitivity_rejects_an_out_of_range_stock(case, stock):
+    windows, ranks = case
+    with pytest.raises(DataError, match="out of range"):
+        input_sensitivity(windows, ranks, small_params(3), stock)
+
+
 def test_sensitivity_matches_finite_differences(case):
     windows, ranks = case
     params = small_params(4)

@@ -13,7 +13,6 @@ from bwsl.policy import (
     history_attention,
     lstm_encode,
     policy_forward,
-    prior_weight,
     rank_distance,
     winner_scores,
 )
@@ -149,12 +148,6 @@ def test_history_attention_matches_direct_formula():
     np.testing.assert_allclose(rep.data[0], expected, atol=1e-12)
 
 
-def test_prior_weight_zero_distance():
-    params = small_params(12)
-    logits = params["rank_w"].data @ params["rank_emb"].data
-    assert prior_weight(5, 5, params) == pytest.approx(_sigmoid(logits[0]), abs=1e-15)
-
-
 def test_prior_weight_quantized_distance():
     assert rank_distance(np.array([10, 3]), q=4, l_cols=8)[0, 1] == 1
 
@@ -163,7 +156,8 @@ def test_prior_weight_clamps_to_embedding_width():
     params = small_params(13, l_cols=16)
     d = rank_distance(np.array([1, 100000]), q=params.q, l_cols=16)
     assert d[0, 1] == 15
-    assert 0.0 < prior_weight(1, 100000, params) < 1.0
+    prior = ad.sigmoid(params["rank_w"] @ params["rank_emb"]).data
+    assert 0.0 < prior[d[0, 1]] < 1.0
 
 
 def test_caan_zero_query_yields_mean_of_values():

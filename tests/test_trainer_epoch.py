@@ -127,3 +127,26 @@ def test_market_threshold_rejects_a_single_stock_period():
     panel = panel_from_closes(closes, mask=mask)
     with pytest.raises(DataError, match="fewer than 2 eligible stocks"):
         market_threshold(panel, START + 6, 2, 0.0, 0.0, k=2)
+
+
+def thin_month_panel(n_periods, thin_index):
+    # 3 stocks; only S0 has a bar at thin_index, so with k=2 the decision
+    # times thin_index .. thin_index + 2 have fewer than 2 eligible stocks
+    closes = np.cumprod(np.random.default_rng(17).uniform(0.9, 1.1, size=(3, n_periods)), axis=1)
+    mask = np.ones((3, n_periods), dtype=bool)
+    mask[1:, thin_index] = False
+    return panel_from_closes(closes, mask=mask)
+
+
+def test_train_samples_around_a_thin_month():
+    panel = thin_month_panel(30, 20)
+    cfg = TrainConfig(t=3, n=4, epochs=5, eta=1e-3, k=2, seed=0, tc=0.0)
+    result = train(panel, cfg, small_params(16))
+    assert len(result.log) == cfg.epochs
+
+
+def test_train_without_an_eligible_start_raises():
+    # k=2, t=3, 8 months: every 3-period window of decision times 2..6 covers index 4
+    cfg = TrainConfig(t=3, n=2, epochs=1, k=2, seed=0, tc=0.0)
+    with pytest.raises(DataError, match="train: no start"):
+        train(thin_month_panel(8, 4), cfg, small_params(17))
