@@ -213,7 +213,7 @@ def finite_diff_check(
     given, that many coordinates are sampled without replacement.
     """
     if eps <= 0:
-        raise ValueError("finite_diff_check: eps must be positive")
+        raise DomainError("finite_diff_check: eps must be positive")
     value, tape = forward(fn, point)
     if value.size != 1:
         raise ShapeError("finite_diff_check: fn must be scalar-valued")

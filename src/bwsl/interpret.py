@@ -7,10 +7,20 @@ through the cross-asset attention are excluded from the report).
 Averaging those gradients over every (period, eligible stock) sample
 gives the dataset-level influence of each feature at each look-back lag.
 
-One routine computes every sensitivity: it records the forward pass of a
-decision time once, with the parameters entering the tape as constants so
-no parameter gradient is ever formed, and replays that tape once per
-requested stock.
+One routine computes every sensitivity, split at the per-stock
+representation r = encode(x) of :mod:`policy`. The encoder (LSTM and
+history attention) works row by row, so r_i depends on x_i alone, and
+stocks only meet in ``score`` (cross-asset attention and head). Hence
+
+    ds_i/dx_i = (ds_i/dr_i) . dr_i/dx_i
+
+exactly, and the excluded cross-stock terms ds_i/dx_j never arise. The
+routine records ``encode`` once and ``score`` once on a second tape whose
+leaf is r. It replays that small score tape once per requested stock and
+keeps row i of dr, giving a cotangent row c_i. Then one backward of
+sum(r * c) through the encoder tape yields every requested stock's
+own-window gradient at once. The parameters enter both tapes as
+constants, so no parameter gradient is ever formed.
 
 Lag orientation: lag 1 is the most recent window row (the period ending
 at the decision time), lag K the oldest.
@@ -26,7 +36,7 @@ from .autodiff import Tape, Tensor
 from .errors import DataError
 from .features import FEATURE_NAMES, PreparedPanel
 from .market import format_month
-from .policy import PolicyParams, policy_forward
+from .policy import PolicyParams, encode, score
 
 
 def input_sensitivity(
@@ -49,19 +59,25 @@ def input_sensitivity(
 
 def _own_window_grads(windows: np.ndarray, ranks, params: PolicyParams, stocks) -> np.ndarray:
     """(len(stocks), K, F): each listed stock's score gradient w.r.t. its
-    own window, from one recorded forward pass replayed once per stock."""
+    own window, from one replay of the score tape per stock and one
+    encoder backward."""
     constants = PolicyParams({n: Tensor(t.data) for n, t in params.tensors().items()}, params.q)
+    stocks = list(stocks)
     x = Tensor(windows, requires_grad=True)
-    tape = Tape()
-    with tape:
-        scores = policy_forward(x, np.asarray(ranks), constants)
+    encoder = Tape()
+    with encoder:
+        rep = encode(x, constants)
+    leaf = Tensor(rep.data, requires_grad=True)
+    head = Tape()
+    with head:
+        scores = score(leaf, ranks, constants)
         roots = [scores[i] for i in stocks]
-    # copy each block out: a view would keep that replay's whole (I, K, F)
-    # gradient alive
-    out = np.zeros((len(roots),) + x.shape[1:])
-    for j, (i, root) in enumerate(zip(stocks, roots)):
-        out[j] = tape.gradients(root)[x][i]
-    return out
+    cotangent = np.zeros(rep.shape)
+    for i, root in zip(stocks, roots):
+        cotangent[i] = head.gradients(root)[leaf][i]
+    with encoder:
+        root = (rep * Tensor(cotangent)).sum()
+    return encoder.gradients(root)[x][stocks]
 
 
 @dataclass(frozen=True)
@@ -112,14 +128,12 @@ def average_sensitivity(
         acc += _own_window_grads(ws.features, ws.ranks, params, range(len(ws))).sum(axis=0)
         samples += len(ws)
     if samples == 0:
-        raise DataError(
-            "no valid decision time in range"
-            + (
-                f" [{format_month(s)}, {format_month(e)}]"
-                if start is not None and end is not None
-                else ""
-            )
-        )
+        bounds = ""
+        if start is not None or end is not None:
+            lo = format_month(s) if start is not None else "?"
+            hi = format_month(e) if end is not None else "?"
+            bounds = f" [{lo}, {hi}]"
+        raise DataError("no valid decision time in range" + bounds)
     mean_kf = acc / samples
     delta_bar = mean_kf[::-1].T  # flip steps so column 0 is lag 1 (most recent)
     return SensitivityReport(

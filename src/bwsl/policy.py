@@ -301,12 +301,23 @@ def winner_scores(attended: Tensor, params: PolicyParams) -> Tensor:
     return ad.sigmoid(attended @ params["w_score"] + params["b_score"])
 
 
+def encode(windows, params: PolicyParams) -> Tensor:
+    """(I, K, F) windows -> (I, H) representations, one stock per row.
+
+    Every op here works row by row, so row i depends on window i alone;
+    stocks first meet in :func:`score`.
+    """
+    return history_attention(lstm_encode(windows, params), params)
+
+
+def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
+    """(I, H) representations -> winner scores (I,), coupled across stocks."""
+    return winner_scores(caan_forward(rep, np.asarray(ranks), params), params)
+
+
 def policy_forward(windows, ranks, params: PolicyParams) -> Tensor:
     """Windows of all eligible stocks -> winner scores (I,)."""
-    states = lstm_encode(windows, params)
-    rep = history_attention(states, params)
-    attended = caan_forward(rep, np.asarray(ranks), params)
-    return winner_scores(attended, params)
+    return score(encode(windows, params), ranks, params)
 
 
 def score_window_set(window_set: WindowSet, params: PolicyParams) -> WinnerScores:

@@ -110,6 +110,13 @@ def test_finite_diff_linear_function_is_exact():
     assert err <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-6])
+def test_finite_diff_check_rejects_a_non_positive_step(eps):
+    x = ad.Tensor([0.5], requires_grad=True)
+    with pytest.raises(DomainError, match="eps must be positive"):
+        ad.finite_diff_check(lambda t: t.sum(), x, eps=eps)
+
+
 def test_finite_diff_sigmoid_quarter_slope_at_zero():
     x = ad.Tensor(0.0, requires_grad=True)
     value, tape = ad.forward(lambda t: ad.sigmoid(t.reshape((1,)))[0], x)

@@ -1,12 +1,16 @@
 """Sensitivity analysis: zero cases, finite differences, lag orientation."""
 
+import re
+
 import numpy as np
 import pytest
 
+from bwsl import interpret
+from bwsl.autodiff import Tape, Tensor
 from bwsl.errors import DataError
 from bwsl.features import FEATURE_NAMES, PreparedPanel
 from bwsl.interpret import SensitivityReport, average_sensitivity, input_sensitivity
-from bwsl.market import SynthConfig, synth_market
+from bwsl.market import SynthConfig, format_month, synth_market
 from bwsl.policy import PolicyParams, policy_forward
 
 
@@ -110,6 +114,43 @@ def test_sensitivity_linearity_in_score_head(case):
     np.testing.assert_allclose(total, parts, atol=1e-10)
 
 
+def test_split_tapes_match_per_stock_replays_of_the_full_tape():
+    # oracle: one tape over the whole policy_forward, replayed once per
+    # stock, keeping row i of the window gradient
+    rng = np.random.default_rng(15)
+    windows = rng.normal(size=(6, 4, 7))
+    ranks = np.array([1, 9, 3, 17, 6, 12])
+    params = small_params(16)
+    stocks = [4, 0, 3]
+    x = Tensor(windows, requires_grad=True)
+    tape = Tape()
+    with tape:
+        scores = policy_forward(x, ranks, params)
+        roots = [scores[i] for i in stocks]
+    expected = np.stack([tape.gradients(r)[x][i] for i, r in zip(stocks, roots)])
+    got = interpret._own_window_grads(windows, ranks, params, stocks)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_average_sensitivity_runs_one_encoder_backward_per_time(monkeypatch):
+    panel = synth_market(SynthConfig(num_stocks=7, num_periods=30, seed=17))
+    prep = PreparedPanel(panel, 4)
+    t = prep.decision_times[0]
+    n = len(prep.windows(t))
+    lengths = []
+    gradients = Tape.gradients
+
+    def counted(tape, root):
+        lengths.append(len(tape))
+        return gradients(tape, root)
+
+    monkeypatch.setattr(Tape, "gradients", counted)
+    average_sensitivity(prep, small_params(18), start=t, end=t, k=4)
+    small = [m for m in lengths if m <= 16 + n]
+    assert len(small) == n
+    assert len(lengths) == n + 1
+
+
 def test_average_sensitivity_single_time_is_plain_mean():
     panel = synth_market(SynthConfig(num_stocks=5, num_periods=30, seed=9))
     params = small_params(10)
@@ -144,6 +185,13 @@ def test_average_sensitivity_empty_range_errors():
     panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=13))
     with pytest.raises(DataError):
         average_sensitivity(panel, small_params(14), start=panel.start, end=panel.start, k=12)
+
+
+def test_average_sensitivity_empty_range_names_a_single_bound():
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=13))
+    bounds = f"[?, {format_month(panel.start)}]"
+    with pytest.raises(DataError, match=re.escape(bounds)):
+        average_sensitivity(panel, small_params(14), end=panel.start, k=12)
 
 
 def test_report_csv_layout():

@@ -10,10 +10,12 @@ from bwsl.policy import (
     PARAM_ORDER,
     PolicyParams,
     caan_forward,
+    encode,
     history_attention,
     lstm_encode,
     policy_forward,
     rank_distance,
+    score,
     winner_scores,
 )
 
@@ -263,6 +265,39 @@ def test_policy_gradients_match_finite_differences():
                 score_one, original, eps=1e-6, max_coords=12, rng=rng
             ),
         )
+    assert worst <= 1e-4
+
+
+def test_encode_rows_depend_only_on_their_own_window():
+    # interpret's split at encode() is exact only while the encoder is row
+    # separable; any cross-stock op before the cross-asset attention breaks it
+    params = small_params(41)
+    rng = np.random.default_rng(42)
+    windows = rng.normal(size=(5, 4, 7))
+    base = encode(windows, params).data
+    for j in range(5):
+        bumped = windows.copy()
+        bumped[j] += rng.normal(size=(4, 7))
+        rep = encode(bumped, params).data
+        others = [i for i in range(5) if i != j]
+        np.testing.assert_array_equal(rep[others], base[others])
+        assert not np.array_equal(rep[j], base[j])
+
+
+def test_encode_and_score_gradients_match_finite_differences():
+    params = small_params(45, hidden=8)
+    rng = np.random.default_rng(46)
+    windows = Tensor(rng.normal(size=(5, 4, 7)), requires_grad=True)
+    ranks = 1 + rng.permutation(5)
+    rep = Tensor(encode(windows, params).data, requires_grad=True)
+    cot = rng.normal(size=rep.shape)
+    worst = max(
+        ad.finite_diff_check(
+            lambda x: (encode(x, params) * Tensor(cot)).sum(), windows, eps=1e-6,
+            max_coords=30, rng=rng,
+        ),
+        ad.finite_diff_check(lambda r: score(r, ranks, params)[2], rep, eps=1e-6),
+    )
     assert worst <= 1e-4
 
 
