@@ -15,12 +15,13 @@ stocks only meet in ``score`` (cross-asset attention and head). Hence
     ds_i/dx_i = (ds_i/dr_i) . dr_i/dx_i
 
 exactly, and the excluded cross-stock terms ds_i/dx_j never arise. The
-routine records ``encode`` once and ``score`` once on a second tape whose
-leaf is r. It replays that small score tape once per requested stock and
-keeps row i of dr, giving a cotangent row c_i. Then one backward of
-sum(r * c) through the encoder tape yields every requested stock's
-own-window gradient at once. The parameters enter both tapes as
-constants, so no parameter gradient is ever formed.
+cotangent rows c_i = ds_i/dr_i of all stocks come in closed form from
+:func:`policy.own_score_grads` (the softmax adjoint applied once to the
+(I, I) attention, O(I^2 H), no tape). The routine records ``encode`` once
+on one tape, and one backward of sum(r * c) through it yields every
+requested stock's own-window gradient at once. The parameters enter as
+constants, so no parameter gradient is ever formed. A decision time thus
+costs one encoder forward and backward plus O(I^2 H) for the head.
 
 Lag orientation: lag 1 is the most recent window row (the period ending
 at the decision time), lag K the oldest.
@@ -36,7 +37,7 @@ from .autodiff import Tape, Tensor
 from .errors import DataError
 from .features import FEATURE_NAMES, PreparedPanel
 from .market import format_month
-from .policy import PolicyParams, encode, score
+from .policy import PolicyParams, encode, own_score_grads
 
 
 def input_sensitivity(
@@ -59,22 +60,15 @@ def input_sensitivity(
 
 def _own_window_grads(windows: np.ndarray, ranks, params: PolicyParams, stocks) -> np.ndarray:
     """(len(stocks), K, F): each listed stock's score gradient w.r.t. its
-    own window, from one replay of the score tape per stock and one
-    encoder backward."""
-    constants = PolicyParams({n: Tensor(t.data) for n, t in params.tensors().items()}, params.q)
+    own window, from the closed-form head cotangent and one encoder
+    backward."""
     stocks = list(stocks)
     x = Tensor(windows, requires_grad=True)
     encoder = Tape()
     with encoder:
-        rep = encode(x, constants)
-    leaf = Tensor(rep.data, requires_grad=True)
-    head = Tape()
-    with head:
-        scores = score(leaf, ranks, constants)
-        roots = [scores[i] for i in stocks]
+        rep = encode(x, params.constants())
     cotangent = np.zeros(rep.shape)
-    for i, root in zip(stocks, roots):
-        cotangent[i] = head.gradients(root)[leaf][i]
+    cotangent[stocks] = own_score_grads(rep.data, ranks, params)[stocks]
     with encoder:
         root = (rep * Tensor(cotangent)).sum()
     return encoder.gradients(root)[x][stocks]

@@ -38,9 +38,23 @@ CSV_COLUMNS = (
 )
 
 
+def _finite_returns(returns, who: str) -> np.ndarray:
+    r = np.asarray(returns, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise DataError(f"{who}: non-finite returns")
+    return r
+
+
+def _periods_per_year(periods_per_year, who: str) -> int:
+    ny = int(periods_per_year)
+    if ny <= 0:
+        raise DataError(f"{who}: periods_per_year must be positive, got {periods_per_year}")
+    return ny
+
+
 def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     """Mean excess return (net of tc) per unit of return volatility."""
-    r = np.asarray(returns, dtype=float)
+    r = _finite_returns(returns, "sharpe")
     if r.ndim != 1 or r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
     a = float(np.mean(r - tc))
@@ -143,14 +157,14 @@ def report(
     periods_per_year: int = 12,
 ) -> PerformanceReport:
     """Full evaluation of a return series (raises on zero volatility)."""
-    r = np.asarray(returns, dtype=float)
+    r = _finite_returns(returns, "report")
+    ny = _periods_per_year(periods_per_year, "report")
     if r.ndim != 1 or r.size < 2:
         raise DataError("report: need at least 2 returns")
     a = float(np.mean(r - tc))
     v = float(np.std(r))
     if v == 0.0 or np.ptp(r) == 0.0:
         raise ZeroVolatilityError("report: returns have zero volatility")
-    ny = int(periods_per_year)
     apr = a * ny
     avol = v * math.sqrt(ny)
     asr = apr / avol
@@ -192,8 +206,8 @@ def degenerate_report(
     reason: str = "zero_volatility",
 ) -> PerformanceReport:
     """Report for series where volatility-based ratios are undefined."""
-    r = np.asarray(returns, dtype=float)
-    ny = int(periods_per_year)
+    r = _finite_returns(returns, "degenerate_report")
+    ny = _periods_per_year(periods_per_year, "degenerate_report")
     wealth = cumulative_wealth(r, tc) if r.size else np.ones(1)
     apr = float(np.mean(r - tc)) * ny if r.size else math.nan
     mdd = max_drawdown(wealth)
@@ -214,7 +228,9 @@ def degenerate_report(
 
 
 def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
-    """Prefer a full report; fall back to a flagged degenerate one."""
+    """Prefer a full report; fall back to a flagged degenerate one.
+
+    Non-finite returns and periods_per_year <= 0 raise DataError either way."""
     r = np.asarray(returns, dtype=float)
     try:
         return report(r, theta=theta, tc=tc, periods_per_year=periods_per_year)

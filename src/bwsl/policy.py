@@ -141,6 +141,10 @@ class PolicyParams:
     def l_cols(self) -> int:
         return self._tensors["rank_emb"].shape[1]
 
+    def constants(self) -> "PolicyParams":
+        """The same arrays as constant tensors: no op on them is recorded."""
+        return PolicyParams({n: Tensor(t.data) for n, t in self._tensors.items()}, self.q)
+
     def copy(self) -> "PolicyParams":
         return PolicyParams(
             {n: Tensor(t.data.copy(), requires_grad=True) for n, t in self._tensors.items()},
@@ -276,10 +280,9 @@ def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     return np.minimum(d, l_cols - 1)
 
 
-def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor:
-    """Cross-asset attention: each stock attends over all stocks' values,
-    with attention logits scaled by 1/sqrt(H) and multiplied by the rank
-    prior before normalization."""
+def _caan_terms(rep: Tensor, ranks: np.ndarray, params: PolicyParams):
+    """Query, key, value, rank prior psi and attention A = softmax(psi * QK'/sqrt(H)),
+    each (I, H) or (I, I); recorded on the active tape like any other op."""
     if rep.ndim != 2 or rep.shape[0] < 2:
         raise ShapeError("caan: need representations for at least 2 stocks")
     if len(ranks) != rep.shape[0]:
@@ -293,6 +296,14 @@ def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor
     prior = ad.sigmoid(params["rank_w"] @ params["rank_emb"])
     psi = ad.take(prior, d.ravel()).reshape(d.shape)
     attention = ad.softmax(psi * logits, axis=1)
+    return query, key, value, psi, attention
+
+
+def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor:
+    """Cross-asset attention: each stock attends over all stocks' values,
+    with attention logits scaled by 1/sqrt(H) and multiplied by the rank
+    prior before normalization."""
+    _, _, value, _, attention = _caan_terms(rep, ranks, params)
     return attention @ value
 
 
@@ -313,6 +324,36 @@ def encode(windows, params: PolicyParams) -> Tensor:
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
     """(I, H) representations -> winner scores (I,), coupled across stocks."""
     return winner_scores(caan_forward(rep, np.asarray(ranks), params), params)
+
+
+def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
+    """Own-row Jacobian of :func:`score` for all stocks at once: the (I, H)
+    matrix C whose row i is ds_i/dr_i, every other row of the (I, H) array
+    ``rep`` held fixed.
+
+    With A = softmax(psi * QK'/sqrt(H)), Z = AV and s = sigmoid(Zw + b), the
+    cotangent of Z is G = diag(s(1 - s)) w', and, by the softmax adjoint,
+
+        M = GV',  N = A * (M - rowsum(A * M)),  D = N * psi / sqrt(H)
+        C = diag(A) G Wv' + (DK) Wq' + diag(D) Q Wk'
+
+    The three terms are r_i's paths through V_i, Q_i and K_i. The forward
+    values come from the same primitives as :func:`score`, on constant
+    tensors, so nothing is recorded on any tape. Cost O(I^2 H).
+    """
+    params = params.constants()
+    query, key, value, psi, attention = _caan_terms(Tensor(rep), np.asarray(ranks), params)
+    s = winner_scores(attention @ value, params).data
+    a, q, k = attention.data, query.data, key.data
+    g = (s * (1.0 - s))[:, None] * params["w_score"].data
+    m = g @ value.data.T
+    n = a * (m - np.sum(a * m, axis=1, keepdims=True))
+    d = n * psi.data * (1.0 / np.sqrt(params.hidden))
+    return (
+        np.diag(a)[:, None] * (g @ params["wv"].data.T)
+        + (d @ k) @ params["wq"].data.T
+        + np.diag(d)[:, None] * (q @ params["wk"].data.T)
+    )
 
 
 def policy_forward(windows, ranks, params: PolicyParams) -> Tensor:

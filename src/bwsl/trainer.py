@@ -30,6 +30,7 @@ price ratios, and the delisting substitutions those ratios needed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,9 +66,17 @@ class TrainConfig:
             raise DataError("train: t must be at least 2")
         if self.n < 1:
             raise DataError("train: n must be at least 1")
+        for name in ("eta", "clip", "theta", "tc"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"train: {name} must be finite")
         # eta == 0 is allowed as an explicit no-op update
         if self.eta < 0:
             raise DataError("train: eta must be non-negative")
+        # clip == 0 turns clipping off; g == 0 is the quarter-universe rule
+        if self.clip < 0:
+            raise DataError("train: clip must be non-negative")
+        if self.g < 0:
+            raise DataError("train: g must be non-negative")
         if self.mode not in MODES:
             raise DataError(f"train: unknown mode {self.mode!r}")
 

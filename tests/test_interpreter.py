@@ -132,11 +132,13 @@ def test_split_tapes_match_per_stock_replays_of_the_full_tape():
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
-def test_average_sensitivity_runs_one_encoder_backward_per_time(monkeypatch):
+def test_average_sensitivity_runs_one_backward_per_time(monkeypatch):
+    # the head cotangent is closed form: one encoder backward per decision
+    # time, and no replay of a small score tape (12 + I records)
     panel = synth_market(SynthConfig(num_stocks=7, num_periods=30, seed=17))
     prep = PreparedPanel(panel, 4)
-    t = prep.decision_times[0]
-    n = len(prep.windows(t))
+    t0, t1 = prep.decision_times[0], prep.decision_times[1]
+    n = max(len(prep.windows(t0)), len(prep.windows(t1)))
     lengths = []
     gradients = Tape.gradients
 
@@ -145,10 +147,11 @@ def test_average_sensitivity_runs_one_encoder_backward_per_time(monkeypatch):
         return gradients(tape, root)
 
     monkeypatch.setattr(Tape, "gradients", counted)
-    average_sensitivity(prep, small_params(18), start=t, end=t, k=4)
-    small = [m for m in lengths if m <= 16 + n]
-    assert len(small) == n
-    assert len(lengths) == n + 1
+    average_sensitivity(prep, small_params(18), start=t0, end=t0, k=4)
+    assert len(lengths) == 1
+    average_sensitivity(prep, small_params(18), start=t0, end=t1, k=4)
+    assert len(lengths) == 3
+    assert min(lengths) > 16 + n
 
 
 def test_average_sensitivity_single_time_is_plain_mean():

@@ -162,3 +162,17 @@ def test_kv_and_csv_serialization_roundtrip_values():
 def test_degenerate_report_keeps_wealth():
     rep = degenerate_report([0.01, 0.01], tc=0.0)
     assert rep.final_wealth == pytest.approx(1.01**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("periods_per_year", [0, -12])
+@pytest.mark.parametrize("fn", [report, degenerate_report, report_or_degenerate])
+def test_non_positive_periods_per_year_raise_data_error(fn, periods_per_year):
+    with pytest.raises(DataError, match="periods_per_year"):
+        fn([0.05, -0.02, 0.01], periods_per_year=periods_per_year)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [sharpe, report, degenerate_report, report_or_degenerate])
+def test_non_finite_returns_raise_data_error(fn, bad):
+    with pytest.raises(DataError, match="non-finite"):
+        fn([bad, 0.1, 0.2])

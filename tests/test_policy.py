@@ -1,5 +1,7 @@
 """Scoring network: component oracles, equivariance, gradient checks."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bwsl.policy import (
     encode,
     history_attention,
     lstm_encode,
+    own_score_grads,
     policy_forward,
     rank_distance,
     score,
@@ -299,6 +302,65 @@ def test_encode_and_score_gradients_match_finite_differences():
         ad.finite_diff_check(lambda r: score(r, ranks, params)[2], rep, eps=1e-6),
     )
     assert worst <= 1e-4
+
+
+def _replayed_own_score_grads(rep, ranks, params):
+    """Oracle: one tape over ``score``, replayed once per stock, keeping row i."""
+    leaf = Tensor(rep, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        scores = score(leaf, ranks, params)
+        roots = [scores[i] for i in range(len(rep))]
+    return np.stack([tape.gradients(r)[leaf][i] for i, r in enumerate(roots)])
+
+
+_REP_RNG = np.random.default_rng(47)
+_SAME_ROWS = _REP_RNG.normal(size=(4, 6))
+_SAME_ROWS[3] = _SAME_ROWS[1]
+
+
+@pytest.mark.parametrize(
+    "rep, ranks",
+    [
+        (_REP_RNG.normal(size=(2, 6)), [3, 8]),  # I = 2
+        (_REP_RNG.normal(size=(5, 6)), [4, 4, 4, 4, 4]),  # tied ranks, distance 0
+        (_REP_RNG.normal(size=(5, 6)), [1, 400, 2, 900, 37]),  # clamped last column
+        (_SAME_ROWS, [1, 5, 9, 5]),  # two identical representation rows
+    ],
+    ids=["two_stocks", "tied_ranks", "clamped_distance", "identical_rows"],
+)
+def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks):
+    params = small_params(48)
+    ranks = np.asarray(ranks)
+    d = rank_distance(ranks, params.q, params.l_cols)
+    if len(set(ranks)) == 1:
+        assert not d.any()
+    if ranks.max() - ranks.min() > params.q * params.l_cols:
+        assert d.max() == params.l_cols - 1
+    expected = _replayed_own_score_grads(rep, ranks, params)
+    np.testing.assert_allclose(own_score_grads(rep, ranks, params), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "rep, ranks",
+    [(np.ones((3, 6)), [1, 2]), (np.ones((1, 6)), [1])],
+    ids=["misaligned_ranks", "single_stock"],
+)
+def test_own_score_grads_raise_the_caan_shape_errors(rep, ranks):
+    params = small_params(49)
+    with pytest.raises(ShapeError) as caan_error:
+        caan_forward(Tensor(rep), np.asarray(ranks), params)
+    with pytest.raises(ShapeError, match=f"^{re.escape(str(caan_error.value))}$"):
+        own_score_grads(rep, ranks, params)
+
+
+def test_own_score_grads_record_nothing_on_an_active_tape():
+    params = small_params(50)
+    rep = np.random.default_rng(51).normal(size=(4, 6))
+    tape = ad.Tape()
+    with tape:
+        own_score_grads(rep, [1, 2, 3, 4], params)
+    assert len(tape) == 0
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
-from bwsl.errors import NonFiniteError, TrainingDivergedError
+from bwsl.errors import DataError, NonFiniteError, TrainingDivergedError
 from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, synth_market
 from bwsl.metrics import sharpe
@@ -245,3 +245,28 @@ def test_learning_log_csv_format():
     lines = text.splitlines()
     assert lines[0] == "epoch,mean_H,mean_advantage,grad_norm"
     assert lines[1].startswith("1,0.5,0.1,2.0")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("g", -3),
+        ("clip", -1.0),
+        ("eta", float("nan")),
+        ("eta", float("inf")),
+        ("clip", float("nan")),
+        ("clip", float("inf")),
+        ("theta", float("nan")),
+        ("theta", float("-inf")),
+        ("tc", float("nan")),
+        ("tc", float("inf")),
+    ],
+)
+def test_train_config_rejects_bad_settings(field, value):
+    with pytest.raises(DataError, match=f"train: {field} "):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_keeps_zero_leg_size_and_zero_clip():
+    cfg = TrainConfig(g=0, clip=0.0)
+    assert (cfg.g, cfg.clip) == (0, 0.0)
