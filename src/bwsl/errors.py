@@ -14,7 +14,7 @@ class DataError(BwslError):
 
 
 class NoEligibleStocksError(DataError):
-    """No stock has a complete look-back window at the requested time."""
+    """Fewer than 2 stocks have a complete look-back window at the requested time."""
 
 
 class MissingReturnError(DataError):

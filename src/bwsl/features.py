@@ -1,7 +1,7 @@
 """Raw stock features, cross-sectional z-scoring, and look-back windows.
 
-Feature layout is fixed (interpretation output indexes depend on it):
-pr, vol, tv, mc, pe, bm, div. ``pr`` is the one-month price rising rate
+The feature layout is FEATURE_NAMES, fixed because interpretation output
+indexes depend on it. ``pr`` is the one-month price rising rate
 close_t / close_{t-1}; the rest are read from the bar at t.
 
 Z-scores are cross-sectional per period: at each window step, every
@@ -22,28 +22,36 @@ from .market import MarketPanel, format_month
 
 FEATURE_NAMES = ("pr", "vol", "tv", "mc", "pe", "bm", "div")
 N_FEATURES = len(FEATURE_NAMES)
+# panel field read for a feature after pr (the close ratio) whose name differs
+_PANEL_FIELD = {"tv": "volume", "mc": "mcap"}
 
 
-def raw_features(panel: MarketPanel, stock_id: str, t) -> np.ndarray:
-    """Unstandardized 7-vector for one stock at month t (needs bars at t-1, t)."""
-    pi = panel.index_of(t)
-    si = panel.stock_index(stock_id)
-    if pi == 0 or not (panel.mask[si, pi] and panel.mask[si, pi - 1]):
+def raw_features(panel: MarketPanel, rows, j: int) -> np.ndarray:
+    """Unstandardized (len(rows), F) features of the stocks at panel rows
+    ``rows`` in month column j, in FEATURE_NAMES order.
+
+    Every row needs bars at j-1 and j.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    if not 1 <= j < panel.n_periods:
+        raise DataError(f"no month column {j} with a month before it")
+    present = panel.mask[:, j - 1 : j + 1][rows]
+    if not present.all():
+        absent = rows[np.flatnonzero(~present.all(axis=1))[0]]
         raise DataError(
-            f"missing bar for {stock_id} around {format_month(panel.start + pi)}"
+            f"missing bar for {panel.stock_ids[absent]} around {format_month(panel.start + j)}"
         )
     close = panel.field("close")
-    return np.array(
-        [
-            close[si, pi] / close[si, pi - 1],
-            panel.field("vol")[si, pi],
-            panel.field("volume")[si, pi],
-            panel.field("mcap")[si, pi],
-            panel.field("pe")[si, pi],
-            panel.field("bm")[si, pi],
-            panel.field("div")[si, pi],
-        ]
-    )
+    out = np.empty((rows.size, N_FEATURES))
+    out[:, 0] = close[:, j][rows] / close[:, j - 1][rows]
+    for col, name in enumerate(FEATURE_NAMES[1:], start=1):
+        out[:, col] = panel.field(_PANEL_FIELD.get(name, name))[:, j][rows]
+    return out
+
+
+def _eligible(panel: MarketPanel, pi: int, k: int) -> np.ndarray:
+    """Rows with every bar in month columns [pi-k, pi] present."""
+    return np.flatnonzero(panel.mask[:, pi - k : pi + 1].all(axis=1))
 
 
 def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
@@ -84,29 +92,25 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     Ranks are dense over the eligible set, ties broken by ascending
     stock_id.
     """
+    if k < 1:
+        raise DataError("k must be at least 1")
     pi = panel.index_of(t)
     if pi < k:
         raise DataError(
             f"decision time {format_month(panel.start + pi)} needs {k} look-back months"
         )
-    eligible = np.flatnonzero(panel.mask[:, pi - k : pi + 1].all(axis=1))
-    if eligible.size == 0:
+    eligible = _eligible(panel, pi, k)
+    if eligible.size < 2:
         raise NoEligibleStocksError(
-            f"no stock has a complete window at {format_month(panel.start + pi)}"
+            f"fewer than 2 stocks have a complete window at {format_month(panel.start + pi)}"
         )
     ids = [panel.stock_ids[i] for i in eligible]
-    close = panel.field("close")[eligible]
-    cols = [panel.field(f)[eligible] for f in ("vol", "volume", "mcap", "pe", "bm", "div")]
-
     feats = np.zeros((eligible.size, k, N_FEATURES))
     for step in range(k):
-        j = pi - k + 1 + step
-        raw = np.column_stack(
-            [close[:, j] / close[:, j - 1]] + [c[:, j] for c in cols]
-        )
+        raw = raw_features(panel, eligible, pi - k + 1 + step)
         feats[:, step, :] = zscore_crosssection(raw)
 
-    pr_last = close[:, pi] / close[:, pi - 1]
+    pr_last = raw[:, 0]  # the last step is month t
     order = sorted(range(len(ids)), key=lambda i: (-pr_last[i], ids[i]))
     ranks = np.zeros(len(ids), dtype=np.int64)
     for pos, i in enumerate(order, start=1):
@@ -159,16 +163,19 @@ class PreparedPanel:
         pi = self.panel.index_of(t)
         if pi < self.k:
             return []
-        return list(np.flatnonzero(self.panel.mask[:, pi - self.k : pi + 1].all(axis=1)))
+        return list(_eligible(self.panel, pi, self.k))
 
     def windows(self, t) -> WindowSet | None:
         """WindowSet at t, or None when fewer than 2 stocks are eligible."""
         return self._windows(self.month(t))
 
     def _build(self, t: int) -> WindowSet | None:
-        if len(self.universe(t)) < 2:
+        if self.panel.index_of(t) < self.k:
             return None
-        return build_windows(self.panel, t, self.k)
+        try:
+            return build_windows(self.panel, t, self.k)
+        except NoEligibleStocksError:
+            return None
 
     def forward_ratios(self, t, stock_ids) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Price rising rates close_{t+1}/close_t for the given stocks.

@@ -21,7 +21,7 @@ from .errors import DataError
 
 CSV_FIELDS = ("stock_id", "period", "close", "vol", "volume", "mcap", "pe", "bm", "div")
 CSV_HEADER = ",".join(CSV_FIELDS)
-_NUMERIC_FIELDS = ("close", "vol", "volume", "mcap", "pe", "bm", "div")
+_NUMERIC_FIELDS = CSV_FIELDS[2:]
 
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
@@ -55,21 +55,6 @@ def substream(seed: int, name: str) -> np.random.Generator:
     """Named, reproducible PCG64 stream derived from one master seed."""
     tag = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), tag])))
-
-
-@dataclass(frozen=True)
-class Bar:
-    """One stock-month record."""
-
-    stock_id: str
-    period: int
-    close: float
-    vol: float
-    volume: float
-    mcap: float
-    pe: float
-    bm: float
-    div: float
 
 
 class MarketPanel:
@@ -139,28 +124,6 @@ class MarketPanel:
             return self._index[stock_id]
         except KeyError:
             raise DataError(f"unknown stock {stock_id!r}") from None
-
-    def has_bar(self, stock_id: str, period) -> bool:
-        return bool(self.mask[self.stock_index(stock_id), self.index_of(period)])
-
-    def bar(self, stock_id: str, period) -> Bar:
-        si, pi = self.stock_index(stock_id), self.index_of(period)
-        if not self.mask[si, pi]:
-            raise DataError(
-                f"no bar for {stock_id} at {format_month(self.start + pi)}"
-            )
-        v = self._values
-        return Bar(
-            stock_id=self.stock_ids[si],
-            period=self.start + pi,
-            close=float(v["close"][si, pi]),
-            vol=float(v["vol"][si, pi]),
-            volume=float(v["volume"][si, pi]),
-            mcap=float(v["mcap"][si, pi]),
-            pe=float(v["pe"][si, pi]),
-            bm=float(v["bm"][si, pi]),
-            div=float(v["div"][si, pi]),
-        )
 
 
 def load_panel(path) -> MarketPanel:

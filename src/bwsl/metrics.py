@@ -15,6 +15,7 @@ DDR +inf with flag ``no_downside``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,10 @@ def _finite_returns(returns, who: str) -> np.ndarray:
 
 
 def _periods_per_year(periods_per_year, who: str) -> int:
+    if not (
+        isinstance(periods_per_year, numbers.Real) and float(periods_per_year).is_integer()
+    ):
+        raise DataError(f"{who}: periods_per_year must be a whole number, got {periods_per_year}")
     ny = int(periods_per_year)
     if ny <= 0:
         raise DataError(f"{who}: periods_per_year must be positive, got {periods_per_year}")
@@ -228,13 +233,15 @@ def degenerate_report(
 
 
 def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
-    """Prefer a full report; fall back to a flagged degenerate one.
+    """Prefer a full report; fall back to a flagged degenerate one for a
+    1-d series of fewer than 2 returns or of zero volatility.
 
-    Non-finite returns and periods_per_year <= 0 raise DataError either way."""
+    Every other DataError propagates: non-finite returns, a series that is
+    not 1-d, and a periods_per_year that is not a positive whole number."""
     r = np.asarray(returns, dtype=float)
+    if r.ndim == 1 and r.size < 2:
+        return degenerate_report(r, theta, tc, periods_per_year, "short_series")
     try:
         return report(r, theta=theta, tc=tc, periods_per_year=periods_per_year)
     except ZeroVolatilityError:
         return degenerate_report(r, theta, tc, periods_per_year, "zero_volatility")
-    except DataError:
-        return degenerate_report(r, theta, tc, periods_per_year, "short_series")

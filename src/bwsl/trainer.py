@@ -22,6 +22,10 @@ Sampled windows overlap, so an epoch (:func:`epoch_gradient`) scores and
 backpropagates each distinct decision time once, keeps that period's
 parameter gradient g_t and return, rebuilds every trajectory's returns
 and advantage from the stored returns, and combines (1/N) sum_t w_t g_t.
+:func:`period_step` is the one rollout step. Besides the epoch, only the
+tests' oracle (``tests/rollout_oracle.py``) calls it: that oracle records
+each trajectory on its own tape, which gives the reference for the
+deduplicated gradient and the surrogate for finite differences.
 
 The threshold and the policy step read each decision time the same way
 (:func:`_period_data`): the eligible universe's windows, their forward
@@ -47,7 +51,7 @@ from .portfolio import LONG_SHORT, MODES, PortfolioPair, generate, realize_retur
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Trajectory and optimization settings."""
+    """Settings for sampling trajectories and for optimization."""
 
     t: int = 12
     n: int = 16
@@ -66,6 +70,8 @@ class TrainConfig:
             raise DataError("train: t must be at least 2")
         if self.n < 1:
             raise DataError("train: n must be at least 1")
+        if self.epochs < 1:
+            raise DataError("train: epochs must be at least 1")
         for name in ("eta", "clip", "theta", "tc"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"train: {name} must be finite")
@@ -91,20 +97,6 @@ class PeriodStep:
     logprob: Tensor
     score_dev: float  # mean |score - 1/2| over the universe, degeneracy probe
     events: tuple[tuple[str, str], ...]  # (stock_id, 'missing_next_close') substitutions
-
-
-@dataclass
-class Trajectory:
-    """One simulated T-period investment with its differentiable surrogate."""
-
-    t0: int
-    pairs: list[PortfolioPair]
-    returns: np.ndarray
-    tape: Tape
-    logprob: Tensor
-    sharpe: float
-    score_dev: float  # mean |score - 1/2| across periods, degeneracy probe
-    flat: bool = False  # returns had zero volatility; sharpe is 0.0
 
 
 @dataclass(frozen=True)
@@ -152,14 +144,6 @@ def _sharpe_or_flat(returns, theta: float, tc: float) -> tuple[float, bool]:
         return 0.0, True
 
 
-def _reward(steps: list[PeriodStep], cfg: TrainConfig) -> tuple[np.ndarray, float, bool, float]:
-    """A trajectory's returns, its Sharpe (0.0 when flat), the flat flag and
-    its mean score deviation."""
-    returns = np.array([s.ret for s in steps])
-    h_pi, flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
-    return returns, h_pi, flat, float(np.mean([s.score_dev for s in steps]))
-
-
 def _period_data(prep: PreparedPanel, t: int) -> tuple[WindowSet, np.ndarray, list]:
     """The eligible windows at t, their forward price ratios, and the
     substitution events behind those ratios."""
@@ -173,8 +157,9 @@ def _period_data(prep: PreparedPanel, t: int) -> tuple[WindowSet, np.ndarray, li
 def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainConfig) -> PeriodStep:
     """Score -> legs -> leg log-prob -> realized return at decision time t.
 
-    Runs under whatever tape is active (none records nothing); training,
-    simulation and the surrogate all go through this one step.
+    Runs under whatever tape is active (none records nothing). It is the
+    one rollout step: :func:`epoch_gradient` and the tests' per-trajectory
+    oracle both build on it.
     """
     ws, z, events = _period_data(prep, t)
     scores = policy_forward(ws.features, ws.ranks, params)
@@ -186,50 +171,6 @@ def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainCon
         logprob=_leg_logprob(scores, pair.long_indices, pair.short_indices),
         score_dev=float(np.mean(np.abs(scores.data - 0.5))),
         events=tuple(events),
-    )
-
-
-def _rollout(prep: PreparedPanel, t0: int, params: PolicyParams, cfg: TrainConfig):
-    """cfg.t period steps from t0 and the sum of their log-probabilities."""
-    steps = [period_step(prep, t0 + s, params, cfg) for s in range(cfg.t)]
-    logprob = steps[0].logprob
-    for step in steps[1:]:
-        logprob = logprob + step.logprob
-    return steps, logprob
-
-
-def trajectory_logprob(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Tensor:
-    """The trainer surrogate sum_t log b(t) as a tape expression.
-
-    Runs under whatever tape is currently active (none records nothing),
-    which makes the surrogate directly checkable by finite differences.
-    """
-    prep = PreparedPanel.of(panel, cfg.k)
-    _, logprob = _rollout(prep, prep.month(t0), params, cfg)
-    return logprob
-
-
-def simulate_trajectory(panel, t0, params: PolicyParams, cfg: TrainConfig) -> Trajectory:
-    """Roll the policy forward for cfg.t periods starting at t0.
-
-    Deterministic given its inputs; the returned tape differentiates the
-    trajectory's log-probability surrogate with respect to the parameters.
-    """
-    prep = PreparedPanel.of(panel, cfg.k)
-    t0 = prep.month(t0)
-    tape = Tape()
-    with tape:
-        steps, logprob = _rollout(prep, t0, params, cfg)
-    returns, h_pi, flat, score_dev = _reward(steps, cfg)
-    return Trajectory(
-        t0=t0,
-        pairs=[s.pair for s in steps],
-        returns=returns,
-        tape=tape,
-        logprob=logprob,
-        sharpe=h_pi,
-        score_dev=score_dev,
-        flat=flat,
     )
 
 
@@ -271,45 +212,14 @@ def _param_grads(tape: Tape, root: Tensor, params: PolicyParams, label: str) -> 
     return out
 
 
-def _weighted_grad_sum(weights: dict, grads_of, params: PolicyParams, n: int) -> dict:
-    """(1/n) sum_key weights[key] * grads_of(key); grads_of is never called
-    for a zero weight, so those tapes are not backpropagated."""
-    acc = {name: np.zeros(t.shape) for name, t in params.tensors().items()}
-    for key, w in weights.items():
-        if w != 0.0:
-            for name, g in grads_of(key).items():
-                acc[name] += w * g
-    return {name: g / n for name, g in acc.items()}
-
-
-def batch_gradient(
-    trajectories: list[Trajectory],
-    thresholds: list[float],
-    params: PolicyParams,
-) -> dict[str, np.ndarray]:
-    """(1/N) sum_n (H_n - H0_n) * grad of the trajectory surrogate."""
-    if len(trajectories) != len(thresholds):
-        raise DataError("batch_gradient: one threshold per trajectory required")
-    for i, traj in enumerate(trajectories):
-        if not np.isfinite(traj.sharpe):
-            raise NonFiniteError(f"trajectory {i}: non-finite sharpe")
-    advantages = [traj.sharpe - float(h0) for traj, h0 in zip(trajectories, thresholds)]
-    return _weighted_grad_sum(
-        dict(enumerate(advantages)),
-        lambda i: _param_grads(
-            trajectories[i].tape, trajectories[i].logprob, params, f"trajectory {i}"
-        ),
-        params,
-        len(trajectories),
-    )
-
-
 def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainConfig) -> EpochGradient:
-    """batch_gradient over the trajectories starting at ``starts``, with
-    each distinct decision time scored and backpropagated once.
+    """(1/N) sum_n (H_n - H0_n) * grad sum_{t in n} log b(t) over the
+    trajectories starting at ``starts``, with each distinct decision time
+    scored and backpropagated once.
 
-    Equal to batch_gradient over simulate_trajectory of the same starts up
-    to the order of floating-point summation.
+    The tests check it against an oracle that gives every trajectory its
+    own tape (``tests/rollout_oracle.py``); the two agree up to the order
+    of floating-point summation.
     """
     if len(starts) != len(thresholds):
         raise DataError("epoch_gradient: one threshold per trajectory required")
@@ -329,15 +239,21 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     score_dev = 0.0
     flat = 0
     for i, (window, h0) in enumerate(zip(windows, thresholds)):
-        _, sharpes[i], is_flat, dev = _reward([steps[t] for t in window], cfg)
+        held = [steps[t] for t in window]
+        sharpes[i], is_flat = _sharpe_or_flat(np.array([s.ret for s in held]), cfg.theta, cfg.tc)
         advantages[i] = sharpes[i] - float(h0)
         flat += is_flat
-        score_dev += dev
+        score_dev += float(np.mean([s.score_dev for s in held]))
         for t in window:
             weights[t] += advantages[i]
 
+    # sum_t w_t g_t, accumulated in sorted-t order so results repeat bitwise
+    acc = {name: np.zeros(tensor.shape) for name, tensor in params.tensors().items()}
+    for t, w in weights.items():
+        for name, g in grads[t].items():
+            acc[name] += w * g
     return EpochGradient(
-        grads=_weighted_grad_sum(weights, grads.__getitem__, params, n),
+        grads={name: g / n for name, g in acc.items()},
         sharpes=sharpes,
         advantages=advantages,
         score_dev=score_dev / n,
@@ -357,8 +273,9 @@ def train(panel, cfg: TrainConfig, params: PolicyParams | None = None) -> TrainR
     T periods all trade with at least 2 eligible stocks. Updates use
     global-norm gradient clipping. The parameters of the epoch with the
     highest mean trajectory Sharpe, as they were when scored (before that
-    epoch's update), are kept as best_params. Aborts when the policy degenerates: scores pinned to 1/2
-    with zero advantage for 10 straight epochs.
+    epoch's update), are kept as best_params. Aborts when the policy
+    degenerates: scores pinned to 1/2 with zero advantage for 10 straight
+    epochs.
     """
     prep = PreparedPanel.of(panel, cfg.k)
     if params is None:

@@ -37,15 +37,16 @@ def panel_from_closes(closes, mask=None, **field_overrides):
 
 def test_raw_features_price_rising_rate():
     panel = panel_from_closes([[100.0, 110.0]])
-    vec = raw_features(panel, "S0", START + 1)
-    assert vec[0] == pytest.approx(1.1)
+    vec = raw_features(panel, [0], 1)
+    assert vec.shape == (1, len(FEATURE_NAMES))
+    assert vec[0, 0] == pytest.approx(1.1)
 
 
 def test_raw_features_constant_path():
     panel = panel_from_closes([[50.0, 50.0, 50.0]], vol=np.zeros((1, 3)))
-    vec = raw_features(panel, "S0", START + 2)
-    assert vec[0] == 1.0
-    assert vec[1] == 0.0
+    vec = raw_features(panel, [0], 2)
+    assert vec[0, 0] == 1.0
+    assert vec[0, 1] == 0.0
 
 
 def test_raw_features_echoes_bar_fields_in_order():
@@ -58,14 +59,17 @@ def test_raw_features_echoes_bar_fields_in_order():
         bm=[[1.0, 0.8]],
         div=[[0.0, 0.25]],
     )
-    vec = raw_features(panel, "S0", START + 1)
-    np.testing.assert_allclose(vec, [1.2, 0.7, 123.0, 4e6, 17.5, 0.8, 0.25])
+    vec = raw_features(panel, [0], 1)
+    np.testing.assert_allclose(vec, [[1.2, 0.7, 123.0, 4e6, 17.5, 0.8, 0.25]])
 
 
 def test_raw_features_missing_bar_errors():
-    panel = panel_from_closes([[10.0, 11.0]], mask=[[False, True]])
+    panel = panel_from_closes([[10.0, 11.0, 12.0]] * 2, mask=[[True] * 3, [False, True, True]])
+    with pytest.raises(DataError, match=f"S1 around {format_month(START + 1)}"):
+        raw_features(panel, [0, 1], 1)
+    np.testing.assert_allclose(raw_features(panel, [0, 1], 2)[:, 0], [12.0 / 11.0] * 2)
     with pytest.raises(DataError):
-        raw_features(panel, "S0", START + 1)
+        raw_features(panel, [0], 0)
 
 
 def test_zscore_two_points():

@@ -46,7 +46,7 @@ def test_load_well_formed_two_stock_three_month_panel(tmp_path):
     panel = load_panel(_write(tmp_path, rows))
     assert panel.n_stocks == 2 and panel.n_periods == 3
     assert panel.mask.all()
-    assert panel.bar("A", "2001-02").close == 12.0
+    assert panel.field("close")[panel.stock_index("A"), panel.index_of("2001-02")] == 12.0
 
 
 def test_load_rejects_non_positive_close_with_row_number(tmp_path):
@@ -79,7 +79,7 @@ def test_missing_month_is_masked_exactly_there(tmp_path):
     panel = load_panel(_write(tmp_path, rows))
     expected = np.array([[True, True, True], [True, False, True]])
     np.testing.assert_array_equal(panel.mask, expected)
-    assert not panel.has_bar("B", "2001-02")
+    assert not panel.mask[panel.stock_index("B"), panel.index_of("2001-02")]
 
 
 def test_save_load_roundtrip_is_byte_identical(tmp_path):
@@ -95,7 +95,7 @@ def test_save_load_roundtrip_is_byte_identical(tmp_path):
 def test_scientific_notation_accepted(tmp_path):
     rows = [_row("A", "2001-01", "1.5e1", mcap="1e6"), _row("A", "2001-02", 16)]
     panel = load_panel(_write(tmp_path, rows))
-    assert panel.bar("A", "2001-01").close == 15.0
+    assert panel.field("close")[panel.stock_index("A"), panel.index_of("2001-01")] == 15.0
 
 
 def test_synth_same_seed_is_bitwise_identical():

@@ -164,11 +164,21 @@ def test_degenerate_report_keeps_wealth():
     assert rep.final_wealth == pytest.approx(1.01**2, rel=1e-12)
 
 
-@pytest.mark.parametrize("periods_per_year", [0, -12])
+@pytest.mark.parametrize("periods_per_year", [0, -12, 12.9])
 @pytest.mark.parametrize("fn", [report, degenerate_report, report_or_degenerate])
 def test_non_positive_periods_per_year_raise_data_error(fn, periods_per_year):
     with pytest.raises(DataError, match="periods_per_year"):
         fn([0.05, -0.02, 0.01], periods_per_year=periods_per_year)
+
+
+@pytest.mark.parametrize("fn", [report, degenerate_report, report_or_degenerate])
+def test_whole_float_periods_per_year_is_accepted(fn):
+    assert fn([0.1, -0.05, 0.02], periods_per_year=12.0).periods_per_year == 12
+
+
+def test_report_or_degenerate_propagates_a_wrong_rank():
+    with pytest.raises(DataError, match="need at least 2 returns"):
+        report_or_degenerate(np.array([[0.1, -0.2], [0.3, 0.05]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

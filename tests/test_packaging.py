@@ -1,5 +1,7 @@
-"""Packaging metadata: every console script names an importable callable."""
+"""Packaging metadata: every console script names an importable callable,
+and no module of the package imports a name it never uses."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_console_scripts_resolve():
@@ -19,3 +22,20 @@ def test_console_scripts_resolve():
         for attr in attr_path.split("."):
             obj = getattr(obj, attr)
         assert callable(obj), f"console script {name}: {target} is not callable"
+
+
+def test_src_has_no_unused_imports():
+    unused = []
+    for path in sorted((ROOT / "src" / "bwsl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, f"unused imports: {unused}"

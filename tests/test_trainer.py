@@ -1,10 +1,11 @@
-"""Trajectory simulation, threshold, score-function gradient, training loop."""
+"""Rollout steps, market threshold, the epoch's score-function gradient,
+the surrogate's finite-difference gate and the training loop."""
 
 import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
-from bwsl.errors import DataError, NonFiniteError, TrainingDivergedError
+from bwsl.errors import DataError, TrainingDivergedError
 from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, synth_market
 from bwsl.metrics import sharpe
@@ -12,15 +13,14 @@ from bwsl.policy import PARAM_ORDER, PolicyParams
 from bwsl.trainer import (
     EpochStats,
     TrainConfig,
-    Trajectory,
-    batch_gradient,
+    epoch_gradient,
     grad_global_norm,
     leg_size,
     market_threshold,
-    simulate_trajectory,
+    period_step,
     train,
-    trajectory_logprob,
 )
+from rollout_oracle import rollout
 
 SMALL_CFG = TrainConfig(t=3, n=2, epochs=2, eta=1e-3, k=4, seed=0, tc=0.0)
 
@@ -35,27 +35,37 @@ def params():
     return PolicyParams.init(np.random.default_rng(0), hidden=6, embed=4, l_cols=8)
 
 
+def own_sharpe(panel, t0, params, cfg):
+    """Sharpe ratio of the trajectory from t0, as the epoch computes it."""
+    return epoch_gradient(panel, [t0], [0.0], params, cfg).sharpes[0]
+
+
 def test_trajectory_is_deterministic(panel, params):
-    t0 = panel.start + 5
-    a = simulate_trajectory(panel, t0, params, SMALL_CFG)
-    b = simulate_trajectory(panel, t0, params, SMALL_CFG)
-    assert a.returns.tobytes() == b.returns.tobytes()
-    assert a.sharpe == b.sharpe
-    for pa, pb in zip(a.pairs, b.pairs):
-        assert pa.long_indices == pb.long_indices
-        assert pa.b_plus.tobytes() == pb.b_plus.tobytes()
+    prep = PreparedPanel(panel, SMALL_CFG.k)
+    for t in range(panel.start + 5, panel.start + 5 + SMALL_CFG.t):
+        a = period_step(prep, t, params, SMALL_CFG)
+        b = period_step(prep, t, params, SMALL_CFG)
+        assert a.ret == b.ret
+        assert a.pair.long_indices == b.pair.long_indices
+        assert a.pair.b_plus.tobytes() == b.pair.b_plus.tobytes()
+    first = epoch_gradient(panel, [panel.start + 5], [0.0], params, SMALL_CFG)
+    again = epoch_gradient(panel, [panel.start + 5], [0.0], params, SMALL_CFG)
+    assert first.sharpes.tobytes() == again.sharpes.tobytes()
+    for name in PARAM_ORDER:
+        assert first.grads[name].tobytes() == again.grads[name].tobytes()
 
 
 def test_trajectory_constant_scores_tie_break_uniform_weights(panel):
     degenerate = PolicyParams.init(np.random.default_rng(1), hidden=6, embed=4, l_cols=8)
     degenerate["w_score"].data = np.zeros_like(degenerate["w_score"].data)
     degenerate["b_score"].data = np.zeros(())
-    traj = simulate_trajectory(panel, panel.start + 5, degenerate, SMALL_CFG)
-    for pair in traj.pairs:
+    prep = PreparedPanel(panel, SMALL_CFG.k)
+    for t in range(panel.start + 5, panel.start + 5 + SMALL_CFG.t):
+        step = period_step(prep, t, degenerate, SMALL_CFG)
         # scores all 0.5: membership by ascending id, weights uniform
-        assert pair.long_indices == tuple(range(pair.g))
-        np.testing.assert_allclose(pair.b_plus, 1.0 / pair.g, atol=1e-12)
-    assert traj.score_dev == pytest.approx(0.0, abs=1e-15)
+        assert step.pair.long_indices == tuple(range(step.pair.g))
+        np.testing.assert_allclose(step.pair.b_plus, 1.0 / step.pair.g, atol=1e-12)
+        assert step.score_dev == pytest.approx(0.0, abs=1e-15)
 
 
 def test_trajectory_returns_match_hand_walkthrough(params):
@@ -66,8 +76,8 @@ def test_trajectory_returns_match_hand_walkthrough(params):
 
     panel4 = panel_from_closes(closes)
     cfg = TrainConfig(t=2, n=1, epochs=1, k=2, g=1, tc=0.0, seed=0)
-    traj = simulate_trajectory(panel4, panel4.start + 2, params, cfg)
     prep = PreparedPanel(panel4, 2)
+    returns = []
     for step in range(2):
         t_idx = 2 + step
         ws = prep.windows(panel4.start + t_idx)
@@ -77,8 +87,10 @@ def test_trajectory_returns_match_hand_walkthrough(params):
         order = sorted(range(4), key=lambda i: (-scores[i], ws.stock_ids[i]))
         z = closes[:, t_idx + 1] / closes[:, t_idx]
         expected = z[order[0]] - z[order[-1]]  # g=1: singleton softmax weights
-        assert traj.returns[step] == pytest.approx(expected, abs=1e-12)
-    assert traj.sharpe == pytest.approx(sharpe(traj.returns), abs=1e-12)
+        returns.append(period_step(prep, panel4.start + t_idx, params, cfg).ret)
+        assert returns[-1] == pytest.approx(expected, abs=1e-12)
+    h = own_sharpe(prep, panel4.start + 2, params, cfg)
+    assert h == pytest.approx(sharpe(returns), abs=1e-12)
 
 
 def test_market_threshold_matches_independent_recompute(panel):
@@ -115,17 +127,17 @@ def test_market_threshold_flags_cancelling_market():
 
 
 def test_batch_gradient_zero_advantage_is_zero(panel, params):
-    cfg = SMALL_CFG
-    trajs = [simulate_trajectory(panel, panel.start + 5 + i, params, cfg) for i in range(2)]
-    grads = batch_gradient(trajs, [t.sharpe for t in trajs], params)
+    starts = [panel.start + 5, panel.start + 6]
+    sharpes = epoch_gradient(panel, starts, [0.0, 0.0], params, SMALL_CFG).sharpes
+    grads = epoch_gradient(panel, starts, list(sharpes), params, SMALL_CFG).grads
     assert grad_global_norm(grads) == 0.0
 
 
 def test_batch_gradient_single_trajectory_scaling(panel, params):
-    cfg = SMALL_CFG
-    traj = simulate_trajectory(panel, panel.start + 5, params, cfg)
-    g1 = batch_gradient([traj], [traj.sharpe - 1.0], params)
-    g2 = batch_gradient([traj], [traj.sharpe - 2.0], params)
+    t0 = panel.start + 5
+    h = own_sharpe(panel, t0, params, SMALL_CFG)
+    g1 = epoch_gradient(panel, [t0], [h - 1.0], params, SMALL_CFG).grads
+    g2 = epoch_gradient(panel, [t0], [h - 2.0], params, SMALL_CFG).grads
     for name in g1:
         np.testing.assert_allclose(g2[name], 2.0 * g1[name], rtol=1e-12)
 
@@ -134,6 +146,7 @@ def test_surrogate_gradient_matches_finite_differences(panel):
     params = PolicyParams.init(np.random.default_rng(5), hidden=6, embed=4, l_cols=8)
     cfg = TrainConfig(t=2, n=1, epochs=1, k=3, g=2, tc=0.0, seed=0)
     t0 = panel.start + 4
+    prep = PreparedPanel(panel, cfg.k)
     rng = np.random.default_rng(6)
     worst = 0.0
     for name in ("lstm_wx", "att_w", "wq", "w_score", "rank_emb", "rank_w"):
@@ -142,7 +155,7 @@ def test_surrogate_gradient_matches_finite_differences(panel):
         def surrogate(t, name=name):
             swapped = dict(params.tensors())
             swapped[name] = t
-            return trajectory_logprob(panel, t0, PolicyParams(swapped, params.q), cfg)
+            return rollout(prep, t0, PolicyParams(swapped, params.q), cfg)[1]
 
         worst = max(
             worst,
@@ -200,21 +213,6 @@ def test_leg_size_quarter_rule():
     assert leg_size(50, 7) == 7
 
 
-def test_batch_gradient_rejects_non_finite_sharpe(panel, params):
-    traj = simulate_trajectory(panel, panel.start + 5, params, SMALL_CFG)
-    broken = Trajectory(
-        t0=traj.t0,
-        pairs=traj.pairs,
-        returns=traj.returns,
-        tape=traj.tape,
-        logprob=traj.logprob,
-        sharpe=float("nan"),
-        score_dev=traj.score_dev,
-    )
-    with pytest.raises(NonFiniteError, match="trajectory 0"):
-        batch_gradient([broken], [0.0], params)
-
-
 def test_degenerate_guard_aborts(panel, monkeypatch):
     # pinned scores with exactly zero advantage for 10 epochs must abort;
     # force zero advantage by making the threshold echo each trajectory's
@@ -225,14 +223,13 @@ def test_degenerate_guard_aborts(panel, monkeypatch):
     params["w_score"].data = np.zeros_like(params["w_score"].data)
     params["b_score"].data = np.zeros(())
     cfg = TrainConfig(t=3, n=2, epochs=30, eta=0.01, k=4, seed=7, tc=0.0)
-    own_sharpe = {}
-    for t0 in range(panel.start + 4, panel.end - 3):
-        own_sharpe[t0] = simulate_trajectory(panel, t0, params, cfg).sharpe
+    prep = PreparedPanel(panel, cfg.k)
+    h_own = {t0: own_sharpe(prep, t0, params, cfg) for t0 in range(panel.start + 4, panel.end - 3)}
 
     monkeypatch.setattr(
         trainer_mod,
         "market_threshold",
-        lambda prep, t0, t, theta, tc, k: (own_sharpe[t0], False),
+        lambda prep, t0, t, theta, tc, k: (h_own[t0], False),
     )
     with pytest.raises(TrainingDivergedError):
         train(panel, cfg, params)
@@ -250,6 +247,8 @@ def test_learning_log_csv_format():
 @pytest.mark.parametrize(
     "field, value",
     [
+        ("epochs", 0),
+        ("epochs", -1),
         ("g", -3),
         ("clip", -1.0),
         ("eta", float("nan")),

@@ -9,15 +9,8 @@ from bwsl.errors import DataError
 from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, synth_market
 from bwsl.policy import PARAM_ORDER, PolicyParams
-from bwsl.trainer import (
-    TrainConfig,
-    batch_gradient,
-    epoch_gradient,
-    market_threshold,
-    period_step,
-    simulate_trajectory,
-    train,
-)
+from bwsl.trainer import TrainConfig, epoch_gradient, market_threshold, period_step, train
+from rollout_oracle import batch_gradient
 from test_features import START, panel_from_closes
 
 CFG = TrainConfig(t=3, n=6, epochs=1, eta=1e-3, k=4, seed=0, tc=0.0)
@@ -39,14 +32,14 @@ def test_epoch_gradient_matches_per_trajectory_batch_gradient(panel):
     s = panel.start
     starts = [s + 5, s + 6, s + 5, s + 7, s + 12, s + 13]
     thresholds = [market_threshold(panel, t0, CFG.t, CFG.theta, CFG.tc, CFG.k)[0] for t0 in starts]
-    trajs = [simulate_trajectory(panel, t0, params, CFG) for t0 in starts]
-    expected = batch_gradient(trajs, thresholds, params)
-    got = epoch_gradient(panel, starts, thresholds, params, CFG)
+    prep = PreparedPanel(panel, CFG.k)
+    expected, sharpes, score_devs = batch_gradient(prep, starts, thresholds, params, CFG)
+    got = epoch_gradient(prep, starts, thresholds, params, CFG)
     for name in PARAM_ORDER:
         np.testing.assert_allclose(got.grads[name], expected[name], rtol=1e-12, atol=0.0)
-    assert got.sharpes.tolist() == [t.sharpe for t in trajs]
-    assert got.advantages.tolist() == [t.sharpe - h0 for t, h0 in zip(trajs, thresholds)]
-    assert got.score_dev == pytest.approx(np.mean([t.score_dev for t in trajs]), rel=1e-12)
+    assert got.sharpes.tolist() == sharpes
+    assert got.advantages.tolist() == [h - h0 for h, h0 in zip(sharpes, thresholds)]
+    assert got.score_dev == pytest.approx(np.mean(score_devs), rel=1e-12)
     assert got.flat == 0
 
 
@@ -90,8 +83,8 @@ def test_flat_trajectories_score_zero_and_are_counted():
     flat_panel = panel_from_closes(np.ones((4, 12)))
     cfg = TrainConfig(t=3, n=2, epochs=2, eta=1e-3, k=2, seed=0, tc=0.0)
     params = small_params(12)
-    traj = simulate_trajectory(flat_panel, flat_panel.start + 2, params, cfg)
-    assert traj.flat and traj.sharpe == 0.0
+    one = epoch_gradient(flat_panel, [flat_panel.start + 2], [0.0], params, cfg)
+    assert one.flat == 1 and one.sharpes.tolist() == [0.0]
     result = train(flat_panel, cfg, params)
     assert [s.flat_trajectories for s in result.log] == [cfg.n] * cfg.epochs
     assert [s.mean_sharpe for s in result.log] == [0.0] * cfg.epochs
