@@ -12,6 +12,14 @@ the interpretation pass use: add, mul, matmul, transpose, reshape,
 concatenate, basic slicing, take (row gather), tanh, sigmoid, log,
 softmax and sum. Every exposed operation checks its output for finiteness
 and raises :class:`NonFiniteError` otherwise.
+
+:func:`emit` is the one way to record an operation: each primitive calls
+it, and so may a caller that computes a whole layer in NumPy and writes
+its vector-Jacobian products by hand (an "elemental function" in the
+sense of Griewank & Walther), such as the fused encoder in
+:mod:`policy`. Such an op is one record however much work it does, its
+output passes the same finiteness check, and the VJP of an operand that
+does not require grad is never called.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ __all__ = [
     "Tape",
     "forward",
     "finite_diff_check",
+    "emit",
+    "logistic",
     "add",
     "mul",
     "matmul",
@@ -253,7 +263,14 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _emit(op: str, out_arr: np.ndarray, pulls) -> Tensor:
+def emit(op: str, out_arr: np.ndarray, pulls) -> Tensor:
+    """Record one op with value ``out_arr`` on the active tape.
+
+    ``pulls`` holds (operand, vjp) pairs; ``vjp(g)`` maps the cotangent of
+    the output to that operand's. Only operands that require grad keep
+    their VJP, and none is called before a backward pass. Raises
+    :class:`NonFiniteError`, naming ``op``, if the value is not finite.
+    """
     out_arr = np.asarray(out_arr, dtype=np.float64)
     if not np.all(np.isfinite(out_arr)):
         raise NonFiniteError(f"{op}: produced non-finite values")
@@ -297,7 +314,7 @@ def add(a, b) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"add: {e}") from None
     ash, bsh = a.shape, b.shape
-    return _emit(
+    return emit(
         "add",
         out,
         (
@@ -315,7 +332,7 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul: {e}") from None
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
-    return _emit(
+    return emit(
         "mul",
         out,
         (
@@ -350,14 +367,14 @@ def matmul(a, b) -> Tensor:
         gb = a2.T @ g2
         return gb[:, 0] if vec else gb
 
-    return _emit("matmul", out, ((a, vjp_a), (b, vjp_b)))
+    return emit("matmul", out, ((a, vjp_a), (b, vjp_b)))
 
 
 def transpose(a) -> Tensor:
     a = _as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return _emit("transpose", a.data.T, ((a, lambda g: g.T),))
+    return emit("transpose", a.data.T, ((a, lambda g: g.T),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -368,7 +385,7 @@ def reshape(a, shape) -> Tensor:
     except ValueError as e:
         raise ShapeError(f"reshape: {e}") from None
     orig = a.shape
-    return _emit("reshape", out, ((a, lambda g: g.reshape(orig)),))
+    return emit("reshape", out, ((a, lambda g: g.reshape(orig)),))
 
 
 def concatenate(parts: Sequence, axis: int = 0) -> Tensor:
@@ -387,7 +404,7 @@ def concatenate(parts: Sequence, axis: int = 0) -> Tensor:
         sl[axis] = slice(offset, offset + width)
         pulls.append((t, lambda g, sl=tuple(sl): g[sl]))
         offset += width
-    return _emit("concatenate", out, tuple(pulls))
+    return emit("concatenate", out, tuple(pulls))
 
 
 def _getitem(a: Tensor, key) -> Tensor:
@@ -405,7 +422,7 @@ def _getitem(a: Tensor, key) -> Tensor:
         z[key] = g
         return z
 
-    return _emit("slice", out, ((a, vjp),))
+    return emit("slice", out, ((a, vjp),))
 
 
 def take(a, indices) -> Tensor:
@@ -422,21 +439,29 @@ def take(a, indices) -> Tensor:
         np.add.at(z, idx, g)
         return z
 
-    return _emit("take", out, ((a, vjp),))
+    return emit("take", out, ((a, vjp),))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-    return _emit("tanh", y, ((a, lambda g, y=y: g * (1.0 - y * y)),))
+    return emit("tanh", y, ((a, lambda g, y=y: g * (1.0 - y * y)),))
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of a plain array, for any finite x.
+
+    Below x = -709, exp(-x) overflows to inf and the quotient is the
+    correctly rounded 0; that overflow is expected, so it is not reported.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
-    x = a.data
-    t = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return _emit("sigmoid", y, ((a, lambda g, y=y: g * y * (1.0 - y)),))
+    y = logistic(a.data)
+    return emit("sigmoid", y, ((a, lambda g, y=y: g * y * (1.0 - y)),))
 
 
 def log(a) -> Tensor:
@@ -444,7 +469,7 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0):
         raise DomainError("log: input must be strictly positive")
     x = a.data
-    return _emit("log", np.log(x), ((a, lambda g, x=x: g / x),))
+    return emit("log", np.log(x), ((a, lambda g, x=x: g / x),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -459,7 +484,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     def vjp(g, y=y, axis=axis):
         return y * (g - np.sum(g * y, axis=axis, keepdims=True))
 
-    return _emit("softmax", y, ((a, vjp),))
+    return emit("softmax", y, ((a, vjp),))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -472,4 +497,4 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return np.broadcast_to(g, shape).copy()
 
-    return _emit("sum", out, ((a, vjp),))
+    return emit("sum", out, ((a, vjp),))

@@ -120,7 +120,7 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
 
 class PreparedPanel:
     """A panel with its look-back k: caches per-decision-time windows and
-    reads universes and forward price ratios.
+    reads forward price ratios.
 
     Windows depend only on the panel and k, so one prepared panel serves
     every training epoch, backtest, and interpretation pass.
@@ -157,13 +157,6 @@ class PreparedPanel:
     def tradable_times(self) -> list[int]:
         """Decision times that also have a next close on the axis."""
         return list(range(self.panel.start + self.k, self.panel.end))
-
-    def universe(self, t) -> list[int]:
-        """Stock indices with every bar in [t-k, t] present."""
-        pi = self.panel.index_of(t)
-        if pi < self.k:
-            return []
-        return list(_eligible(self.panel, pi, self.k))
 
     def windows(self, t) -> WindowSet | None:
         """WindowSet at t, or None when fewer than 2 stocks are eligible."""

@@ -18,10 +18,13 @@ exactly, and the excluded cross-stock terms ds_i/dx_j never arise. The
 cotangent rows c_i = ds_i/dr_i of all stocks come in closed form from
 :func:`policy.own_score_grads` (the softmax adjoint applied once to the
 (I, I) attention, O(I^2 H), no tape). The routine records ``encode`` once
-on one tape, and one backward of sum(r * c) through it yields every
-requested stock's own-window gradient at once. The parameters enter as
-constants, so no parameter gradient is ever formed. A decision time thus
-costs one encoder forward and backward plus O(I^2 H) for the head.
+on one tape, where it is a single hand-differentiated record, and one
+backward of sum(r * c) through it yields every requested stock's
+own-window gradient at once. The parameters enter as constants, so only
+the encoder's window VJP runs and no parameter gradient is ever formed.
+A decision time thus costs one fused encoder forward and one
+backpropagation-through-time sweep, each O(I K H^2), plus O(I^2 H) for
+the head.
 
 Lag orientation: lag 1 is the most recent window row (the period ending
 at the decision time), lag K the oldest.

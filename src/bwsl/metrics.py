@@ -210,8 +210,12 @@ def degenerate_report(
     periods_per_year: int = 12,
     reason: str = "zero_volatility",
 ) -> PerformanceReport:
-    """Report for series where volatility-based ratios are undefined."""
+    """Report for series where volatility-based ratios are undefined.
+
+    The series must be 1-d (it may be empty); DataError otherwise."""
     r = _finite_returns(returns, "degenerate_report")
+    if r.ndim != 1:
+        raise DataError(f"degenerate_report: returns must be 1-d, got shape {r.shape}")
     ny = _periods_per_year(periods_per_year, "degenerate_report")
     wealth = cumulative_wealth(r, tc) if r.size else np.ones(1)
     apr = float(np.mean(r - tc)) * ny if r.size else math.nan

@@ -1,9 +1,15 @@
 """Winner-score policy: per-stock recurrent encoder with history-state
 attention, then cross-asset self-attention modulated by a rank prior.
 
-One parameter set is shared by all stocks; every forward pass is built
-from autodiff primitives so scores can be differentiated with respect to
-both the parameters (training) and the input windows (interpretation).
+One parameter set is shared by all stocks. Every forward pass is recorded
+on the active autodiff tape, so scores can be differentiated with respect
+to both the parameters (training) and the input windows (interpretation).
+The encoder (:func:`encode`) is one hand-differentiated tape record: a
+NumPy forward and a hand-written backpropagation-through-time VJP for the
+windows and each of its six parameters. :func:`lstm_encode` and
+:func:`history_attention` spell the same encoder out in autodiff
+primitives and serve as its reference. The cross-asset attention and the
+score head are built from autodiff primitives.
 
 Shapes use I = stocks, K = look-back steps, F = features, H = hidden
 width, E = rank-embedding width, L = number of quantized rank-distance
@@ -18,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, ShapeError
+from .errors import DataError, NonFiniteError, ShapeError
 from .features import N_FEATURES, WindowSet
 
 _CHECKPOINT_MAGIC = "bwsl-policy-checkpoint v1"
@@ -39,6 +45,10 @@ PARAM_ORDER = (
     "rank_emb",  # (E, L)  embedding columns per quantized rank distance
     "rank_w",    # (E,)    rank-prior readout
 )
+
+
+# the encoder's parameters, the operands of encode() besides the windows
+ENCODER_PARAMS = PARAM_ORDER[:6]
 
 
 def _check_shapes(tensors: dict[str, Tensor]) -> None:
@@ -223,20 +233,26 @@ class WinnerScores:
     values: np.ndarray
 
 
+def _windows_tensor(windows, params: PolicyParams) -> Tensor:
+    """``windows`` as a tensor, checked to be (I, K, F) with the parameters' F."""
+    x = windows if isinstance(windows, Tensor) else Tensor(windows)
+    if x.ndim != 3:
+        raise ShapeError(f"windows must be (I, K, F), got {x.shape}")
+    if x.shape[2] != params.n_features:
+        raise ShapeError(
+            f"lstm: window has {x.shape[2]} features, parameters expect {params.n_features}"
+        )
+    return x
+
+
 def lstm_encode(windows, params: PolicyParams) -> list[Tensor]:
     """Run the shared recurrent encoder over every stock's (I, K, F) window.
 
     Returns the K hidden states, each (I, H). Initial hidden and cell
     states are zero.
     """
-    x = windows if isinstance(windows, Tensor) else Tensor(windows)
-    if x.ndim != 3:
-        raise ShapeError(f"windows must be (I, K, F), got {x.shape}")
-    n_stocks, k_steps, n_feat = x.shape
-    if n_feat != params.n_features:
-        raise ShapeError(
-            f"lstm: window has {n_feat} features, parameters expect {params.n_features}"
-        )
+    x = _windows_tensor(windows, params)
+    n_stocks, k_steps, _ = x.shape
     h_dim = params.hidden
     wx, wh, b = params["lstm_wx"], params["lstm_wh"], params["lstm_b"]
     h = Tensor(np.zeros((n_stocks, h_dim)))
@@ -312,13 +328,145 @@ def winner_scores(attended: Tensor, params: PolicyParams) -> Tensor:
     return ad.sigmoid(attended @ params["w_score"] + params["b_score"])
 
 
+def _gate_blocks(h_dim: int) -> tuple[slice, ...]:
+    """Column blocks of a (., 4H) gate row: in, forget, out, candidate, and
+    the three sigmoid gates together."""
+    gate_in, gate_forget, gate_out, cand = (slice(j * h_dim, (j + 1) * h_dim) for j in range(4))
+    return gate_in, gate_forget, gate_out, cand, slice(0, 3 * h_dim)
+
+
+def _encode_forward(xs: np.ndarray, p: dict) -> tuple[np.ndarray, tuple]:
+    """Forward of :func:`encode` on step-major windows xs (K, I, F) and the
+    encoder's arrays ``p``: the (I, H) representation and the caches
+    (act, cells, states, u, weights) its backward sweep reads.
+
+    act (K, I, 4H) first holds x_k Wx + b, then, in place, each step's gate
+    activations; cells and states are c_k and h_k (K, I, H); u is the
+    attention's tanh layer (K, I, H) and weights its softmax over K (K, I).
+    """
+    k_steps, n, n_feat = xs.shape
+    h_dim = p["lstm_wh"].shape[0]
+    gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
+    act = (xs.reshape(-1, n_feat) @ p["lstm_wx"]).reshape(k_steps, n, 4 * h_dim)
+    act += p["lstm_b"]
+    cells = np.empty((k_steps, n, h_dim))
+    states = np.empty((k_steps, n, h_dim))
+    h = c = np.zeros((n, h_dim))
+    for k in range(k_steps):
+        z = h @ p["lstm_wh"]
+        z += act[k]
+        if not np.isfinite(z).all():
+            raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
+        a = act[k]
+        a[:, sig] = ad.logistic(z[:, sig])
+        np.tanh(z[:, cand], out=a[:, cand])
+        np.multiply(a[:, gate_in], a[:, cand], out=cells[k])
+        cells[k] += a[:, gate_forget] * c
+        c = cells[k]
+        np.tanh(c, out=states[k])
+        states[k] *= a[:, gate_out]
+        h = states[k]
+
+    # history attention: scores of all K states in one matmul, softmax over K
+    u = (states.reshape(-1, h_dim) @ p["att_w1"]).reshape(k_steps, n, h_dim)
+    u += states[-1] @ p["att_w2"]
+    np.tanh(u, out=u)
+    scores = (u.reshape(-1, h_dim) @ p["att_w"]).reshape(k_steps, n)
+    e = np.exp(scores - scores.max(axis=0))
+    weights = e / e.sum(axis=0)
+    rep = weights[0][:, None] * states[0]
+    for k in range(1, k_steps):
+        rep += weights[k][:, None] * states[k]
+    return rep, (act, cells, states, u, weights)
+
+
+def _encode_sweep(g: np.ndarray, cache: tuple, p: dict) -> tuple[np.ndarray, ...]:
+    """Backward of :func:`encode` for the cotangent g (I, H) of its output:
+    the cotangents of the gate pre-activations (K, I, 4H), of the attention
+    pre-activations (K, I, H) and of the attention scores (K, I)."""
+    act, cells, states, u, weights = cache
+    k_steps, n, h_dim = states.shape
+    gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
+    d_weights = np.einsum("kih,ih->ki", states, g)
+    d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
+    d_pre = 1.0 - u * u
+    d_pre *= p["att_w"]
+    d_pre *= d_scores[:, :, None]
+    d_states = (d_pre.reshape(-1, h_dim) @ p["att_w1"].T).reshape(states.shape)
+    d_states += weights[:, :, None] * g
+    d_states[-1] += d_pre.sum(axis=0) @ p["att_w2"].T
+
+    # backpropagation through time; each step works on its own (I, .)
+    # slices, which stay in cache, rather than on whole (K, I, .) arrays
+    d_gates = np.empty_like(act)
+    dc = np.zeros((n, h_dim))  # f_{k+1} * dL/dc_{k+1}
+    for k in reversed(range(k_steps)):
+        dh = d_states[k]
+        if k + 1 < k_steps:
+            dh += d_gates[k + 1] @ p["lstm_wh"].T
+        a, d = act[k], d_gates[k]
+        tc = np.tanh(cells[k])
+        np.multiply(dh, tc, out=d[:, gate_out])
+        dc += dh * a[:, gate_out] * (1.0 - tc * tc)
+        np.multiply(dc, a[:, cand], out=d[:, gate_in])
+        if k:
+            np.multiply(dc, cells[k - 1], out=d[:, gate_forget])
+        else:
+            d[:, gate_forget] = 0.0
+        np.multiply(dc, a[:, gate_in], out=d[:, cand])
+        # local derivatives: s - s^2 for the sigmoid gates, 1 - g^2 for the candidate
+        local = a * a
+        np.subtract(a[:, sig], local[:, sig], out=local[:, sig])
+        np.subtract(1.0, local[:, cand], out=local[:, cand])
+        d *= local
+        dc *= a[:, gate_forget]
+    return d_gates, d_pre, d_scores
+
+
 def encode(windows, params: PolicyParams) -> Tensor:
     """(I, K, F) windows -> (I, H) representations, one stock per row.
+
+    The value of ``history_attention(lstm_encode(windows, params), params)``
+    as one tape record. The forward keeps its caches step-major, (K, I, .),
+    so each step reads and writes contiguous slices; it computes x Wx for
+    all K steps in one matmul and the attention over all K states in
+    another. The record has one VJP per operand: the windows and each of
+    :data:`ENCODER_PARAMS`. They share one backward sweep per cotangent,
+    and the tape calls only those whose operand requires grad.
 
     Every op here works row by row, so row i depends on window i alone;
     stocks first meet in :func:`score`.
     """
-    return history_attention(lstm_encode(windows, params), params)
+    x = _windows_tensor(windows, params)
+    p = {name: params[name].data for name in ENCODER_PARAMS}
+    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2))
+    rep, cache = _encode_forward(xs, p)
+    _, _, states, u, _ = cache
+    _, n, n_feat = xs.shape
+    h_dim = params.hidden
+    memo = [None, None]
+
+    def swept(g):
+        if memo[0] is not g:
+            memo[:] = [g, _encode_sweep(g, cache, p)]
+        return memo[1]
+
+    def d_gates(g):
+        return swept(g)[0].reshape(-1, 4 * h_dim)
+
+    def d_pre(g):
+        return swept(g)[1].reshape(-1, h_dim)
+
+    pulls = (
+        (x, lambda g: (d_gates(g) @ p["lstm_wx"].T).reshape(xs.shape).transpose(1, 0, 2)),
+        (params["lstm_wx"], lambda g: xs.reshape(-1, n_feat).T @ d_gates(g)),
+        (params["lstm_wh"], lambda g: states[:-1].reshape(-1, h_dim).T @ d_gates(g)[n:]),
+        (params["lstm_b"], lambda g: d_gates(g).sum(axis=0)),
+        (params["att_w1"], lambda g: states.reshape(-1, h_dim).T @ d_pre(g)),
+        (params["att_w2"], lambda g: states[-1].T @ swept(g)[1].sum(axis=0)),
+        (params["att_w"], lambda g: u.reshape(-1, h_dim).T @ swept(g)[2].ravel()),
+    )
+    return ad.emit("encode", rep, pulls)
 
 
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:

@@ -96,6 +96,35 @@ def test_overflowing_output_raises_non_finite():
         ad.mul(ad.Tensor([1e300]), 1e300)
 
 
+def test_emit_records_one_op_and_calls_only_live_vjps():
+    x = ad.Tensor([1.0, 2.0], requires_grad=True)
+    const = ad.Tensor([5.0, 7.0])
+
+    def never(g):
+        raise AssertionError("VJP of a constant operand was called")
+
+    tape = ad.Tape()
+    with tape:
+        y = ad.emit("scaled", 3.0 * x.data, ((x, lambda g: 3.0 * g), (const, never)))
+        value = y.sum()
+    assert len(tape) == 2
+    np.testing.assert_array_equal(tape.gradients(value)[x], [3.0, 3.0])
+
+
+def test_emit_rejects_a_non_finite_value():
+    x = ad.Tensor([1.0], requires_grad=True)
+    with pytest.raises(NonFiniteError, match="^scaled: produced non-finite values$"):
+        ad.emit("scaled", np.array([np.inf]), ((x, lambda g: g),))
+
+
+def test_logistic_saturates_without_warnings_and_backs_sigmoid():
+    x = np.array([-1000.0, -750.0, -30.0, 0.0, 40.0, 1000.0])
+    y = ad.logistic(x)  # tier-1 turns a RuntimeWarning into a failure
+    np.testing.assert_array_equal(y[[0, 1, 3, 4, 5]], [0.0, 0.0, 0.5, 1.0, 1.0])
+    assert y[2] == pytest.approx(np.exp(-30.0), rel=1e-12)
+    assert ad.sigmoid(ad.Tensor(x)).data.tobytes() == y.tobytes()
+
+
 def test_matmul_shape_mismatch_names_primitive():
     a = ad.Tensor(np.ones((2, 3)))
     b = ad.Tensor(np.ones((4, 2)))

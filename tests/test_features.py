@@ -175,9 +175,9 @@ def test_prepared_panel_universe_and_windows():
     prep = PreparedPanel(panel, k=12)
     t = prep.tradable_times[0]
     assert t == panel.start + 12
-    assert len(prep.universe(t)) == 6
     ws = prep.windows(t)
-    assert ws is not None and len(ws) == 6
+    assert ws is not None and len(ws) == 6  # every stock is eligible
+    assert ws.stock_ids == panel.stock_ids
     assert prep.windows(t) is ws  # cached
 
 

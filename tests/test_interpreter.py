@@ -11,7 +11,7 @@ from bwsl.errors import DataError
 from bwsl.features import FEATURE_NAMES, PreparedPanel
 from bwsl.interpret import SensitivityReport, average_sensitivity, input_sensitivity
 from bwsl.market import SynthConfig, format_month, synth_market
-from bwsl.policy import PolicyParams, policy_forward
+from bwsl.policy import PolicyParams, encode, policy_forward
 
 
 def small_params(seed=0):
@@ -134,11 +134,15 @@ def test_split_tapes_match_per_stock_replays_of_the_full_tape():
 
 def test_average_sensitivity_runs_one_backward_per_time(monkeypatch):
     # the head cotangent is closed form: one encoder backward per decision
-    # time, and no replay of a small score tape (12 + I records)
+    # time, over a tape that holds the encode record and the two ops of the
+    # root sum(r * c), and no op of score (12 + I records)
     panel = synth_market(SynthConfig(num_stocks=7, num_periods=30, seed=17))
     prep = PreparedPanel(panel, 4)
     t0, t1 = prep.decision_times[0], prep.decision_times[1]
-    n = max(len(prep.windows(t0)), len(prep.windows(t1)))
+    encoder = Tape()
+    with encoder:
+        encode(Tensor(prep.windows(t0).features, requires_grad=True), small_params(18).constants())
+    assert len(encoder) == 1
     lengths = []
     gradients = Tape.gradients
 
@@ -151,7 +155,7 @@ def test_average_sensitivity_runs_one_backward_per_time(monkeypatch):
     assert len(lengths) == 1
     average_sensitivity(prep, small_params(18), start=t0, end=t1, k=4)
     assert len(lengths) == 3
-    assert min(lengths) > 16 + n
+    assert lengths == [len(encoder) + 2] * 3
 
 
 def test_average_sensitivity_single_time_is_plain_mean():

@@ -176,6 +176,12 @@ def test_whole_float_periods_per_year_is_accepted(fn):
     assert fn([0.1, -0.05, 0.02], periods_per_year=12.0).periods_per_year == 12
 
 
+@pytest.mark.parametrize("returns", [np.array([[0.1, -0.2], [0.3, 0.05]]), np.float64(0.1)])
+def test_degenerate_report_rejects_a_series_that_is_not_1d(returns):
+    with pytest.raises(DataError, match="degenerate_report: returns must be 1-d"):
+        degenerate_report(returns)
+
+
 def test_report_or_degenerate_propagates_a_wrong_rank():
     with pytest.raises(DataError, match="need at least 2 returns"):
         report_or_degenerate(np.array([[0.1, -0.2], [0.3, 0.05]]))

@@ -7,8 +7,9 @@ import pytest
 
 from bwsl import autodiff as ad
 from bwsl.autodiff import Tensor
-from bwsl.errors import DataError, ShapeError
+from bwsl.errors import DataError, NonFiniteError, ShapeError
 from bwsl.policy import (
+    ENCODER_PARAMS,
     PARAM_ORDER,
     PolicyParams,
     caan_forward,
@@ -302,6 +303,109 @@ def test_encode_and_score_gradients_match_finite_differences():
         ad.finite_diff_check(lambda r: score(r, ranks, params)[2], rep, eps=1e-6),
     )
     assert worst <= 1e-4
+
+
+def _unfused_encode(x, params):
+    return history_attention(lstm_encode(x, params), params)
+
+
+def _encode_and_grads(encoder, windows, params, cot):
+    """Representation, then the gradients of sum(rep * cot) w.r.t. the
+    windows and the six encoder parameters, from one backward."""
+    x = Tensor(windows, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        rep = encoder(x, params)
+        root = (rep * Tensor(cot)).sum()
+    grads = tape.gradients(root)
+    return [rep.data, grads[x]] + [grads[params[n]] for n in ENCODER_PARAMS]
+
+
+@pytest.mark.parametrize(
+    "i, k, f, h",
+    [(5, 4, 7, 6), (1, 1, 7, 6), (3, 1, 5, 4), (1, 6, 3, 8), (6, 12, 7, 8), (2, 3, 9, 5)],
+    ids=["small", "one_stock_one_step", "one_step_f5", "one_stock_f3", "paper_k", "f9"],
+)
+def test_fused_encode_matches_the_unfused_composition(i, k, f, h):
+    # the fused op sums in another order, so entries that are the small
+    # remainder of a cancelling sum differ by more than 1e-12 of themselves;
+    # the tolerance is 1e-12 of each array's largest magnitude
+    params = PolicyParams.init(np.random.default_rng(60 + k), n_features=f, hidden=h)
+    rng = np.random.default_rng(61 + i)
+    windows = rng.normal(size=(i, k, f))
+    cot = rng.normal(size=(i, h))
+    fused = _encode_and_grads(encode, windows, params, cot)
+    oracle = _encode_and_grads(_unfused_encode, windows, params, cot)
+    for name, got, want in zip(("rep", "windows") + ENCODER_PARAMS, fused, oracle):
+        assert got.shape == want.shape, name
+        scale = np.max(np.abs(want), initial=0.0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
+def test_encoder_params_are_the_lstm_and_history_attention_tensors():
+    assert ENCODER_PARAMS == ("lstm_wx", "lstm_wh", "lstm_b", "att_w1", "att_w2", "att_w")
+
+
+def test_encode_is_one_tape_record():
+    params = small_params(62)
+    x = Tensor(np.random.default_rng(63).normal(size=(4, 5, 7)), requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        encode(x, params)
+    assert len(tape) == 1
+
+
+def test_encode_values_and_gradients_repeat_bitwise():
+    params = small_params(64)
+    rng = np.random.default_rng(65)
+    windows = rng.normal(size=(5, 6, 7))
+    cot = rng.normal(size=(5, params.hidden))
+    first = _encode_and_grads(encode, windows, params, cot)
+    second = _encode_and_grads(encode, windows, params, cot)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_each_backward_over_one_encode_record_sweeps_its_own_cotangent():
+    params = small_params(68)
+    rng = np.random.default_rng(69)
+    windows = rng.normal(size=(4, 5, 7))
+    cots = [rng.normal(size=(4, params.hidden)) for _ in range(2)]
+    x = Tensor(windows, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        rep = encode(x, params)
+        roots = [(rep * Tensor(c)).sum() for c in cots]
+    for root, cot in zip(roots, cots):
+        grads = tape.gradients(root)
+        expected = _encode_and_grads(encode, windows, params, cot)[1:]
+        got = [grads[x]] + [grads[params[n]] for n in ENCODER_PARAMS]
+        for a, b in zip(got, expected):
+            assert a.tobytes() == b.tobytes()
+
+
+def _overflowing_input_projection(params):
+    windows = np.random.default_rng(66).normal(size=(3, 4, 7))
+    windows[1, 0, :] = 1e308
+    params["lstm_wx"].data = np.ones_like(params["lstm_wx"].data)
+    return windows, params, "step 0"
+
+
+def _overflowing_recurrence(params):
+    # zero windows and a positive candidate bias make every h_0 entry
+    # positive, so h_0 @ Wh overflows at step 1
+    params["lstm_b"].data = np.ones_like(params["lstm_b"].data)
+    params["lstm_wh"].data = np.full_like(params["lstm_wh"].data, 1e308)
+    return np.zeros((3, 4, 7)), params, "step 1"
+
+
+@pytest.mark.parametrize("case", [_overflowing_input_projection, _overflowing_recurrence])
+@pytest.mark.parametrize("encoder", [encode, _unfused_encode], ids=["fused", "unfused"])
+def test_overflowing_gate_pre_activations_raise_non_finite(case, encoder):
+    windows, params, step = case(small_params(67))
+    match = f"at {step}" if encoder is encode else "matmul"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=match):
+        encoder(windows, params)
 
 
 def _replayed_own_score_grads(rep, ranks, params):
