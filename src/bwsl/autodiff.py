@@ -16,10 +16,13 @@ and raises :class:`NonFiniteError` otherwise.
 :func:`emit` is the one way to record an operation: each primitive calls
 it, and so may a caller that computes a whole layer in NumPy and writes
 its vector-Jacobian products by hand (an "elemental function" in the
-sense of Griewank & Walther), such as the fused encoder in
+sense of Griewank & Walther), such as the fused encoder ``encode`` and
+the fused cross-asset attention and score head ``score`` in
 :mod:`policy`. Such an op is one record however much work it does, its
 output passes the same finiteness check, and the VJP of an operand that
-does not require grad is never called.
+does not require grad is never called. An op whose output can be finite
+where an intermediate overflowed (a sigmoid of +inf is 1) checks that
+intermediate itself.
 """
 
 from __future__ import annotations

@@ -49,6 +49,11 @@ def raw_features(panel: MarketPanel, rows, j: int) -> np.ndarray:
     return out
 
 
+def descending_order(values, ids) -> np.ndarray:
+    """Indices that sort ``values`` descending, ties by ascending id."""
+    return np.lexsort((np.asarray(ids), -np.asarray(values, dtype=float)))
+
+
 def _eligible(panel: MarketPanel, pi: int, k: int) -> np.ndarray:
     """Rows with every bar in month columns [pi-k, pi] present."""
     return np.flatnonzero(panel.mask[:, pi - k : pi + 1].all(axis=1))
@@ -110,17 +115,15 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
         raw = raw_features(panel, eligible, pi - k + 1 + step)
         feats[:, step, :] = zscore_crosssection(raw)
 
-    pr_last = raw[:, 0]  # the last step is month t
-    order = sorted(range(len(ids)), key=lambda i: (-pr_last[i], ids[i]))
-    ranks = np.zeros(len(ids), dtype=np.int64)
-    for pos, i in enumerate(order, start=1):
-        ranks[i] = pos
+    # rank by pr at month t, the last step's raw features
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[descending_order(raw[:, 0], ids)] = np.arange(1, len(ids) + 1)
     return WindowSet(panel.start + pi, tuple(ids), feats, ranks)
 
 
 class PreparedPanel:
     """A panel with its look-back k: caches per-decision-time windows and
-    reads forward price ratios.
+    the eligible universe's forward price ratios.
 
     Windows depend only on the panel and k, so one prepared panel serves
     every training epoch, backtest, and interpretation pass.
@@ -132,6 +135,7 @@ class PreparedPanel:
         self.panel = panel
         self.k = int(k)
         self._windows = lru_cache(maxsize=None)(self._build)
+        self._periods = lru_cache(maxsize=None)(self._read_period)
 
     @classmethod
     def of(cls, panel, k: int) -> "PreparedPanel":
@@ -169,6 +173,20 @@ class PreparedPanel:
             return build_windows(self.panel, t, self.k)
         except NoEligibleStocksError:
             return None
+
+    def period_data(self, t) -> tuple[WindowSet, np.ndarray, tuple[tuple[str, str], ...]]:
+        """The eligible windows at t, their forward price ratios (read-only)
+        and the substitution events behind those ratios, read once per
+        prepared panel; DataError when fewer than 2 stocks are eligible."""
+        return self._periods(self.month(t))
+
+    def _read_period(self, t: int):
+        ws = self.windows(t)
+        if ws is None:
+            raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
+        z, events = self.forward_ratios(t, ws.stock_ids)
+        z.flags.writeable = False
+        return ws, z, tuple(events)
 
     def forward_ratios(self, t, stock_ids) -> tuple[np.ndarray, list[tuple[str, str]]]:
         """Price rising rates close_{t+1}/close_t for the given stocks.

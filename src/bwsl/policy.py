@@ -4,12 +4,19 @@ attention, then cross-asset self-attention modulated by a rank prior.
 One parameter set is shared by all stocks. Every forward pass is recorded
 on the active autodiff tape, so scores can be differentiated with respect
 to both the parameters (training) and the input windows (interpretation).
-The encoder (:func:`encode`) is one hand-differentiated tape record: a
-NumPy forward and a hand-written backpropagation-through-time VJP for the
-windows and each of its six parameters. :func:`lstm_encode` and
-:func:`history_attention` spell the same encoder out in autodiff
-primitives and serve as its reference. The cross-asset attention and the
-score head are built from autodiff primitives.
+The network is two hand-differentiated tape records, each a NumPy forward
+with hand-written VJPs:
+
+- :func:`encode`, the encoder, with a backpropagation-through-time VJP for
+  the windows and each of its six parameters (:data:`ENCODER_PARAMS`);
+- :func:`score`, the cross-asset attention and score head, with the
+  softmax adjoint for the representations and each of its seven
+  parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
+  forward and softmax adjoint.
+
+:func:`lstm_encode`, :func:`history_attention`, :func:`caan_forward` and
+:func:`winner_scores` spell the same network out in autodiff primitives
+and serve as its reference.
 
 Shapes use I = stocks, K = look-back steps, F = features, H = hidden
 width, E = rank-embedding width, L = number of quantized rank-distance
@@ -49,6 +56,9 @@ PARAM_ORDER = (
 
 # the encoder's parameters, the operands of encode() besides the windows
 ENCODER_PARAMS = PARAM_ORDER[:6]
+# the cross-asset attention's and score head's, the operands of score()
+# besides the representations
+SCORE_PARAMS = PARAM_ORDER[6:]
 
 
 def _check_shapes(tensors: dict[str, Tensor]) -> None:
@@ -469,9 +479,167 @@ def encode(windows, params: PolicyParams) -> Tensor:
     return ad.emit("encode", rep, pulls)
 
 
+def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The (I, H) representations r and the ranks as (I,) integers, checked
+    with the shape errors of the primitive composition."""
+    r = np.asarray(r, dtype=np.float64)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if r.ndim != 2 or r.shape[0] < 2:
+        raise ShapeError("caan: need representations for at least 2 stocks")
+    if len(ranks) != r.shape[0]:
+        raise ShapeError("caan: ranks misaligned with representations")
+    if r.shape[1] != params.hidden:
+        raise ShapeError(
+            f"matmul: inner dimensions differ, {r.shape} @ {params['wq'].shape}"
+        )
+    return r, ranks
+
+
+def _prior_bins(q: int, l_cols: int) -> np.ndarray:
+    """Quantized bin of each clamped rank distance 0 .. q(L-1)."""
+    return np.arange(q * (l_cols - 1) + 1) // q
+
+
+# elements per row block of the rank prior: two 128 KB (rows, I) buffers,
+# reused from block to block, stand in for (I, I) distance and prior
+# arrays; larger blocks measured slower at I=200 and no faster at I=800
+_PRIOR_BLOCK = 1 << 14
+
+
+def _psi_blocks(ranks: np.ndarray, table: np.ndarray):
+    """Row blocks of the rank prior psi[i, j] = table[min(|r_i - r_j|, C)],
+    C = table.size - 1: yields (rows, dist, psi), the clamped distances of
+    those rows and their psi, in two buffers reused from block to block."""
+    n = ranks.size
+    step = max(1, _PRIOR_BLOCK // n)
+    dist_buf = np.empty((min(step, n), n), dtype=np.intp)
+    psi_buf = np.empty(dist_buf.shape)
+    for lo in range(0, n, step):
+        rows = slice(lo, min(lo + step, n))
+        dist, psi = dist_buf[: rows.stop - lo], psi_buf[: rows.stop - lo]
+        np.subtract.outer(ranks[rows], ranks, out=dist)
+        np.abs(dist, out=dist)
+        np.minimum(dist, table.size - 1, out=dist)
+        table.take(dist, out=psi, mode="clip")
+        yield rows, dist, psi
+
+
+def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[np.ndarray, tuple]:
+    """Forward of :func:`score` on (I, H) representations r, integer ranks
+    and the head's arrays ``p``: the (I,) scores and the caches
+    (query, key, value, attended, attention, prior, table) its adjoints
+    read.
+
+    The float operations are those of :func:`_caan_terms` and
+    :func:`winner_scores`, in the same order, so the scores are bitwise
+    theirs. psi is gathered from ``table``, the prior of each rank distance
+    clamped at C = q(L-1), the first distance of the last quantized bin,
+    block by block, and never stored. The logits buffer becomes the
+    attention A in place.
+    """
+    scale = 1.0 / np.sqrt(r.shape[1])
+    query, key, value = r @ p["wq"], r @ p["wk"], r @ p["wv"]
+    prior_logits = p["rank_w"] @ p["rank_emb"]
+    if not np.isfinite(prior_logits).all():
+        raise NonFiniteError("score: non-finite rank-prior logits")
+    prior = ad.logistic(prior_logits)
+    table = prior[_prior_bins(q, prior.size)]
+    logits = query @ key.T
+    logits *= scale
+    for rows, _, psi in _psi_blocks(ranks, table):
+        logits[rows] *= psi
+    # a non-finite logit leaves a non-finite row maximum (+inf, nan) or minimum (-inf)
+    top = logits.max(axis=1, keepdims=True)
+    if not (np.isfinite(top).all() and np.isfinite(logits.min())):
+        raise NonFiniteError("score: non-finite attention logits")
+    # row softmax in place: logits -> attention
+    logits -= top
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    attention = logits
+    attended = attention @ value
+    if not np.isfinite(attended).all():
+        raise NonFiniteError("score: non-finite attended values")
+    head = attended @ p["w_score"]
+    head += p["b_score"]
+    if not np.isfinite(head).all():
+        raise NonFiniteError("score: non-finite head logits")
+    return ad.logistic(head), (query, key, value, attended, attention, prior, table)
+
+
+def _softmax_adjoint(attention, g, value, ranks, table, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of Z = softmax(psi * S) V, S = QK' * scale, for the
+    cotangent G of Z: with M = GV', the cotangent of the softmax's input
+    N = A * (M - rowsum(A * M)) and that of QK', D = N * psi * scale."""
+    n = g @ value.T
+    d = attention * n
+    n -= d.sum(axis=1, keepdims=True)
+    n *= attention
+    for rows, _, psi in _psi_blocks(ranks, table):
+        np.multiply(n[rows], psi, out=d[rows])
+    d *= scale
+    return n, d
+
+
+def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: int) -> tuple:
+    """Backward of :func:`score` for the cotangent g (I,) of its scores:
+    the cotangents of the head logits (I,), of query, key and value
+    (I, H) and of the prior logits w'E (L,)."""
+    query, key, value, attended, attention, prior, table = cache
+    scale = 1.0 / np.sqrt(query.shape[1])
+    d_head = g * (s * (1.0 - s))
+    d_attended = d_head[:, None] * p["w_score"]
+    n, d = _softmax_adjoint(attention, d_attended, value, ranks, table, scale)
+    # dL/dpsi = N * S, with S recomputed block by block rather than cached,
+    # summed per clamped rank distance, then per quantized bin
+    d_table = np.zeros(table.size)
+    for rows, dist, _ in _psi_blocks(ranks, table):
+        d_psi = query[rows] @ key.T
+        d_psi *= scale
+        d_psi *= n[rows]
+        d_table += np.bincount(dist.ravel(), weights=d_psi.ravel(), minlength=table.size)
+    d_prior = np.bincount(_prior_bins(q, prior.size), weights=d_table, minlength=prior.size)
+    return d_head, d @ key, d.T @ query, attention.T @ d_attended, d_prior * prior * (1.0 - prior)
+
+
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
-    """(I, H) representations -> winner scores (I,), coupled across stocks."""
-    return winner_scores(caan_forward(rep, np.asarray(ranks), params), params)
+    """(I, H) representations -> winner scores (I,), coupled across stocks.
+
+    The value of ``winner_scores(caan_forward(rep, ranks, params), params)``,
+    bitwise, as one tape record. The record has one VJP per operand: the
+    representations and each of :data:`SCORE_PARAMS`. They share one
+    backward sweep per cotangent, and the tape calls only those whose
+    operand requires grad. Raises :class:`NonFiniteError` whenever the
+    primitive composition would, from checks of the rank-prior logits, the
+    attention logits, the attended values and the head logits: a sigmoid
+    of an overflowed logit is finite, so the output alone would not show it.
+    """
+    r, ranks = _score_inputs(rep.data, ranks, params)
+    p = {name: params[name].data for name in SCORE_PARAMS}
+    s, cache = _score_forward(r, ranks, p, params.q)
+    attended = cache[3]
+    memo = [None, None]
+
+    def swept(g):
+        if memo[0] is not g:
+            memo[:] = [g, _score_sweep(g, s, cache, ranks, p, params.q)]
+        return memo[1]
+
+    def d_rep(g):
+        _, d_query, d_key, d_value, _ = swept(g)
+        return d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T
+
+    pulls = (
+        (rep, d_rep),
+        (params["wq"], lambda g: r.T @ swept(g)[1]),
+        (params["wk"], lambda g: r.T @ swept(g)[2]),
+        (params["wv"], lambda g: r.T @ swept(g)[3]),
+        (params["w_score"], lambda g: attended.T @ swept(g)[0]),
+        (params["b_score"], lambda g: np.asarray(swept(g)[0].sum())),
+        (params["rank_emb"], lambda g: np.outer(p["rank_w"], swept(g)[4])),
+        (params["rank_w"], lambda g: p["rank_emb"] @ swept(g)[4]),
+    )
+    return ad.emit("score", s, pulls)
 
 
 def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
@@ -486,21 +654,20 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
         C = diag(A) G Wv' + (DK) Wq' + diag(D) Q Wk'
 
     The three terms are r_i's paths through V_i, Q_i and K_i. The forward
-    values come from the same primitives as :func:`score`, on constant
-    tensors, so nothing is recorded on any tape. Cost O(I^2 H).
+    and the softmax adjoint are those of :func:`score` (``_score_forward``
+    and ``_softmax_adjoint``), run on plain arrays, so nothing is recorded
+    on any tape. Cost O(I^2 H).
     """
-    params = params.constants()
-    query, key, value, psi, attention = _caan_terms(Tensor(rep), np.asarray(ranks), params)
-    s = winner_scores(attention @ value, params).data
-    a, q, k = attention.data, query.data, key.data
-    g = (s * (1.0 - s))[:, None] * params["w_score"].data
-    m = g @ value.data.T
-    n = a * (m - np.sum(a * m, axis=1, keepdims=True))
-    d = n * psi.data * (1.0 / np.sqrt(params.hidden))
+    r, ranks = _score_inputs(rep, ranks, params)
+    p = {name: params[name].data for name in SCORE_PARAMS}
+    s, (query, key, value, _, attention, _, table) = _score_forward(r, ranks, p, params.q)
+    g = (s * (1.0 - s))[:, None] * p["w_score"]
+    scale = 1.0 / np.sqrt(params.hidden)
+    _, d = _softmax_adjoint(attention, g, value, ranks, table, scale)
     return (
-        np.diag(a)[:, None] * (g @ params["wv"].data.T)
-        + (d @ k) @ params["wq"].data.T
-        + np.diag(d)[:, None] * (q @ params["wk"].data.T)
+        np.diag(attention)[:, None] * (g @ p["wv"].T)
+        + (d @ key) @ p["wq"].T
+        + np.diag(d)[:, None] * (query @ p["wk"].T)
     )
 
 

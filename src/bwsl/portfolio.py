@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MissingReturnError
+from .features import descending_order
 from .policy import WinnerScores
 
 LONG_SHORT = "long-short"
@@ -60,7 +61,7 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
         raise DataError(f"legs overlap: 2*{g} > {n} stocks")
     if mode == LONG_ONLY and g > n:
         raise DataError(f"leg size {g} exceeds {n} stocks")
-    order = sorted(range(n), key=lambda i: (-float(scores[i]), stock_ids[i]))
+    order = descending_order(scores, stock_ids).tolist()
     long_idx = tuple(order[:g])
     short_idx = tuple(order[n - g :]) if mode == LONG_SHORT else ()
     return long_idx, short_idx

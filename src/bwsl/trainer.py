@@ -28,8 +28,9 @@ each trajectory on its own tape, which gives the reference for the
 deduplicated gradient and the surrogate for finite differences.
 
 The threshold and the policy step read each decision time the same way
-(:func:`_period_data`): the eligible universe's windows, their forward
-price ratios, and the delisting substitutions those ratios needed.
+(:meth:`PreparedPanel.period_data`): the eligible universe's windows,
+their forward price ratios, and the delisting substitutions those ratios
+needed, read once per prepared panel however many starts overlap.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError
-from .features import PreparedPanel, WindowSet
+from .features import PreparedPanel
 from .market import format_month, substream
 from .metrics import sharpe
 from .policy import PolicyParams, WinnerScores, policy_forward
@@ -144,16 +145,6 @@ def _sharpe_or_flat(returns, theta: float, tc: float) -> tuple[float, bool]:
         return 0.0, True
 
 
-def _period_data(prep: PreparedPanel, t: int) -> tuple[WindowSet, np.ndarray, list]:
-    """The eligible windows at t, their forward price ratios, and the
-    substitution events behind those ratios."""
-    ws = prep.windows(t)
-    if ws is None:
-        raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
-    z, events = prep.forward_ratios(t, ws.stock_ids)
-    return ws, z, events
-
-
 def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainConfig) -> PeriodStep:
     """Score -> legs -> leg log-prob -> realized return at decision time t.
 
@@ -161,7 +152,7 @@ def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainCon
     one rollout step: :func:`epoch_gradient` and the tests' per-trajectory
     oracle both build on it.
     """
-    ws, z, events = _period_data(prep, t)
+    ws, z, events = prep.period_data(t)
     scores = policy_forward(ws.features, ws.ranks, params)
     g = leg_size(len(ws), cfg.g)
     pair = generate(WinnerScores(ws.stock_ids, scores.data.copy()), g, cfg.mode)
@@ -170,7 +161,7 @@ def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainCon
         ret=realize_return(pair, dict(zip(ws.stock_ids, z))),
         logprob=_leg_logprob(scores, pair.long_indices, pair.short_indices),
         score_dev=float(np.mean(np.abs(scores.data - 0.5))),
-        events=tuple(events),
+        events=events,
     )
 
 
@@ -186,7 +177,8 @@ def _leg_logprob(scores: Tensor, long_idx, short_idx) -> Tensor:
 
 def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     """Sharpe of the equal-weight buy-and-hold of the policy's universe
-    over the same T periods, read through the same :func:`_period_data`.
+    over the same T periods, read through the same
+    :meth:`PreparedPanel.period_data`.
 
     Returns (h0, degenerate): when the market return series has zero
     volatility, h0 is 0.0 and the flag is set.
@@ -195,7 +187,7 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     t0 = prep.month(t0)
     returns = np.zeros(t)
     for step in range(t):
-        _, z, _ = _period_data(prep, t0 + step)
+        _, z, _ = prep.period_data(t0 + step)
         returns[step] = float(np.mean(z)) - 1.0
     return _sharpe_or_flat(returns, theta, tc)
 

@@ -16,7 +16,7 @@ from bwsl.market import MarketPanel, SynthConfig, format_month, parse_month, syn
 START = parse_month("2000-01")
 
 
-def panel_from_closes(closes, mask=None, **field_overrides):
+def panel_from_closes(closes, mask=None, ids=None, **field_overrides):
     closes = np.asarray(closes, dtype=float)
     n, p = closes.shape
     fields = {
@@ -31,7 +31,8 @@ def panel_from_closes(closes, mask=None, **field_overrides):
     fields.update({k: np.asarray(v, dtype=float) for k, v in field_overrides.items()})
     if mask is None:
         mask = np.ones((n, p), dtype=bool)
-    ids = [f"S{i}" for i in range(n)]
+    if ids is None:
+        ids = [f"S{i}" for i in range(n)]
     return MarketPanel(ids, START, fields, np.asarray(mask, dtype=bool))
 
 
@@ -221,3 +222,12 @@ def test_forward_ratios_does_not_substitute_across_the_axis_start():
     prep = PreparedPanel(panel_from_closes(closes, mask=mask), k=2)
     with pytest.raises(DataError, match=f"S1.*{format_month(START)}"):
         prep.forward_ratios(START, ("S0", "S1"))
+
+
+def test_build_windows_rank_ties_break_by_stock_id_whatever_the_row_order():
+    # rows carry ids in descending order; rows 0/2 and 1/3 tie on pr
+    closes = np.ones((4, 4))
+    closes[:, 3] = [1.1, 0.9, 1.1, 0.9]
+    panel = panel_from_closes(closes, ids=["D", "C", "B", "A"])
+    ws = build_windows(panel, START + 3, k=2)
+    np.testing.assert_array_equal(ws.ranks, [2, 4, 1, 3])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
+from bwsl import policy
 from bwsl.autodiff import Tensor
 from bwsl.errors import DataError, NonFiniteError, ShapeError
 from bwsl.policy import (
     ENCODER_PARAMS,
     PARAM_ORDER,
+    SCORE_PARAMS,
     PolicyParams,
     caan_forward,
     encode,
@@ -408,6 +410,128 @@ def test_overflowing_gate_pre_activations_raise_non_finite(case, encoder):
         encoder(windows, params)
 
 
+def _primitive_score(rep, ranks, params):
+    return winner_scores(caan_forward(rep, np.asarray(ranks), params), params)
+
+
+def _score_and_grads(scorer, rep, ranks, params, cot):
+    """Scores, then the gradients of sum(scores * cot) w.r.t. the
+    representations and the seven head parameters, from one backward."""
+    x = Tensor(rep, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        scores = scorer(x, ranks, params)
+        root = (scores * Tensor(cot)).sum()
+    grads = tape.gradients(root)
+    return [scores.data, grads[x]] + [grads[params[n]] for n in SCORE_PARAMS]
+
+
+_SCORE_CASES = {
+    # name: (I, q, L, ranks)
+    "two_stocks": (2, 4, 8, [3, 8]),
+    "q_one": (6, 1, 8, [1, 2, 3, 4, 5, 6]),
+    "gaps_and_duplicates": (7, 2, 5, [1, 4, 4, 9, 2, 9, 4]),
+    "wider_than_q_l": (5, 4, 8, [1, 100000, 40, 2, 33]),
+    "one_bin": (4, 3, 1, [1, 2, 7, 3]),
+    "paper_width": (40, 4, 16, list(range(40, 0, -1))),
+}
+
+
+@pytest.mark.parametrize("block", [1 << 14, 12], ids=["one_block", "row_blocks"])
+@pytest.mark.parametrize("case", list(_SCORE_CASES), ids=list(_SCORE_CASES))
+def test_fused_score_matches_the_primitive_composition(case, block, monkeypatch):
+    # 12 elements per block splits every case into row blocks, the last
+    # one partial for I = 5 and 7
+    monkeypatch.setattr(policy, "_PRIOR_BLOCK", block)
+    n, q, l_cols, ranks = _SCORE_CASES[case]
+    params = small_params(70 + n, hidden=6, embed=4, l_cols=l_cols, q=q)
+    rng = np.random.default_rng(71 + n)
+    rep = rng.normal(size=(n, params.hidden))
+    ranks = np.asarray(ranks)
+    cot = rng.normal(size=n)
+    untaped = score(Tensor(rep), ranks, params).data
+    assert untaped.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
+    fused = _score_and_grads(score, rep, ranks, params, cot)
+    oracle = _score_and_grads(_primitive_score, rep, ranks, params, cot)
+    assert fused[0].tobytes() == oracle[0].tobytes()
+    for name, got, want in zip(("rep",) + SCORE_PARAMS, fused[1:], oracle[1:]):
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+def test_score_params_are_the_attention_and_head_tensors():
+    assert SCORE_PARAMS == ("wq", "wk", "wv", "w_score", "b_score", "rank_emb", "rank_w")
+    assert ENCODER_PARAMS + SCORE_PARAMS == PARAM_ORDER
+
+
+def test_score_is_one_tape_record():
+    params = small_params(72)
+    rep = Tensor(np.random.default_rng(73).normal(size=(5, params.hidden)), requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        score(rep, [2, 5, 1, 4, 3], params)
+    assert len(tape) == 1
+
+
+def test_score_values_and_gradients_repeat_bitwise():
+    params = small_params(74)
+    rng = np.random.default_rng(75)
+    rep = rng.normal(size=(9, params.hidden))
+    ranks = 1 + rng.permutation(9)
+    cot = rng.normal(size=9)
+    first = _score_and_grads(score, rep, ranks, params, cot)
+    second = _score_and_grads(score, rep, ranks, params, cot)
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+
+
+def _positive_rows(params):
+    return np.abs(np.random.default_rng(77).normal(size=(4, params.hidden))) + 1.0
+
+
+def _overflowing_values(params):
+    params["wv"].data = np.full_like(params["wv"].data, 1e308)
+    return _positive_rows(params), "attended values"
+
+
+def _overflowing_head(params):
+    # finite attended values whose head logits overflow; sigmoid(inf) = 1
+    # is finite, so only a check before the sigmoid sees it
+    params["wv"].data = np.full_like(params["wv"].data, 1e300)
+    params["w_score"].data = np.full_like(params["w_score"].data, 1e300)
+    return _positive_rows(params), "head logits"
+
+
+def _overflowing_logits(params):
+    # orthogonal rows: only the diagonal logits overflow, to -inf, so every
+    # row maximum stays finite and the softmax alone would give weight 0
+    params["wq"].data = 1e160 * np.eye(params.hidden)
+    params["wk"].data = -1e160 * np.eye(params.hidden)
+    return np.eye(params.hidden)[:4], "attention logits"
+
+
+def _overflowing_prior(params):
+    params["rank_w"].data = np.full_like(params["rank_w"].data, 1e300)
+    params["rank_emb"].data = np.full_like(params["rank_emb"].data, 1e300)
+    return _positive_rows(params), "rank-prior logits"
+
+
+@pytest.mark.parametrize(
+    "case", [_overflowing_values, _overflowing_head, _overflowing_logits, _overflowing_prior]
+)
+@pytest.mark.parametrize(
+    "scorer",
+    [score, _primitive_score, lambda rep, ranks, params: own_score_grads(rep.data, ranks, params)],
+    ids=["fused", "primitive", "own_score_grads"],
+)
+def test_overflow_in_the_score_raises_non_finite(case, scorer):
+    params = small_params(76)
+    rep, what = case(params)
+    match = f"score: non-finite {what}" if scorer is not _primitive_score else "matmul"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=match):
+        scorer(Tensor(rep), [1, 2, 3, 4], params)
+
+
 def _replayed_own_score_grads(rep, ranks, params):
     """Oracle: one tape over ``score``, replayed once per stock, keeping row i."""
     leaf = Tensor(rep, requires_grad=True)
@@ -447,8 +571,8 @@ def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks):
 
 @pytest.mark.parametrize(
     "rep, ranks",
-    [(np.ones((3, 6)), [1, 2]), (np.ones((1, 6)), [1])],
-    ids=["misaligned_ranks", "single_stock"],
+    [(np.ones((3, 6)), [1, 2]), (np.ones((1, 6)), [1]), (np.ones((3, 5)), [1, 2, 3])],
+    ids=["misaligned_ranks", "single_stock", "wrong_width"],
 )
 def test_own_score_grads_raise_the_caan_shape_errors(rep, ranks):
     params = small_params(49)
@@ -456,6 +580,8 @@ def test_own_score_grads_raise_the_caan_shape_errors(rep, ranks):
         caan_forward(Tensor(rep), np.asarray(ranks), params)
     with pytest.raises(ShapeError, match=f"^{re.escape(str(caan_error.value))}$"):
         own_score_grads(rep, ranks, params)
+    with pytest.raises(ShapeError, match=f"^{re.escape(str(caan_error.value))}$"):
+        score(Tensor(rep), ranks, params)
 
 
 def test_own_score_grads_record_nothing_on_an_active_tape():

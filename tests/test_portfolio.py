@@ -8,6 +8,7 @@ from bwsl.policy import WinnerScores
 from bwsl.portfolio import (
     LONG_ONLY,
     LONG_SHORT,
+    MODES,
     generate,
     realize_return,
     select_legs,
@@ -139,3 +140,15 @@ def test_select_legs_descending_with_tail_short():
     )
     assert long_idx == (1,)
     assert short_idx == (0,)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_select_legs_breaks_score_ties_by_id_whatever_the_input_order(mode):
+    # ids out of order, and a block of tied scores across each leg's boundary
+    ids = ("K", "B", "Z", "A", "M", "C", "Y", "D", "E")
+    scores = np.array([0.7, 0.9, 0.2, 0.7, 0.7, 0.2, 0.2, 0.5, 0.2])
+    expected = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    assert [ids[i] for i in expected] == ["B", "A", "K", "M", "D", "C", "E", "Y", "Z"]
+    long_idx, short_idx = select_legs(scores, ids, g=3, mode=mode)
+    assert long_idx == tuple(expected[:3])
+    assert short_idx == (tuple(expected[-3:]) if mode == LONG_SHORT else ())

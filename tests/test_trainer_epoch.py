@@ -66,6 +66,35 @@ def test_epoch_scores_each_distinct_decision_time_once(panel, monkeypatch):
     assert len(calls) == len(covered)
 
 
+def test_train_reads_each_decision_times_ratios_once_per_prepared_panel(panel, monkeypatch):
+    # thresholds and policy steps of overlapping starts share one read per time
+    read = PreparedPanel.forward_ratios
+    reads = []
+    starts_seen = []
+
+    def counting_read(self, t, stock_ids):
+        reads.append(self.month(t))
+        return read(self, t, stock_ids)
+
+    def recording_epoch_gradient(prep, starts, *args, **kwargs):
+        starts_seen.extend(starts)
+        return epoch_gradient(prep, starts, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedPanel, "forward_ratios", counting_read)
+    monkeypatch.setattr(trainer_mod, "epoch_gradient", recording_epoch_gradient)
+    cfg = TrainConfig(t=4, n=8, epochs=2, eta=1e-3, k=4, seed=2, tc=0.0)
+    prep = PreparedPanel(panel, cfg.k)
+    train(prep, cfg, small_params(1))
+    covered = {t0 + s for t0 in starts_seen for s in range(cfg.t)}
+    assert len(starts_seen) == cfg.n * cfg.epochs > len(set(starts_seen))
+    assert sorted(reads) == sorted(covered)
+    train(prep, cfg, small_params(1))
+    assert len(reads) == len(covered)
+    _, z, _ = prep.period_data(min(covered))
+    with pytest.raises(ValueError):
+        z[0] = 1.0
+
+
 def test_best_params_are_the_scored_parameters_not_the_updated_ones(panel):
     initial = small_params(11)
     cfg = TrainConfig(t=3, n=2, epochs=1, eta=0.01, k=4, seed=4, tc=0.0)
