@@ -41,6 +41,7 @@ __all__ = [
     "forward",
     "finite_diff_check",
     "emit",
+    "recording",
     "logistic",
     "add",
     "mul",
@@ -71,6 +72,12 @@ def _stack() -> list:
 def _active_tape():
     stack = _stack()
     return stack[-1] if stack else None
+
+
+def recording() -> bool:
+    """Whether a tape is active on this thread, so that an op whose
+    operands require grad is recorded now."""
+    return bool(_stack())
 
 
 class Tensor:

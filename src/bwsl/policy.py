@@ -14,6 +14,17 @@ with hand-written VJPs:
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
   forward and softmax adjoint.
 
+While a tape records, :func:`encode` writes its seven (K, I, .) arrays,
+four forward caches and three backward-sweep buffers, into buffers
+leased from a per-thread workspace. The lease is returned when the
+record's VJP closures die (when its tape is dropped), never while a live
+record can read it. The workspace keeps at most one spare buffer per role,
+the largest returned, and a smaller universe writes into a prefix of it.
+So successive recorded calls, one per decision time in training and
+interpretation, reuse the same memory instead of faulting in fresh pages.
+An untaped call allocates fresh arrays, and the float operations are the
+same either way, so values do not depend on the workspace.
+
 :func:`lstm_encode`, :func:`history_attention`, :func:`caan_forward` and
 :func:`winner_scores` spell the same network out in autodiff primitives
 and serve as its reference.
@@ -25,6 +36,9 @@ bins.
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,9 +313,21 @@ def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
     return rep
 
 
+def _rank_ints(ranks) -> np.ndarray:
+    """``ranks`` as int64; :class:`DataError` unless every value is a finite
+    integer (of any dtype), so a fractional rank is never truncated."""
+    arr = np.asarray(ranks)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64, copy=False)
+    # the range test also rejects NaN and infinities
+    if arr.dtype.kind != "f" or not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
+        raise DataError(f"ranks must be finite integers, got {ranks!r}")
+    return arr.astype(np.int64)
+
+
 def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     """Quantized pairwise rank distance, clamped to the embedding width."""
-    ranks = np.asarray(ranks, dtype=np.int64)
+    ranks = _rank_ints(ranks)
     d = np.abs(ranks[:, None] - ranks[None, :]) // int(q)
     return np.minimum(d, l_cols - 1)
 
@@ -345,10 +371,69 @@ def _gate_blocks(h_dim: int) -> tuple[slice, ...]:
     return gate_in, gate_forget, gate_out, cand, slice(0, 3 * h_dim)
 
 
-def _encode_forward(xs: np.ndarray, p: dict) -> tuple[np.ndarray, tuple]:
+# this thread's spare encoder buffers, role -> flat float64 array
+_workspaces = threading.local()
+
+
+def _spare() -> dict:
+    """The calling thread's workspace: at most one spare buffer per role."""
+    spare = getattr(_workspaces, "spare", None)
+    if spare is None:
+        spare = _workspaces.spare = {}
+    return spare
+
+
+def _give_back(spare: dict, taken: dict) -> None:
+    """Return a dead lease's buffers, keeping the larger one per role.
+
+    This may run on another thread, where the tape was dropped. No lock is
+    needed: only buffers of dead leases are added, and ``dict.pop`` hands
+    each spare to one lease alone."""
+    for role, buf in taken.items():
+        kept = spare.get(role)
+        if kept is None or kept.size < buf.size:
+            spare[role] = buf
+
+
+class _Lease:
+    """The workspace buffers of one recorded :func:`encode` call.
+
+    ``lease(role, shape)`` is a prefix view of the buffer held for that
+    role, taken from the workspace the first time (or allocated, when its
+    spare is missing or too small). Every VJP of the record reaches the
+    lease through the memoized sweep, so its buffers go back to the
+    workspace when the last closure that can read them dies, and never
+    while one lives. A later sweep of the same record writes into the same
+    sweep buffers, whose earlier results the memo has dropped.
+    """
+
+    __slots__ = ("_spare", "_taken", "__weakref__")
+
+    def __init__(self, spare: dict):
+        self._spare, self._taken = spare, {}
+        weakref.finalize(self, _give_back, spare, self._taken)
+
+    def __call__(self, role: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._taken.get(role)
+        if buf is None:
+            buf = self._spare.pop(role, None)
+            if buf is None or buf.size < size:
+                buf = np.empty(size)
+            self._taken[role] = buf
+        return buf[:size].reshape(shape)
+
+
+def _fresh(role: str, shape: tuple) -> np.ndarray:
+    """What an untaped :func:`encode` writes into: a new array."""
+    return np.empty(shape)
+
+
+def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
     """Forward of :func:`encode` on step-major windows xs (K, I, F) and the
     encoder's arrays ``p``: the (I, H) representation and the caches
-    (act, cells, states, u, weights) its backward sweep reads.
+    (act, cells, states, u, weights) its backward sweep reads. The four
+    (K, I, .) caches come from ``take(role, shape)``.
 
     act (K, I, 4H) first holds x_k Wx + b, then, in place, each step's gate
     activations; cells and states are c_k and h_k (K, I, H); u is the
@@ -357,10 +442,11 @@ def _encode_forward(xs: np.ndarray, p: dict) -> tuple[np.ndarray, tuple]:
     k_steps, n, n_feat = xs.shape
     h_dim = p["lstm_wh"].shape[0]
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
-    act = (xs.reshape(-1, n_feat) @ p["lstm_wx"]).reshape(k_steps, n, 4 * h_dim)
+    act = take("act", (k_steps, n, 4 * h_dim))
+    np.matmul(xs.reshape(-1, n_feat), p["lstm_wx"], out=act.reshape(-1, 4 * h_dim))
     act += p["lstm_b"]
-    cells = np.empty((k_steps, n, h_dim))
-    states = np.empty((k_steps, n, h_dim))
+    cells = take("cells", (k_steps, n, h_dim))
+    states = take("states", (k_steps, n, h_dim))
     h = c = np.zeros((n, h_dim))
     for k in range(k_steps):
         z = h @ p["lstm_wh"]
@@ -378,7 +464,8 @@ def _encode_forward(xs: np.ndarray, p: dict) -> tuple[np.ndarray, tuple]:
         h = states[k]
 
     # history attention: scores of all K states in one matmul, softmax over K
-    u = (states.reshape(-1, h_dim) @ p["att_w1"]).reshape(k_steps, n, h_dim)
+    u = take("u", (k_steps, n, h_dim))
+    np.matmul(states.reshape(-1, h_dim), p["att_w1"], out=u.reshape(-1, h_dim))
     u += states[-1] @ p["att_w2"]
     np.tanh(u, out=u)
     scores = (u.reshape(-1, h_dim) @ p["att_w"]).reshape(k_steps, n)
@@ -390,25 +477,29 @@ def _encode_forward(xs: np.ndarray, p: dict) -> tuple[np.ndarray, tuple]:
     return rep, (act, cells, states, u, weights)
 
 
-def _encode_sweep(g: np.ndarray, cache: tuple, p: dict) -> tuple[np.ndarray, ...]:
+def _encode_sweep(g: np.ndarray, cache: tuple, p: dict, take) -> tuple[np.ndarray, ...]:
     """Backward of :func:`encode` for the cotangent g (I, H) of its output:
     the cotangents of the gate pre-activations (K, I, 4H), of the attention
-    pre-activations (K, I, H) and of the attention scores (K, I)."""
+    pre-activations (K, I, H) and of the attention scores (K, I). The three
+    (K, I, .) arrays it writes come from ``take(role, shape)``."""
     act, cells, states, u, weights = cache
     k_steps, n, h_dim = states.shape
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
     d_weights = np.einsum("kih,ih->ki", states, g)
     d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
-    d_pre = 1.0 - u * u
+    d_pre = take("d_pre", states.shape)
+    np.multiply(u, u, out=d_pre)
+    np.subtract(1.0, d_pre, out=d_pre)
     d_pre *= p["att_w"]
     d_pre *= d_scores[:, :, None]
-    d_states = (d_pre.reshape(-1, h_dim) @ p["att_w1"].T).reshape(states.shape)
+    d_states = take("d_states", states.shape)
+    np.matmul(d_pre.reshape(-1, h_dim), p["att_w1"].T, out=d_states.reshape(-1, h_dim))
     d_states += weights[:, :, None] * g
     d_states[-1] += d_pre.sum(axis=0) @ p["att_w2"].T
 
     # backpropagation through time; each step works on its own (I, .)
     # slices, which stay in cache, rather than on whole (K, I, .) arrays
-    d_gates = np.empty_like(act)
+    d_gates = take("d_gates", act.shape)
     dc = np.zeros((n, h_dim))  # f_{k+1} * dL/dc_{k+1}
     for k in reversed(range(k_steps)):
         dh = d_states[k]
@@ -442,7 +533,8 @@ def encode(windows, params: PolicyParams) -> Tensor:
     all K steps in one matmul and the attention over all K states in
     another. The record has one VJP per operand: the windows and each of
     :data:`ENCODER_PARAMS`. They share one backward sweep per cotangent,
-    and the tape calls only those whose operand requires grad.
+    and the tape calls only those whose operand requires grad. A recorded
+    call takes its (K, I, .) arrays from the workspace (module docstring).
 
     Every op here works row by row, so row i depends on window i alone;
     stocks first meet in :func:`score`.
@@ -450,7 +542,8 @@ def encode(windows, params: PolicyParams) -> Tensor:
     x = _windows_tensor(windows, params)
     p = {name: params[name].data for name in ENCODER_PARAMS}
     xs = np.ascontiguousarray(x.data.transpose(1, 0, 2))
-    rep, cache = _encode_forward(xs, p)
+    take = _Lease(_spare()) if ad.recording() else _fresh
+    rep, cache = _encode_forward(xs, p, take)
     _, _, states, u, _ = cache
     _, n, n_feat = xs.shape
     h_dim = params.hidden
@@ -458,7 +551,7 @@ def encode(windows, params: PolicyParams) -> Tensor:
 
     def swept(g):
         if memo[0] is not g:
-            memo[:] = [g, _encode_sweep(g, cache, p)]
+            memo[:] = [g, _encode_sweep(g, cache, p, take)]
         return memo[1]
 
     def d_gates(g):
@@ -483,7 +576,7 @@ def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarra
     """The (I, H) representations r and the ranks as (I,) integers, checked
     with the shape errors of the primitive composition."""
     r = np.asarray(r, dtype=np.float64)
-    ranks = np.asarray(ranks, dtype=np.int64)
+    ranks = _rank_ints(ranks)
     if r.ndim != 2 or r.shape[0] < 2:
         raise ShapeError("caan: need representations for at least 2 stocks")
     if len(ranks) != r.shape[0]:

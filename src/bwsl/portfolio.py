@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingReturnError
+from .errors import DataError, MissingReturnError, ShapeError
 from .features import descending_order
 from .policy import WinnerScores
 
@@ -49,11 +49,17 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
     """Indices of the long and short legs under descending-score order.
 
     Ties break by ascending stock_id. Long-only mode returns an empty
-    short leg.
+    short leg. Raises :class:`ShapeError` unless there is one score per
+    stock and :class:`DataError` for a non-finite score.
     """
     if mode not in MODES:
         raise DataError(f"unknown portfolio mode {mode!r}")
     n = len(stock_ids)
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (n,):
+        raise ShapeError(f"select_legs: {scores.size} scores for {n} stocks")
+    if not np.isfinite(scores).all():
+        raise DataError("winner scores must be finite")
     g = int(g)
     if g < 1:
         raise DataError("leg size g must be at least 1")
@@ -102,12 +108,13 @@ def realize_return(pair: PortfolioPair, z: Mapping[str, float]) -> float:
     z = p_{t+1}/p_t keyed by stock id.
 
     Long-short: sum(b+ z) - sum(b- z). Long-only: sum(b+ z) - 1. Every
-    rate must be positive and every supported stock must have one;
-    mid-hold delistings are the caller's responsibility
+    rate must be finite and positive, and every supported stock must have
+    one; mid-hold delistings are the caller's responsibility
     (``PreparedPanel.forward_ratios`` substitutes them and reports events).
     """
-    if np.any(np.fromiter(z.values(), dtype=float, count=len(z)) <= 0):
-        raise DataError("price rising rates must be positive")
+    given = np.fromiter(z.values(), dtype=float, count=len(z))
+    if not (np.isfinite(given) & (given > 0)).all():
+        raise DataError("price rising rates must be finite and positive")
 
     def rates(indices) -> np.ndarray:
         try:

@@ -1,6 +1,8 @@
 """Scoring network: component oracles, equivariance, gradient checks."""
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -158,6 +160,33 @@ def test_history_attention_matches_direct_formula():
 
 def test_prior_weight_quantized_distance():
     assert rank_distance(np.array([10, 3]), q=4, l_cols=8)[0, 1] == 1
+
+
+@pytest.mark.parametrize(
+    "ranks",
+    [[1.9, 2.2, 3.99], [1.0, np.nan, 3.0], [1.0, np.inf, 3.0], ["1", "2", "3"]],
+    ids=["fractional", "nan", "inf", "strings"],
+)
+def test_non_integer_ranks_raise_data_error(ranks):
+    # ranks used to be truncated: [1.9, 2.2, 3.99] scored exactly as [1, 2, 3]
+    params = small_params(16)
+    rep = np.random.default_rng(17).normal(size=(3, params.hidden))
+    for fn in (
+        lambda: score(Tensor(rep), ranks, params),
+        lambda: own_score_grads(rep, ranks, params),
+        lambda: caan_forward(Tensor(rep), ranks, params),
+        lambda: rank_distance(ranks, params.q, params.l_cols),
+    ):
+        with pytest.raises(DataError, match="ranks"):
+            fn()
+
+
+def test_integral_ranks_of_any_dtype_score_alike():
+    params = small_params(18)
+    rep = Tensor(np.random.default_rng(19).normal(size=(3, params.hidden)))
+    expected = score(rep, np.array([1, 7, 3]), params).data
+    for ranks in ([1.0, 7.0, 3.0], np.array([1, 7, 3], np.uint8), np.array([1, 7, 3], np.int32)):
+        assert score(rep, ranks, params).data.tobytes() == expected.tobytes()
 
 
 def test_prior_weight_clamps_to_embedding_width():
@@ -384,6 +413,154 @@ def test_each_backward_over_one_encode_record_sweeps_its_own_cotangent():
         got = [grads[x]] + [grads[params[n]] for n in ENCODER_PARAMS]
         for a, b in zip(got, expected):
             assert a.tobytes() == b.tobytes()
+
+
+_ROLES = {"act", "cells", "states", "u", "d_gates", "d_states", "d_pre"}
+
+
+@pytest.fixture
+def workspace():
+    """This thread's encoder workspace, emptied before the test."""
+    spare = policy._spare()
+    spare.clear()
+    return spare
+
+
+def _addresses(spare):
+    return {role: (buf.__array_interface__["data"][0], buf.size) for role, buf in spare.items()}
+
+
+def test_two_live_encode_records_on_one_tape_match_separate_tapes(workspace):
+    params = small_params(70)
+    rng = np.random.default_rng(71)
+    windows = [rng.normal(size=(4, 5, 7)), rng.normal(size=(4, 5, 7))]
+    cots = [rng.normal(size=(4, params.hidden)) for _ in windows]
+    # separate tapes first, so the workspace holds a spare set to hand out
+    expected = [_encode_and_grads(encode, w, params, c) for w, c in zip(windows, cots)]
+    assert set(workspace) == _ROLES
+    xs = [Tensor(w, requires_grad=True) for w in windows]
+    tape = ad.Tape()
+    with tape:
+        reps = [encode(x, params) for x in xs]
+        roots = [(r * Tensor(c)).sum() for r, c in zip(reps, cots)]
+    for x, rep, root, want in zip(xs, reps, roots, expected):
+        grads = tape.gradients(root)
+        got = [rep.data, grads[x]] + [grads[params[n]] for n in ENCODER_PARAMS]
+        assert len(got) == len(want) == 8
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_dropped_tape_hands_its_buffers_to_the_next_recorded_encode(workspace):
+    params = small_params(72)
+    rng = np.random.default_rng(73)
+    windows, cot = rng.normal(size=(4, 5, 7)), rng.normal(size=(4, params.hidden))
+    _encode_and_grads(encode, windows, params, cot)
+    assert set(workspace) == _ROLES
+    first = _addresses(workspace)
+    x = Tensor(windows, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        rep = encode(x, params)
+        root = (rep * Tensor(cot)).sum()
+    tape.gradients(root)
+    assert not workspace  # every buffer is leased while the record lives
+    del tape, rep, root  # no gc.collect(): reference counting frees the record
+    assert _addresses(workspace) == first
+
+
+def test_an_untaped_encode_leaves_the_workspace_untouched(workspace):
+    params = small_params(74)
+    rng = np.random.default_rng(75)
+    windows = rng.normal(size=(6, 5, 7))
+    encode(windows, params)
+    assert not workspace
+    _encode_and_grads(encode, windows[:3], params, rng.normal(size=(3, params.hidden)))
+    before = _addresses(workspace)
+    encode(windows, params)
+    assert _addresses(workspace) == before
+
+
+def test_a_smaller_universe_after_a_larger_one_is_bitwise_a_fresh_run(workspace):
+    params = small_params(76)
+    rng = np.random.default_rng(77)
+    small, large = rng.normal(size=(100, 12, 7)), rng.normal(size=(200, 12, 7))
+    cot_small, cot_large = rng.normal(size=(100, params.hidden)), rng.normal(size=(200, params.hidden))
+    fresh = _encode_and_grads(encode, small, params, cot_small)
+    workspace.clear()
+    _encode_and_grads(encode, large, params, cot_large)
+    sizes = {role: buf.size for role, buf in workspace.items()}
+    after = _encode_and_grads(encode, small, params, cot_small)
+    assert {role: buf.size for role, buf in workspace.items()} == sizes  # prefix views
+    for a, b in zip(fresh, after):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_one_buffer_per_role_the_largest_outlives_a_many_record_tape(workspace):
+    params = small_params(78)
+    rng = np.random.default_rng(79)
+    tape = ad.Tape()
+    with tape:
+        reps = [encode(Tensor(rng.normal(size=(i, 5, 7)), requires_grad=True), params)
+                for i in (3, 9, 4, 2, 9, 5, 6, 3, 8, 7, 2, 4)]
+        root = sum((r.sum() for r in reps[1:]), reps[0].sum())
+    tape.gradients(root)
+    del tape, reps, root
+    assert set(workspace) == _ROLES
+    k, h = 5, params.hidden
+    widths = {"act": 4 * h, "d_gates": 4 * h}
+    for role, buf in workspace.items():
+        assert buf.size == k * 9 * widths.get(role, h), role
+
+
+def test_threads_each_reuse_their_own_workspace_and_release_across_threads(workspace):
+    # each worker records, backpropagates and drops its own tapes, and also
+    # drops tapes recorded on the main thread, whose buffers go back to the
+    # main thread's workspace while that thread keeps recording
+    params = small_params(80)
+    rng = np.random.default_rng(81)
+    cases = [(rng.normal(size=(i, 5, 7)), rng.normal(size=(i, params.hidden))) for i in (3, 6, 4)]
+    expected = [_encode_and_grads(encode, w, params, c) for w, c in cases]
+    handed = [[] for _ in range(4)]
+    failures = []
+
+    def worker(j):
+        try:
+            for n in range(30):
+                if handed[j]:
+                    handed[j].pop()  # drop a main-thread tape here
+                w, c = cases[(j + n) % len(cases)]
+                got = _encode_and_grads(encode, w, params, c)
+                want = expected[(j + n) % len(cases)]
+                if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+                    failures.append((j, n))
+        except Exception as e:  # reported below; a thread's exception is otherwise lost
+            failures.append((j, repr(e)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for j in range(4):
+            tape = ad.Tape()
+            with tape:
+                encode(Tensor(cases[j % 3][0], requires_grad=True), params)
+            handed[j].append(tape)
+        del tape
+        threads = [threading.Thread(target=worker, args=(j,)) for j in range(4)]
+        for t in threads:
+            t.start()
+        for n in range(30):
+            w, c = cases[n % len(cases)]
+            got = _encode_and_grads(encode, w, params, c)
+            if any(a.tobytes() != b.tobytes() for a, b in zip(got, expected[n % len(cases)])):
+                failures.append(("main", n))
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert set(workspace) == _ROLES
 
 
 def _overflowing_input_projection(params):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bwsl.errors import DataError, MissingReturnError
+from bwsl.errors import DataError, MissingReturnError, ShapeError
 from bwsl.policy import WinnerScores
 from bwsl.portfolio import (
     LONG_ONLY,
@@ -134,6 +134,14 @@ def test_realize_return_rejects_non_positive():
         realize_return(pair, {"A": 0.0, "B": 1.0})
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+def test_realize_return_rejects_non_finite_rates(rate):
+    # a NaN rate used to give a NaN return and +inf a return of -inf
+    pair = generate(scores_of([0.9, 0.1], ids=("A", "B")), g=1)
+    with pytest.raises(DataError, match="finite"):
+        realize_return(pair, {"A": 1.1, "B": rate})
+
+
 def test_select_legs_descending_with_tail_short():
     long_idx, short_idx = select_legs(
         np.array([0.2, 0.9, 0.5, 0.7]), ("A", "B", "C", "D"), g=1, mode=LONG_SHORT
@@ -152,3 +160,20 @@ def test_select_legs_breaks_score_ties_by_id_whatever_the_input_order(mode):
     long_idx, short_idx = select_legs(scores, ids, g=3, mode=mode)
     assert long_idx == tuple(expected[:3])
     assert short_idx == (tuple(expected[-3:]) if mode == LONG_SHORT else ())
+
+
+@pytest.mark.parametrize("ids", [("A", "B", "C"), ("A", "B", "C", "D", "E")])
+def test_select_legs_rejects_scores_misaligned_with_ids(ids):
+    # np.lexsort used to raise a bare ValueError here
+    with pytest.raises(ShapeError, match="4 scores for"):
+        select_legs(np.array([0.2, 0.9, 0.5, 0.7]), ids, g=1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_legs_and_generate_reject_non_finite_scores(bad):
+    # a NaN score used to be sorted into a leg: it was shorted at g=1
+    values = [bad, 0.2, 0.3, 0.4]
+    with pytest.raises(DataError, match="finite"):
+        select_legs(np.array(values), ("A", "B", "C", "D"), g=1)
+    with pytest.raises(DataError, match="finite"):
+        generate(scores_of(values), g=1)
