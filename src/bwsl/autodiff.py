@@ -7,10 +7,10 @@ point: it replays the records once, in reverse order, from a given scalar
 root, accumulating gradients in a fixed order so repeated passes over the
 same tape are bitwise identical.
 
-The primitives are the set the scoring network, the trainer surrogate and
-the interpretation pass use: add, mul, matmul, transpose, reshape,
-concatenate, basic slicing, take (row gather), tanh, sigmoid, log,
-softmax and sum. Every exposed operation checks its output for finiteness
+The primitives are the set the scoring network's primitive reference in
+:mod:`policy` and the interpretation pass use: add, mul, matmul,
+transpose, reshape, concatenate, basic slicing, take (row gather), tanh,
+sigmoid, softmax and sum. Every exposed operation checks its output for finiteness
 and raises :class:`NonFiniteError` otherwise.
 
 :func:`emit` is the one way to record an operation: each primitive calls
@@ -18,7 +18,8 @@ it, and so may a caller that computes a whole layer in NumPy and writes
 its vector-Jacobian products by hand (an "elemental function" in the
 sense of Griewank & Walther), such as the fused encoder ``encode`` and
 the fused cross-asset attention and score head ``score`` in
-:mod:`policy`. Such an op is one record however much work it does, its
+:mod:`policy`, and the trainer's surrogate ``leg_logprob`` in
+:mod:`portfolio`. Such an op is one record however much work it does, its
 output passes the same finiteness check, and the VJP of an operand that
 does not require grad is never called. An op whose output can be finite
 where an intermediate overflowed (a sigmoid of +inf is 1) checks that
@@ -52,7 +53,6 @@ __all__ = [
     "take",
     "tanh",
     "sigmoid",
-    "log",
     "softmax",
     "tsum",
 ]
@@ -472,14 +472,6 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     y = logistic(a.data)
     return emit("sigmoid", y, ((a, lambda g, y=y: g * y * (1.0 - y)),))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    if np.any(a.data <= 0):
-        raise DomainError("log: input must be strictly positive")
-    x = a.data
-    return emit("log", np.log(x), ((a, lambda g, x=x: g / x),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one check for
+whole-number settings."""
+
+import numbers
 
 
 class BwslError(Exception):
@@ -47,3 +50,16 @@ class RuinError(NumericError):
 
 class TrainingDivergedError(NumericError):
     """The training loop detected a degenerate, non-learning policy."""
+
+
+def whole_number(value, what: str, minimum: int) -> int:
+    """``value`` as an int: a real number with no fractional part (12.0 is
+    accepted, 12.9 is not) and at least ``minimum``; DataError naming
+    ``what`` otherwise."""
+    if not isinstance(value, numbers.Integral) and not (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise DataError(f"{what} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise DataError(f"{what} must be at least {minimum}, got {value!r}")
+    return int(value)

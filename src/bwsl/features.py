@@ -13,11 +13,10 @@ eligible at the decision time. A stock is eligible at t iff every bar in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataError, NoEligibleStocksError
+from .errors import DataError, NoEligibleStocksError, whole_number
 from .market import MarketPanel, format_month
 
 FEATURE_NAMES = ("pr", "vol", "tv", "mc", "pe", "bm", "div")
@@ -97,8 +96,7 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     Ranks are dense over the eligible set, ties broken by ascending
     stock_id.
     """
-    if k < 1:
-        raise DataError("k must be at least 1")
+    k = whole_number(k, "k", 1)
     pi = panel.index_of(t)
     if pi < k:
         raise DataError(
@@ -130,12 +128,13 @@ class PreparedPanel:
     """
 
     def __init__(self, panel: MarketPanel, k: int):
-        if k < 1:
-            raise DataError("k must be at least 1")
         self.panel = panel
-        self.k = int(k)
-        self._windows = lru_cache(maxsize=None)(self._build)
-        self._periods = lru_cache(maxsize=None)(self._read_period)
+        self.k = whole_number(k, "k", 1)
+        # plain dicts, not lru_cache wrappers of bound methods: those would
+        # make a reference cycle that keeps a dropped panel alive until the
+        # cyclic collector runs
+        self._windows: dict[int, WindowSet | None] = {}
+        self._periods: dict[int, tuple] = {}
 
     @classmethod
     def of(cls, panel, k: int) -> "PreparedPanel":
@@ -164,7 +163,10 @@ class PreparedPanel:
 
     def windows(self, t) -> WindowSet | None:
         """WindowSet at t, or None when fewer than 2 stocks are eligible."""
-        return self._windows(self.month(t))
+        t = self.month(t)
+        if t not in self._windows:
+            self._windows[t] = self._build(t)
+        return self._windows[t]
 
     def _build(self, t: int) -> WindowSet | None:
         if self.panel.index_of(t) < self.k:
@@ -178,7 +180,10 @@ class PreparedPanel:
         """The eligible windows at t, their forward price ratios (read-only)
         and the substitution events behind those ratios, read once per
         prepared panel; DataError when fewer than 2 stocks are eligible."""
-        return self._periods(self.month(t))
+        t = self.month(t)
+        if t not in self._periods:
+            self._periods[t] = self._read_period(t)
+        return self._periods[t]
 
     def _read_period(self, t: int):
         ws = self.windows(t)

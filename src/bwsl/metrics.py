@@ -7,20 +7,21 @@ ASR = APR/AVOL. Max drawdown is computed on the cumulative-wealth series
 with a running peak. Downside deviation is the root mean square of
 min(R_t, 0) over all periods (MAR = 0).
 
-Degenerate denominators in a report are flagged rather than thrown:
-MDD = 0 makes CR +inf with flag ``no_drawdown``; no negative returns make
-DDR +inf with flag ``no_downside``.
+Degenerate denominators in a report are flagged rather than thrown: a
+series of fewer than 2 returns is flagged ``short_series`` and one of zero
+volatility ``zero_volatility`` (AVOL 0, ASR and DDR NaN); otherwise
+MDD = 0 makes CR +inf with flag ``no_drawdown``, and no negative returns
+make DDR +inf with flag ``no_downside``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, RuinError, ZeroVolatilityError
+from .errors import DataError, RuinError, ZeroVolatilityError, whole_number
 
 CSV_COLUMNS = (
     "n_periods",
@@ -46,15 +47,15 @@ def _finite_returns(returns, who: str) -> np.ndarray:
     return r
 
 
-def _periods_per_year(periods_per_year, who: str) -> int:
-    if not (
-        isinstance(periods_per_year, numbers.Real) and float(periods_per_year).is_integer()
-    ):
-        raise DataError(f"{who}: periods_per_year must be a whole number, got {periods_per_year}")
-    ny = int(periods_per_year)
-    if ny <= 0:
-        raise DataError(f"{who}: periods_per_year must be positive, got {periods_per_year}")
-    return ny
+def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
+    """A and V of a 1-d series. A is NaN for an empty series; V is 0.0 at
+    zero volatility: fewer than 2 returns, all equal, or a spread whose
+    variance underflows."""
+    if r.size == 0:
+        return math.nan, 0.0
+    a = float(np.mean(r - tc))
+    v = float(np.std(r))
+    return a, (0.0 if np.ptp(r) == 0.0 else v)
 
 
 def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
@@ -62,9 +63,8 @@ def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     r = _finite_returns(returns, "sharpe")
     if r.ndim != 1 or r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
-    a = float(np.mean(r - tc))
-    v = float(np.std(r))
-    if v == 0.0 or np.ptp(r) == 0.0:
+    a, v = _mean_and_vol(r, tc)
+    if v == 0.0:
         raise ZeroVolatilityError("sharpe: returns have zero volatility")
     return (a - theta) / v
 
@@ -155,38 +155,32 @@ class PerformanceReport:
         return repr(float(value))
 
 
-def report(
-    returns,
-    theta: float = 0.0,
-    tc: float = 0.001,
-    periods_per_year: int = 12,
-) -> PerformanceReport:
-    """Full evaluation of a return series (raises on zero volatility)."""
+def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
+    """Full evaluation of a 1-d return series (it may be empty).
+
+    A series of fewer than 2 returns, or of zero volatility, gets a report
+    flagged ``short_series`` or ``zero_volatility``: AVOL is 0, ASR and DDR
+    are NaN, and APR (NaN when empty), MDD, CR and the wealth series are
+    kept. DataError for non-finite returns, a series that is not 1-d, and
+    a periods_per_year that is not a positive whole number."""
     r = _finite_returns(returns, "report")
-    ny = _periods_per_year(periods_per_year, "report")
-    if r.ndim != 1 or r.size < 2:
-        raise DataError("report: need at least 2 returns")
-    a = float(np.mean(r - tc))
-    v = float(np.std(r))
-    if v == 0.0 or np.ptp(r) == 0.0:
-        raise ZeroVolatilityError("report: returns have zero volatility")
-    apr = a * ny
-    avol = v * math.sqrt(ny)
-    asr = apr / avol
+    ny = whole_number(periods_per_year, "report: periods_per_year", 1)
+    if r.ndim != 1:
+        raise DataError(f"report: returns must be a 1-d series, got shape {r.shape}")
     wealth = cumulative_wealth(r, tc)
     mdd = max_drawdown(wealth)
-    flags: list[str] = []
-    if mdd == 0.0:
-        cr = math.inf
-        flags.append("no_drawdown")
+    a, v = _mean_and_vol(r, tc)
+    apr = a * ny
+    cr = math.inf if mdd == 0.0 else apr / mdd
+    if v == 0.0:
+        avol, asr, ddr = 0.0, math.nan, math.nan
+        flags = ["short_series" if r.size < 2 else "zero_volatility"]
     else:
-        cr = apr / mdd
-    downside = float(np.sqrt(np.mean(np.minimum(r, 0.0) ** 2)))
-    if downside == 0.0:
-        ddr = math.inf
-        flags.append("no_downside")
-    else:
-        ddr = apr / downside
+        avol = v * math.sqrt(ny)
+        asr = apr / avol
+        downside = float(np.sqrt(np.mean(np.minimum(r, 0.0) ** 2)))
+        ddr = math.inf if downside == 0.0 else apr / downside
+        flags = ["no_drawdown"] * (mdd == 0.0) + ["no_downside"] * (downside == 0.0)
     return PerformanceReport(
         returns=r.copy(),
         wealth=wealth,
@@ -201,51 +195,3 @@ def report(
         periods_per_year=ny,
         flags=tuple(flags),
     )
-
-
-def degenerate_report(
-    returns,
-    theta: float = 0.0,
-    tc: float = 0.001,
-    periods_per_year: int = 12,
-    reason: str = "zero_volatility",
-) -> PerformanceReport:
-    """Report for series where volatility-based ratios are undefined.
-
-    The series must be 1-d (it may be empty); DataError otherwise."""
-    r = _finite_returns(returns, "degenerate_report")
-    if r.ndim != 1:
-        raise DataError(f"degenerate_report: returns must be 1-d, got shape {r.shape}")
-    ny = _periods_per_year(periods_per_year, "degenerate_report")
-    wealth = cumulative_wealth(r, tc) if r.size else np.ones(1)
-    apr = float(np.mean(r - tc)) * ny if r.size else math.nan
-    mdd = max_drawdown(wealth)
-    return PerformanceReport(
-        returns=r.copy(),
-        wealth=wealth,
-        apr=apr,
-        avol=0.0,
-        asr=math.nan,
-        mdd=mdd,
-        cr=math.inf if mdd == 0.0 else apr / mdd,
-        ddr=math.nan,
-        theta=float(theta),
-        tc=float(tc),
-        periods_per_year=ny,
-        flags=(reason,),
-    )
-
-
-def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
-    """Prefer a full report; fall back to a flagged degenerate one for a
-    1-d series of fewer than 2 returns or of zero volatility.
-
-    Every other DataError propagates: non-finite returns, a series that is
-    not 1-d, and a periods_per_year that is not a positive whole number."""
-    r = np.asarray(returns, dtype=float)
-    if r.ndim == 1 and r.size < 2:
-        return degenerate_report(r, theta, tc, periods_per_year, "short_series")
-    try:
-        return report(r, theta=theta, tc=tc, periods_per_year=periods_per_year)
-    except ZeroVolatilityError:
-        return degenerate_report(r, theta, tc, periods_per_year, "zero_volatility")

@@ -45,27 +45,31 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, NonFiniteError, ShapeError
+from .errors import DataError, NonFiniteError, ShapeError, whole_number
 from .features import N_FEATURES, WindowSet
 
 _CHECKPOINT_MAGIC = "bwsl-policy-checkpoint v1"
 
-# parameter names in checkpoint / update order
-PARAM_ORDER = (
-    "lstm_wx",   # (F, 4H) input weights, gate blocks [in, forget, out, cand]
-    "lstm_wh",   # (H, 4H) recurrent weights
-    "lstm_b",    # (4H,)   gate biases, forget block starts at +1
-    "att_w1",    # (H, H)  history-attention map on each h_k
-    "att_w2",    # (H, H)  history-attention map on the last state
-    "att_w",     # (H,)    history-attention readout
-    "wq",        # (H, H)  query projection
-    "wk",        # (H, H)  key projection
-    "wv",        # (H, H)  value projection
-    "w_score",   # (H,)    score head weights
-    "b_score",   # ()      score head bias
-    "rank_emb",  # (E, L)  embedding columns per quantized rank distance
-    "rank_w",    # (E,)    rank-prior readout
+# name, shape in F/H/E/L, and whether init draws it, in checkpoint, update
+# and draw order. A drawn tensor is uniform in +-1/sqrt(fan-in), its
+# leading dimension; the others start at zero, except the forget block of
+# lstm_b at +1.
+_LAYOUT = (
+    ("lstm_wx", "F 4H", True),  # input weights, gate blocks [in, forget, out, cand]
+    ("lstm_wh", "H 4H", True),  # recurrent weights
+    ("lstm_b", "4H", False),  # gate biases
+    ("att_w1", "H H", True),  # history-attention map on each h_k
+    ("att_w2", "H H", True),  # history-attention map on the last state
+    ("att_w", "H", True),  # history-attention readout
+    ("wq", "H H", True),  # query projection
+    ("wk", "H H", True),  # key projection
+    ("wv", "H H", True),  # value projection
+    ("w_score", "H", True),  # score head weights
+    ("b_score", "", False),  # score head bias
+    ("rank_emb", "E L", True),  # embedding columns per quantized rank distance
+    ("rank_w", "E", True),  # rank-prior readout
 )
+PARAM_ORDER = tuple(name for name, _, _ in _LAYOUT)
 
 
 # the encoder's parameters, the operands of encode() besides the windows
@@ -73,6 +77,15 @@ ENCODER_PARAMS = PARAM_ORDER[:6]
 # the cross-asset attention's and score head's, the operands of score()
 # besides the representations
 SCORE_PARAMS = PARAM_ORDER[6:]
+
+
+def _shapes(f: int, h: int, e: int, l: int) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape for F, H, E and L, read from the layout table."""
+    dims = {"F": f, "H": h, "E": e, "L": l}
+    return {
+        name: tuple(int(tok[:-1] or 1) * dims[tok[-1]] for tok in spec.split())
+        for name, spec, _ in _LAYOUT
+    }
 
 
 def _check_shapes(tensors: dict[str, Tensor]) -> None:
@@ -83,22 +96,7 @@ def _check_shapes(tensors: dict[str, Tensor]) -> None:
             f"policy params: lstm_wx {wx} must be (F, 4H) and rank_emb {emb} must be (E, L)"
         )
     f, h, (e, l) = wx[0], wx[1] // 4, emb
-    expected = {
-        "lstm_wx": (f, 4 * h),
-        "lstm_wh": (h, 4 * h),
-        "lstm_b": (4 * h,),
-        "att_w1": (h, h),
-        "att_w2": (h, h),
-        "att_w": (h,),
-        "wq": (h, h),
-        "wk": (h, h),
-        "wv": (h, h),
-        "w_score": (h,),
-        "b_score": (),
-        "rank_emb": (e, l),
-        "rank_w": (e,),
-    }
-    for name, shape in expected.items():
+    for name, shape in _shapes(f, h, e, l).items():
         if tensors[name].shape != shape:
             raise DataError(
                 f"policy params: {name} has shape {tensors[name].shape}, expected {shape} "
@@ -115,9 +113,7 @@ class PolicyParams:
             raise DataError(f"policy params missing tensors: {missing}")
         self._tensors = {n: tensors[n] for n in PARAM_ORDER}
         _check_shapes(self._tensors)
-        if q < 1:
-            raise DataError("quantization step q must be at least 1")
-        self.q = int(q)
+        self.q = whole_number(q, "quantization step q", 1)
 
     @classmethod
     def init(
@@ -132,29 +128,18 @@ class PolicyParams:
         """Uniform +-1/sqrt(fan-in) weights, forget-gate bias +1, zero biases."""
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
-        f, h, e, l = n_features, hidden, embed, l_cols
-
-        def u(shape, fan):
-            bound = 1.0 / np.sqrt(fan)
-            return rng.uniform(-bound, bound, size=shape)
-
-        b = np.zeros(4 * h)
-        b[h : 2 * h] = 1.0
-        tensors = {
-            "lstm_wx": u((f, 4 * h), f),
-            "lstm_wh": u((h, 4 * h), h),
-            "lstm_b": b,
-            "att_w1": u((h, h), h),
-            "att_w2": u((h, h), h),
-            "att_w": u((h,), h),
-            "wq": u((h, h), h),
-            "wk": u((h, h), h),
-            "wv": u((h, h), h),
-            "w_score": u((h,), h),
-            "b_score": np.zeros(()),
-            "rank_emb": u((e, l), e),
-            "rank_w": u((e,), e),
-        }
+        widths = {"n_features": n_features, "hidden": hidden, "embed": embed, "l_cols": l_cols}
+        f, h, e, l = (whole_number(v, f"policy params: {k}", 1) for k, v in widths.items())
+        shapes = _shapes(f, h, e, l)
+        tensors = {}
+        for name, _, drawn in _LAYOUT:
+            shape = shapes[name]
+            if drawn:
+                bound = 1.0 / np.sqrt(shape[0])
+                tensors[name] = rng.uniform(-bound, bound, size=shape)
+            else:
+                tensors[name] = np.zeros(shape)
+        tensors["lstm_b"][h : 2 * h] = 1.0
         return cls({n: Tensor(v, requires_grad=True) for n, v in tensors.items()}, q)
 
     def __getitem__(self, name: str) -> Tensor:

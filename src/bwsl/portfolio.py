@@ -7,6 +7,9 @@ bottom G form the short leg with weights softmax(1 - s). Both legs sum
 to 1, so the paired portfolio is zero-investment: the realized return is
 the difference of leg-weighted price rising rates. Unselected stocks
 carry weight 0 in the combined record vector.
+
+The legs' log-probability, the trainer's surrogate, is read from the pair
+too (:func:`leg_logprob`): one tape record whose VJP is closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, MissingReturnError, ShapeError
+from . import autodiff as ad
+from .errors import DataError, MissingReturnError, ShapeError, whole_number
 from .features import descending_order
 from .policy import WinnerScores
 
@@ -60,9 +64,7 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
         raise ShapeError(f"select_legs: {scores.size} scores for {n} stocks")
     if not np.isfinite(scores).all():
         raise DataError("winner scores must be finite")
-    g = int(g)
-    if g < 1:
-        raise DataError("leg size g must be at least 1")
+    g = whole_number(g, "leg size g", 1)
     if mode == LONG_SHORT and 2 * g > n:
         raise DataError(f"legs overlap: 2*{g} > {n} stocks")
     if mode == LONG_ONLY and g > n:
@@ -99,8 +101,28 @@ def generate(scores: WinnerScores, g: int, mode: str = LONG_SHORT) -> PortfolioP
         b_minus=b_minus,
         b_c=b_c,
         mode=mode,
-        g=int(g),
+        g=len(long_idx),
     )
+
+
+def leg_logprob(scores: ad.Tensor, pair: PortfolioPair) -> ad.Tensor:
+    """log b(t) = sum log b+ + sum log b-, the log-probability of the legs
+    ``pair`` holds, as a function of the ``scores`` it was generated from.
+
+    The legs are fixed; the weights are the within-leg softmaxes, so the
+    VJP is closed form: 1 - G*b+_i on the long leg, G*b-_i - 1 on the
+    short leg (whose softmax is over 1 - s), and 0 elsewhere.
+    """
+    value = np.log(pair.b_plus).sum() + np.log(pair.b_minus).sum()
+    shape = scores.shape
+
+    def vjp(g):
+        slope = np.zeros(shape)
+        slope[list(pair.long_indices)] = 1.0 - pair.g * pair.b_plus
+        slope[list(pair.short_indices)] = pair.g * pair.b_minus - 1.0
+        return g * slope
+
+    return ad.emit("leg_logprob", value, ((scores, vjp),))
 
 
 def realize_return(pair: PortfolioPair, z: Mapping[str, float]) -> float:

@@ -9,7 +9,8 @@ so ascent only reinforces trajectories that beat an equal-weight
 buy-and-hold.
 
 The surrogate differentiated on the tape is log b(t) = sum over the
-supported stocks i of log b_c(i), summed over a trajectory's periods:
+supported stocks i of log b_c(i), summed over a trajectory's periods. It
+is one tape record over the pair's weights (:func:`portfolio.leg_logprob`):
 leg selection is treated as non-differentiable, gradients flow through
 the within-leg softmaxes, and the advantage A_n = H_n - H0_n weights each
 trajectory as a constant. The parameters are fixed within an epoch, so
@@ -40,14 +41,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .errors import DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError
+from .errors import (
+    DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError, whole_number,
+)
 from .features import PreparedPanel
 from .market import format_month, substream
 from .metrics import sharpe
 from .policy import PolicyParams, WinnerScores, policy_forward
-from .portfolio import LONG_SHORT, MODES, PortfolioPair, generate, realize_return
+from .portfolio import LONG_SHORT, MODES, PortfolioPair, generate, leg_logprob, realize_return
 
 
 @dataclass(frozen=True)
@@ -67,23 +69,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t < 2:
-            raise DataError("train: t must be at least 2")
-        if self.n < 1:
-            raise DataError("train: n must be at least 1")
-        if self.epochs < 1:
-            raise DataError("train: epochs must be at least 1")
+        # whole-number settings are stored as ints, so 12.0 becomes 12;
+        # g == 0 is the quarter-universe rule
+        for name, minimum in (("t", 2), ("n", 1), ("epochs", 1), ("k", 1), ("g", 0)):
+            value = whole_number(getattr(self, name), f"train: {name}", minimum)
+            object.__setattr__(self, name, value)
         for name in ("eta", "clip", "theta", "tc"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"train: {name} must be finite")
         # eta == 0 is allowed as an explicit no-op update
         if self.eta < 0:
             raise DataError("train: eta must be non-negative")
-        # clip == 0 turns clipping off; g == 0 is the quarter-universe rule
+        # clip == 0 turns clipping off
         if self.clip < 0:
             raise DataError("train: clip must be non-negative")
-        if self.g < 0:
-            raise DataError("train: g must be non-negative")
         if self.mode not in MODES:
             raise DataError(f"train: unknown mode {self.mode!r}")
 
@@ -133,7 +132,7 @@ class TrainResult:
 def leg_size(universe_size: int, g: int) -> int:
     """Configured leg size, or a quarter of the universe when g == 0."""
     if g > 0:
-        return int(g)
+        return g
     return max(1, universe_size // 4)
 
 
@@ -159,20 +158,10 @@ def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainCon
     return PeriodStep(
         pair=pair,
         ret=realize_return(pair, dict(zip(ws.stock_ids, z))),
-        logprob=_leg_logprob(scores, pair.long_indices, pair.short_indices),
+        logprob=leg_logprob(scores, pair),
         score_dev=float(np.mean(np.abs(scores.data - 0.5))),
         events=events,
     )
-
-
-def _leg_logprob(scores: Tensor, long_idx, short_idx) -> Tensor:
-    """sum over supported stocks of log b_c, built from tape primitives."""
-    long_term = ad.tsum(ad.log(ad.softmax(ad.take(scores, np.asarray(long_idx)))))
-    if not short_idx:
-        return long_term
-    short_scores = ad.take(scores, np.asarray(short_idx))
-    short_term = ad.tsum(ad.log(ad.softmax(1.0 - short_scores)))
-    return long_term + short_term
 
 
 def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):

@@ -1,5 +1,8 @@
 """Feature extraction, z-scoring, and window assembly."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -180,6 +183,22 @@ def test_prepared_panel_universe_and_windows():
     assert ws is not None and len(ws) == 6  # every stock is eligible
     assert ws.stock_ids == panel.stock_ids
     assert prep.windows(t) is ws  # cached
+
+
+def test_dropped_prepared_panel_is_freed_without_the_cyclic_collector():
+    panel = synth_market(SynthConfig(num_stocks=6, num_periods=30, seed=8))
+    prep = PreparedPanel(panel, k=4)
+    t = prep.tradable_times[0]
+    assert prep.windows(t) is not None and prep.period_data(t)[0] is prep.windows(t)
+    ref = weakref.ref(prep)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del prep
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_prepared_panel_of_reuses_a_matching_k_and_reads_any_period_form():

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from bwsl.errors import DataError, RuinError, ZeroVolatilityError
-from bwsl.metrics import (
-    cumulative_wealth,
-    degenerate_report,
-    max_drawdown,
-    report,
-    report_or_degenerate,
-    sharpe,
-)
+from bwsl.metrics import cumulative_wealth, max_drawdown, report_or_degenerate, sharpe
 
 
 def brute_force_mdd(wealth):
@@ -94,7 +87,7 @@ def test_mdd_invariant_under_positive_scaling():
 
 
 def test_report_apr_and_ddr_example():
-    rep = report([0.2, -0.1], theta=0.0, tc=0.0, periods_per_year=12)
+    rep = report_or_degenerate([0.2, -0.1], theta=0.0, tc=0.0, periods_per_year=12)
     assert rep.apr == pytest.approx(0.6, abs=1e-15)
     downside = math.sqrt(0.01 / 2)
     assert downside == pytest.approx(0.07071067811865475, abs=1e-15)
@@ -103,7 +96,7 @@ def test_report_apr_and_ddr_example():
 
 
 def test_report_flags_no_downside():
-    rep = report([0.1, 0.2, 0.3], tc=0.0)
+    rep = report_or_degenerate([0.1, 0.2, 0.3], tc=0.0)
     assert math.isinf(rep.ddr)
     assert "no_downside" in rep.flags
 
@@ -111,7 +104,7 @@ def test_report_flags_no_downside():
 def test_report_asr_equals_sharpe_scaled():
     rng = np.random.default_rng(2)
     r = rng.normal(0.01, 0.05, size=36)
-    rep = report(r, theta=0.0, tc=0.0, periods_per_year=12)
+    rep = report_or_degenerate(r, theta=0.0, tc=0.0, periods_per_year=12)
     assert rep.asr == pytest.approx(sharpe(r) * math.sqrt(12), rel=1e-12)
     assert rep.sharpe == pytest.approx(sharpe(r), rel=1e-12)
 
@@ -120,21 +113,16 @@ def test_report_scaling_property():
     rng = np.random.default_rng(3)
     r = rng.normal(0.0, 0.03, size=24)
     lam = 2.5
-    base = report(r, tc=0.0)
-    scaled = report(lam * r, tc=0.0)
+    base = report_or_degenerate(r, tc=0.0)
+    scaled = report_or_degenerate(lam * r, tc=0.0)
     assert scaled.apr == pytest.approx(lam * base.apr, rel=1e-12)
     assert scaled.avol == pytest.approx(lam * base.avol, rel=1e-12)
     assert scaled.asr == pytest.approx(base.asr, rel=1e-12)
 
 
-def test_report_zero_volatility_raises():
-    with pytest.raises(ZeroVolatilityError):
-        report([0.01, 0.01])
-
-
 def test_report_wealth_invariants():
     r = np.array([0.05, -0.02, 0.01])
-    rep = report(r, tc=0.001)
+    rep = report_or_degenerate(r, tc=0.001)
     assert rep.wealth[0] == 1.0
     assert rep.wealth.size == r.size + 1
     np.testing.assert_allclose(rep.wealth, cumulative_wealth(r, 0.001))
@@ -146,10 +134,13 @@ def test_degenerate_report_is_flagged_not_thrown():
     assert math.isnan(rep.asr)
     rep1 = report_or_degenerate([0.02], tc=0.0)
     assert "short_series" in rep1.flags
+    empty = report_or_degenerate([], tc=0.0)
+    assert empty.flags == ("short_series",) and math.isnan(empty.apr)
+    assert empty.wealth.tolist() == [1.0] and math.isinf(empty.cr)
 
 
 def test_kv_and_csv_serialization_roundtrip_values():
-    rep = report([0.0, 0.2], tc=0.0)
+    rep = report_or_degenerate([0.0, 0.2], tc=0.0)
     kv = rep.to_kv()
     assert "sharpe=1.0" in kv
     assert "apr=" in kv and "flags=" in kv
@@ -160,35 +151,35 @@ def test_kv_and_csv_serialization_roundtrip_values():
 
 
 def test_degenerate_report_keeps_wealth():
-    rep = degenerate_report([0.01, 0.01], tc=0.0)
+    rep = report_or_degenerate([0.01, 0.01], tc=0.0)
     assert rep.final_wealth == pytest.approx(1.01**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("periods_per_year", [0, -12, 12.9])
-@pytest.mark.parametrize("fn", [report, degenerate_report, report_or_degenerate])
+@pytest.mark.parametrize("fn", [report_or_degenerate])
 def test_non_positive_periods_per_year_raise_data_error(fn, periods_per_year):
     with pytest.raises(DataError, match="periods_per_year"):
         fn([0.05, -0.02, 0.01], periods_per_year=periods_per_year)
 
 
-@pytest.mark.parametrize("fn", [report, degenerate_report, report_or_degenerate])
+@pytest.mark.parametrize("fn", [report_or_degenerate])
 def test_whole_float_periods_per_year_is_accepted(fn):
     assert fn([0.1, -0.05, 0.02], periods_per_year=12.0).periods_per_year == 12
 
 
 @pytest.mark.parametrize("returns", [np.array([[0.1, -0.2], [0.3, 0.05]]), np.float64(0.1)])
 def test_degenerate_report_rejects_a_series_that_is_not_1d(returns):
-    with pytest.raises(DataError, match="degenerate_report: returns must be 1-d"):
-        degenerate_report(returns)
+    with pytest.raises(DataError, match="returns must be a 1-d series"):
+        report_or_degenerate(returns)
 
 
 def test_report_or_degenerate_propagates_a_wrong_rank():
-    with pytest.raises(DataError, match="need at least 2 returns"):
+    with pytest.raises(DataError, match="returns must be a 1-d series"):
         report_or_degenerate(np.array([[0.1, -0.2], [0.3, 0.05]]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [sharpe, report, degenerate_report, report_or_degenerate])
+@pytest.mark.parametrize("fn", [sharpe, report_or_degenerate])
 def test_non_finite_returns_raise_data_error(fn, bad):
     with pytest.raises(DataError, match="non-finite"):
         fn([bad, 0.1, 0.2])

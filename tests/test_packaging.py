@@ -1,5 +1,6 @@
 """Packaging metadata: every console script names an importable callable,
-and no module of the package imports a name it never uses."""
+no module of the package imports a name it never uses, and every name the
+benchmark looks up in the package exists."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def test_console_scripts_resolve():
@@ -39,3 +41,44 @@ def test_src_has_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def _assigned(tree: ast.AST, name: str):
+    """The literal value of the first assignment to ``name`` in ``tree``."""
+    return next(
+        ast.literal_eval(n.value) for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == [name]
+    )
+
+
+def _benchmark_names() -> list[tuple[str, str]]:
+    """(module, attribute path) of every name the benchmark harness wraps
+    (``spans.WRAPPED``) or probes (``layers.probe_layers``), read from the
+    source without importing the harness."""
+    spans = ast.parse((BENCHMARKS / "spans.py").read_text(encoding="utf-8"))
+    layers = ast.parse((BENCHMARKS / "layers.py").read_text(encoding="utf-8"))
+    probe = next(
+        n for n in ast.walk(layers) if isinstance(n, ast.FunctionDef) and n.name == "probe_layers"
+    )
+    owner = next(  # the module probe_layers looks its names up in
+        n.args[0].id for n in ast.walk(probe)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr"
+    )
+    return [(module, path) for _, module, path in _assigned(spans, "WRAPPED")] + [
+        (f"bwsl.{owner}", name) for name in _assigned(probe, "names")
+    ]
+
+
+def test_names_the_benchmark_looks_up_exist():
+    # the harness reports a vanished name as missing and carries on, so a
+    # rename in the package would silently drop that name's metrics
+    names = _benchmark_names()
+    assert len(names) > 4
+    missing = []
+    for module_name, path in names:
+        obj = importlib.import_module(module_name)
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(f"{module_name}:{path}")
+    assert not missing, f"names the benchmark looks up are gone: {missing}"

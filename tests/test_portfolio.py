@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bwsl import autodiff as ad
 from bwsl.errors import DataError, MissingReturnError, ShapeError
 from bwsl.policy import WinnerScores
 from bwsl.portfolio import (
@@ -10,6 +11,7 @@ from bwsl.portfolio import (
     LONG_SHORT,
     MODES,
     generate,
+    leg_logprob,
     realize_return,
     select_legs,
 )
@@ -177,3 +179,34 @@ def test_select_legs_and_generate_reject_non_finite_scores(bad):
         select_legs(np.array(values), ("A", "B", "C", "D"), g=1)
     with pytest.raises(DataError, match="finite"):
         generate(scores_of(values), g=1)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_leg_logprob_value_is_read_from_the_pair(mode):
+    rng = np.random.default_rng(21)
+    values = rng.uniform(0.05, 0.95, size=9)
+    pair = generate(scores_of(values), g=3, mode=mode)
+    value = leg_logprob(ad.Tensor(values, requires_grad=True), pair)
+    expected = np.log(pair.b_plus).sum() + np.log(pair.b_minus).sum()
+    assert value.data.tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_leg_logprob_gradient_matches_finite_differences_at_fixed_legs(mode):
+    rng = np.random.default_rng(22)
+    worst = 0.0
+    for g in (1, 2, 4):
+        values = rng.uniform(0.05, 0.95, size=9)
+        base = generate(scores_of(values), g=g, mode=mode)
+
+        def surrogate(t):
+            pair = generate(scores_of(t.data), g=g, mode=mode)
+            assert (pair.long_indices, pair.short_indices) == (
+                base.long_indices,
+                base.short_indices,
+            )
+            return leg_logprob(t, pair)
+
+        point = ad.Tensor(values, requires_grad=True)
+        worst = max(worst, ad.finite_diff_check(surrogate, point, eps=1e-6))
+    assert worst <= 1e-8

@@ -9,7 +9,8 @@ from bwsl.errors import DataError, TrainingDivergedError
 from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, synth_market
 from bwsl.metrics import sharpe
-from bwsl.policy import PARAM_ORDER, PolicyParams
+from bwsl.policy import PARAM_ORDER, PolicyParams, WinnerScores
+from bwsl.portfolio import generate
 from bwsl.trainer import (
     EpochStats,
     TrainConfig,
@@ -91,6 +92,14 @@ def test_trajectory_returns_match_hand_walkthrough(params):
         assert returns[-1] == pytest.approx(expected, abs=1e-12)
     h = own_sharpe(prep, panel4.start + 2, params, cfg)
     assert h == pytest.approx(sharpe(returns), abs=1e-12)
+
+
+def test_recorded_period_step_is_three_tape_records(panel, params):
+    # encode, score and leg_logprob
+    tape = ad.Tape()
+    with tape:
+        period_step(PreparedPanel(panel, SMALL_CFG.k), panel.start + 5, params, SMALL_CFG)
+    assert len(tape) == 3
 
 
 def test_market_threshold_matches_independent_recompute(panel):
@@ -269,3 +278,34 @@ def test_train_config_rejects_bad_settings(field, value):
 def test_train_config_keeps_zero_leg_size_and_zero_clip():
     cfg = TrainConfig(g=0, clip=0.0)
     assert (cfg.g, cfg.clip) == (0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda panel: generate(WinnerScores(("A", "B", "C", "D"), np.arange(0.1, 0.5, 0.1)), 1.9),
+        lambda panel: PolicyParams.init(0, q=2.5),
+        lambda panel: PolicyParams.init(0, hidden=2.5),
+        lambda panel: PreparedPanel(panel, 3.5),
+        lambda panel: TrainConfig(g=1.5),
+        lambda panel: TrainConfig(t=2.5),
+        lambda panel: TrainConfig(n=1.5),
+        lambda panel: TrainConfig(epochs=1.5),
+        lambda panel: TrainConfig(k=3.5),
+    ],
+    ids=[
+        "leg_size", "quantization_step", "hidden_width", "look_back",
+        "train_g", "train_t", "train_n", "train_epochs", "train_k",
+    ],
+)
+def test_fractional_whole_number_setting_raises_data_error(panel, build):
+    # each used to be truncated or to fail later with a bare TypeError
+    with pytest.raises(DataError, match="must be a whole number, got"):
+        build(panel)
+
+
+def test_whole_float_settings_are_kept_as_ints(panel):
+    cfg = TrainConfig(t=3.0, n=np.int64(2), epochs=1.0, k=4.0, g=2.0)
+    assert [type(v) for v in (cfg.t, cfg.n, cfg.epochs, cfg.k, cfg.g)] == [int] * 5
+    assert PreparedPanel(panel, 4.0).k == 4 and PolicyParams.init(0, q=2.0).q == 2
+    assert PolicyParams.init(0, hidden=6.0, embed=np.int64(4))["wq"].shape == (6, 6)
