@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import DataError
+from .errors import DataError, whole_number
 from .features import FEATURE_NAMES, PreparedPanel
 from .market import format_month
 from .policy import PolicyParams, encode, own_score_grads
@@ -55,7 +55,7 @@ def input_sensitivity(
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
         raise DataError(f"windows must be (I, K, F), got {windows.shape}")
-    i = int(stock_index)
+    i = whole_number(stock_index, "stock index", None)
     if not 0 <= i < windows.shape[0]:
         raise DataError(f"stock index {i} out of range for {windows.shape[0]} stocks")
     return _own_window_grads(windows, ranks, params, [i])[0]

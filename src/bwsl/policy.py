@@ -14,11 +14,11 @@ with hand-written VJPs:
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
   forward and softmax adjoint.
 
-While a tape records, :func:`encode` writes its seven (K, I, .) arrays,
-four forward caches and three backward-sweep buffers, into buffers
-leased from a per-thread workspace. The lease is returned when the
-record's VJP closures die (when its tape is dropped), never while a live
-record can read it. The workspace keeps at most one spare buffer per role,
+While a tape records, :func:`encode` writes its seven stocks-last
+(K, ., I) arrays, four forward caches and three backward-sweep buffers,
+into buffers leased from a per-thread workspace. The lease is returned
+when the record's VJP closures die (when its tape is dropped), never
+while a live record can read it. The workspace keeps at most one spare buffer per role,
 the largest returned, and a smaller universe writes into a prefix of it.
 So successive recorded calls, one per decision time in training and
 interpretation, reuse the same memory instead of faulting in fresh pages.
@@ -299,9 +299,12 @@ def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
 
 
 def _rank_ints(ranks) -> np.ndarray:
-    """``ranks`` as int64; :class:`DataError` unless every value is a finite
-    integer (of any dtype), so a fractional rank is never truncated."""
+    """``ranks`` as int64; :class:`ShapeError` unless they are 1-d, and
+    :class:`DataError` unless every value is a finite integer (of any
+    dtype), so a fractional rank is never truncated."""
     arr = np.asarray(ranks)
+    if arr.ndim != 1:
+        raise ShapeError(f"ranks must be 1-d, one per stock, got shape {arr.shape}")
     if arr.dtype.kind in "biu":
         return arr.astype(np.int64, copy=False)
     # the range test also rejects NaN and infinities
@@ -350,7 +353,7 @@ def winner_scores(attended: Tensor, params: PolicyParams) -> Tensor:
 
 
 def _gate_blocks(h_dim: int) -> tuple[slice, ...]:
-    """Column blocks of a (., 4H) gate row: in, forget, out, candidate, and
+    """Row blocks of a (4H, .) gate array: in, forget, out, candidate, and
     the three sigmoid gates together."""
     gate_in, gate_forget, gate_out, cand = (slice(j * h_dim, (j + 1) * h_dim) for j in range(4))
     return gate_in, gate_forget, gate_out, cand, slice(0, 3 * h_dim)
@@ -384,8 +387,9 @@ class _Lease:
     """The workspace buffers of one recorded :func:`encode` call.
 
     ``lease(role, shape)`` is a prefix view of the buffer held for that
-    role, taken from the workspace the first time (or allocated, when its
-    spare is missing or too small). Every VJP of the record reaches the
+    role, so a contiguous (K, ., I) array for any universe size I. The
+    buffer is taken from the workspace the first time (or allocated, when
+    its spare is missing or too small). Every VJP of the record reaches the
     lease through the memoized sweep, so its buffers go back to the
     workspace when the last closure that can read them dies, and never
     while one lives. A later sweep of the same record writes into the same
@@ -415,97 +419,101 @@ def _fresh(role: str, shape: tuple) -> np.ndarray:
 
 
 def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
-    """Forward of :func:`encode` on step-major windows xs (K, I, F) and the
+    """Forward of :func:`encode` on stocks-last windows xs (K, F, I) and the
     encoder's arrays ``p``: the (I, H) representation and the caches
     (act, cells, states, u, weights) its backward sweep reads. The four
-    (K, I, .) caches come from ``take(role, shape)``.
+    (K, ., I) caches come from ``take(role, shape)``.
 
-    act (K, I, 4H) first holds x_k Wx + b, then, in place, each step's gate
-    activations; cells and states are c_k and h_k (K, I, H); u is the
-    attention's tanh layer (K, I, H) and weights its softmax over K (K, I).
+    act (K, 4H, I) first holds Wx' x_k + b, then, in place, each step's gate
+    activations; cells and states are c_k and h_k (K, H, I); u is the
+    attention's tanh layer (K, H, I) and weights its softmax over K (K, I).
+    Stocks run along the last axis, so each gate block of a step, such as
+    ``act[k, 0:3H]``, is one contiguous slab and the elementwise work runs
+    on contiguous memory.
     """
-    k_steps, n, n_feat = xs.shape
+    k_steps, _, n = xs.shape
     h_dim = p["lstm_wh"].shape[0]
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
-    act = take("act", (k_steps, n, 4 * h_dim))
-    np.matmul(xs.reshape(-1, n_feat), p["lstm_wx"], out=act.reshape(-1, 4 * h_dim))
-    act += p["lstm_b"]
-    cells = take("cells", (k_steps, n, h_dim))
-    states = take("states", (k_steps, n, h_dim))
-    h = c = np.zeros((n, h_dim))
+    act = take("act", (k_steps, 4 * h_dim, n))
+    np.matmul(p["lstm_wx"].T, xs, out=act)
+    act += p["lstm_b"][:, None]
+    cells = take("cells", (k_steps, h_dim, n))
+    states = take("states", (k_steps, h_dim, n))
+    h = c = np.zeros((h_dim, n))
+    z = np.empty((4 * h_dim, n))
     for k in range(k_steps):
-        z = h @ p["lstm_wh"]
+        np.matmul(p["lstm_wh"].T, h, out=z)
         z += act[k]
         if not np.isfinite(z).all():
             raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
         a = act[k]
-        a[:, sig] = ad.logistic(z[:, sig])
-        np.tanh(z[:, cand], out=a[:, cand])
-        np.multiply(a[:, gate_in], a[:, cand], out=cells[k])
-        cells[k] += a[:, gate_forget] * c
+        a[sig] = ad.logistic(z[sig])
+        np.tanh(z[cand], out=a[cand])
+        np.multiply(a[gate_in], a[cand], out=cells[k])
+        cells[k] += a[gate_forget] * c
         c = cells[k]
         np.tanh(c, out=states[k])
-        states[k] *= a[:, gate_out]
+        states[k] *= a[gate_out]
         h = states[k]
 
     # history attention: scores of all K states in one matmul, softmax over K
-    u = take("u", (k_steps, n, h_dim))
-    np.matmul(states.reshape(-1, h_dim), p["att_w1"], out=u.reshape(-1, h_dim))
-    u += states[-1] @ p["att_w2"]
+    u = take("u", (k_steps, h_dim, n))
+    np.matmul(p["att_w1"].T, states, out=u)
+    u += p["att_w2"].T @ states[-1]
     np.tanh(u, out=u)
-    scores = (u.reshape(-1, h_dim) @ p["att_w"]).reshape(k_steps, n)
+    scores = p["att_w"] @ u
     e = np.exp(scores - scores.max(axis=0))
     weights = e / e.sum(axis=0)
-    rep = weights[0][:, None] * states[0]
+    rep = weights[0] * states[0]
     for k in range(1, k_steps):
-        rep += weights[k][:, None] * states[k]
-    return rep, (act, cells, states, u, weights)
+        rep += weights[k] * states[k]
+    return rep.T, (act, cells, states, u, weights)
 
 
 def _encode_sweep(g: np.ndarray, cache: tuple, p: dict, take) -> tuple[np.ndarray, ...]:
     """Backward of :func:`encode` for the cotangent g (I, H) of its output:
-    the cotangents of the gate pre-activations (K, I, 4H), of the attention
-    pre-activations (K, I, H) and of the attention scores (K, I). The three
-    (K, I, .) arrays it writes come from ``take(role, shape)``."""
+    the cotangents of the gate pre-activations (K, 4H, I), of the attention
+    pre-activations (K, H, I) and of the attention scores (K, I). The three
+    (K, ., I) arrays it writes come from ``take(role, shape)``."""
     act, cells, states, u, weights = cache
-    k_steps, n, h_dim = states.shape
+    k_steps, h_dim, n = states.shape
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
-    d_weights = np.einsum("kih,ih->ki", states, g)
+    g = g.T  # (H, I), stocks last like the caches
+    d_weights = np.einsum("khi,hi->ki", states, g)
     d_scores = weights * (d_weights - (weights * d_weights).sum(axis=0))
     d_pre = take("d_pre", states.shape)
     np.multiply(u, u, out=d_pre)
     np.subtract(1.0, d_pre, out=d_pre)
-    d_pre *= p["att_w"]
-    d_pre *= d_scores[:, :, None]
+    d_pre *= p["att_w"][:, None]
+    d_pre *= d_scores[:, None, :]
     d_states = take("d_states", states.shape)
-    np.matmul(d_pre.reshape(-1, h_dim), p["att_w1"].T, out=d_states.reshape(-1, h_dim))
-    d_states += weights[:, :, None] * g
-    d_states[-1] += d_pre.sum(axis=0) @ p["att_w2"].T
+    np.matmul(p["att_w1"], d_pre, out=d_states)
+    d_states += weights[:, None, :] * g
+    d_states[-1] += p["att_w2"] @ d_pre.sum(axis=0)
 
-    # backpropagation through time; each step works on its own (I, .)
-    # slices, which stay in cache, rather than on whole (K, I, .) arrays
+    # backpropagation through time, one step's (., I) slabs at a time
     d_gates = take("d_gates", act.shape)
-    dc = np.zeros((n, h_dim))  # f_{k+1} * dL/dc_{k+1}
+    dc = np.zeros((h_dim, n))  # f_{k+1} * dL/dc_{k+1}
     for k in reversed(range(k_steps)):
         dh = d_states[k]
         if k + 1 < k_steps:
-            dh += d_gates[k + 1] @ p["lstm_wh"].T
+            dh += p["lstm_wh"] @ d_gates[k + 1]
         a, d = act[k], d_gates[k]
         tc = np.tanh(cells[k])
-        np.multiply(dh, tc, out=d[:, gate_out])
-        dc += dh * a[:, gate_out] * (1.0 - tc * tc)
-        np.multiply(dc, a[:, cand], out=d[:, gate_in])
+        np.multiply(dh, tc, out=d[gate_out])
+        dc += dh * a[gate_out] * (1.0 - tc * tc)
+        np.multiply(dc, a[cand], out=d[gate_in])
         if k:
-            np.multiply(dc, cells[k - 1], out=d[:, gate_forget])
+            np.multiply(dc, cells[k - 1], out=d[gate_forget])
         else:
-            d[:, gate_forget] = 0.0
-        np.multiply(dc, a[:, gate_in], out=d[:, cand])
+            d[gate_forget] = 0.0
+        np.multiply(dc, a[gate_in], out=d[cand])
         # local derivatives: s - s^2 for the sigmoid gates, 1 - g^2 for the candidate
         local = a * a
-        np.subtract(a[:, sig], local[:, sig], out=local[:, sig])
-        np.subtract(1.0, local[:, cand], out=local[:, cand])
+        np.subtract(a[sig], local[sig], out=local[sig])
+        np.subtract(1.0, local[cand], out=local[cand])
         d *= local
-        dc *= a[:, gate_forget]
+        dc *= a[gate_forget]
     return d_gates, d_pre, d_scores
 
 
@@ -513,25 +521,27 @@ def encode(windows, params: PolicyParams) -> Tensor:
     """(I, K, F) windows -> (I, H) representations, one stock per row.
 
     The value of ``history_attention(lstm_encode(windows, params), params)``
-    as one tape record. The forward keeps its caches step-major, (K, I, .),
-    so each step reads and writes contiguous slices; it computes x Wx for
-    all K steps in one matmul and the attention over all K states in
+    as one tape record. The forward keeps its caches stocks-last, (K, ., I),
+    so each gate block of a step is one contiguous slab; it computes x Wx for
+    all K steps in one batched matmul and the attention over all K states in
     another. The record has one VJP per operand: the windows and each of
     :data:`ENCODER_PARAMS`. They share one backward sweep per cotangent,
-    and the tape calls only those whose operand requires grad. A recorded
-    call takes its (K, I, .) arrays from the workspace (module docstring).
+    and the tape calls only those whose operand requires grad; each
+    K-summed parameter gradient is one batched matmul summed over k. A
+    recorded call takes its (K, ., I) arrays from the workspace (module
+    docstring).
 
-    Every op here works row by row, so row i depends on window i alone;
-    stocks first meet in :func:`score`.
+    Every op here works column by column, so stock i depends on window i
+    alone; stocks first meet in :func:`score`.
     """
     x = _windows_tensor(windows, params)
+    if x.shape[1] == 0:
+        raise ShapeError("encode: no hidden states, the windows have no look-back steps")
     p = {name: params[name].data for name in ENCODER_PARAMS}
-    xs = np.ascontiguousarray(x.data.transpose(1, 0, 2))
+    xs = np.ascontiguousarray(x.data.transpose(1, 2, 0))
     take = _Lease(_spare()) if ad.recording() else _fresh
     rep, cache = _encode_forward(xs, p, take)
     _, _, states, u, _ = cache
-    _, n, n_feat = xs.shape
-    h_dim = params.hidden
     memo = [None, None]
 
     def swept(g):
@@ -539,20 +549,18 @@ def encode(windows, params: PolicyParams) -> Tensor:
             memo[:] = [g, _encode_sweep(g, cache, p, take)]
         return memo[1]
 
-    def d_gates(g):
-        return swept(g)[0].reshape(-1, 4 * h_dim)
-
-    def d_pre(g):
-        return swept(g)[1].reshape(-1, h_dim)
+    def k_summed(left, right):
+        """sum over k of left[k] @ right[k]', for (K, ., I) stacks."""
+        return np.matmul(left, right.transpose(0, 2, 1)).sum(axis=0)
 
     pulls = (
-        (x, lambda g: (d_gates(g) @ p["lstm_wx"].T).reshape(xs.shape).transpose(1, 0, 2)),
-        (params["lstm_wx"], lambda g: xs.reshape(-1, n_feat).T @ d_gates(g)),
-        (params["lstm_wh"], lambda g: states[:-1].reshape(-1, h_dim).T @ d_gates(g)[n:]),
-        (params["lstm_b"], lambda g: d_gates(g).sum(axis=0)),
-        (params["att_w1"], lambda g: states.reshape(-1, h_dim).T @ d_pre(g)),
-        (params["att_w2"], lambda g: states[-1].T @ swept(g)[1].sum(axis=0)),
-        (params["att_w"], lambda g: u.reshape(-1, h_dim).T @ swept(g)[2].ravel()),
+        (x, lambda g: (p["lstm_wx"] @ swept(g)[0]).transpose(2, 0, 1)),
+        (params["lstm_wx"], lambda g: k_summed(xs, swept(g)[0])),
+        (params["lstm_wh"], lambda g: k_summed(states[:-1], swept(g)[0][1:])),
+        (params["lstm_b"], lambda g: swept(g)[0].sum(axis=(0, 2))),
+        (params["att_w1"], lambda g: k_summed(states, swept(g)[1])),
+        (params["att_w2"], lambda g: states[-1] @ swept(g)[1].sum(axis=0).T),
+        (params["att_w"], lambda g: np.einsum("khi,ki->h", u, swept(g)[2])),
     )
     return ad.emit("encode", rep, pulls)
 

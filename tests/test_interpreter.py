@@ -7,7 +7,7 @@ import pytest
 
 from bwsl import interpret
 from bwsl.autodiff import Tape, Tensor
-from bwsl.errors import DataError
+from bwsl.errors import DataError, ShapeError
 from bwsl.features import FEATURE_NAMES, PreparedPanel
 from bwsl.interpret import SensitivityReport, average_sensitivity, input_sensitivity
 from bwsl.market import SynthConfig, format_month, synth_market
@@ -56,6 +56,26 @@ def test_sensitivity_rejects_an_out_of_range_stock(case, stock):
     windows, ranks = case
     with pytest.raises(DataError, match="out of range"):
         input_sensitivity(windows, ranks, small_params(3), stock)
+
+
+def test_sensitivity_rejects_a_fractional_stock_index(case):
+    # 1.5 used to be truncated, explaining stock 1
+    windows, ranks = case
+    params = small_params(3)
+    with pytest.raises(DataError, match="stock index must be a whole number"):
+        input_sensitivity(windows, ranks, params, 1.5)
+    whole = input_sensitivity(windows, ranks, params, 1.0)
+    assert whole.tobytes() == input_sensitivity(windows, ranks, params, 1).tobytes()
+
+
+def test_windows_without_look_back_steps_raise_shape_error(case):
+    # an (I, 0, F) block used to fail with a bare IndexError
+    _, ranks = case
+    windows = np.zeros((4, 0, 7))
+    with pytest.raises(ShapeError, match="no hidden states"):
+        encode(windows, small_params(3))
+    with pytest.raises(ShapeError, match="no hidden states"):
+        input_sensitivity(windows, ranks, small_params(3), 0)
 
 
 def test_sensitivity_matches_finite_differences(case):

@@ -354,8 +354,11 @@ def _encode_and_grads(encoder, windows, params, cot):
 
 @pytest.mark.parametrize(
     "i, k, f, h",
-    [(5, 4, 7, 6), (1, 1, 7, 6), (3, 1, 5, 4), (1, 6, 3, 8), (6, 12, 7, 8), (2, 3, 9, 5)],
-    ids=["small", "one_stock_one_step", "one_step_f5", "one_stock_f3", "paper_k", "f9"],
+    [
+        (5, 4, 7, 6), (1, 1, 7, 6), (3, 1, 5, 4), (1, 6, 3, 8), (6, 12, 7, 8), (2, 3, 9, 5),
+        (200, 12, 7, 32),
+    ],
+    ids=["small", "one_stock_one_step", "one_step_f5", "one_stock_f3", "paper_k", "f9", "paper"],
 )
 def test_fused_encode_matches_the_unfused_composition(i, k, f, h):
     # the fused op sums in another order, so entries that are the small
@@ -384,6 +387,20 @@ def test_encode_is_one_tape_record():
     with tape:
         encode(x, params)
     assert len(tape) == 1
+
+
+def test_untaped_and_taped_encode_give_bitwise_equal_representations(workspace):
+    # the backtest encodes with no tape, into fresh arrays; training and
+    # interpretation record it, into workspace buffers
+    params = small_params(82)
+    rng = np.random.default_rng(83)
+    for windows in (rng.normal(size=(9, 12, 7)), rng.normal(size=(4, 12, 7))):
+        untaped = encode(windows, params).data
+        tape = ad.Tape()
+        with tape:
+            taped = encode(Tensor(windows, requires_grad=True), params).data
+        assert taped.tobytes() == untaped.tobytes()
+        del tape  # a second pass reads a prefix of the returned spare buffers
 
 
 def test_encode_values_and_gradients_repeat_bitwise():
@@ -748,8 +765,13 @@ def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks):
 
 @pytest.mark.parametrize(
     "rep, ranks",
-    [(np.ones((3, 6)), [1, 2]), (np.ones((1, 6)), [1]), (np.ones((3, 5)), [1, 2, 3])],
-    ids=["misaligned_ranks", "single_stock", "wrong_width"],
+    [
+        (np.ones((3, 6)), [1, 2]),
+        (np.ones((1, 6)), [1]),
+        (np.ones((3, 5)), [1, 2, 3]),
+        (np.ones((3, 6)), [[1], [2], [3]]),  # len() matches, so only a 1-d check catches it
+    ],
+    ids=["misaligned_ranks", "single_stock", "wrong_width", "two_d_ranks"],
 )
 def test_own_score_grads_raise_the_caan_shape_errors(rep, ranks):
     params = small_params(49)

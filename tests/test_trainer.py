@@ -152,7 +152,15 @@ def test_batch_gradient_single_trajectory_scaling(panel, params):
 
 
 def test_surrogate_gradient_matches_finite_differences(panel):
-    params = PolicyParams.init(np.random.default_rng(5), hidden=6, embed=4, l_cols=8)
+    # at init the scores barely differ, the leg weights are near uniform and
+    # the surrogate's gradients are about 1e-10, below what a central
+    # difference resolves; 8x the init weights spreads the scores and gives
+    # gradients of about 1e-2 to 2. Each tensor's error is measured against its
+    # own largest analytic entry, so a wrong slope on either leg fails.
+    init = PolicyParams.init(np.random.default_rng(5), hidden=6, embed=4, l_cols=8)
+    params = PolicyParams(
+        {n: ad.Tensor(8.0 * t.data, requires_grad=True) for n, t in init.tensors().items()}, init.q
+    )
     cfg = TrainConfig(t=2, n=1, epochs=1, k=3, g=2, tc=0.0, seed=0)
     t0 = panel.start + 4
     prep = PreparedPanel(panel, cfg.k)
@@ -166,9 +174,13 @@ def test_surrogate_gradient_matches_finite_differences(panel):
             swapped[name] = t
             return rollout(prep, t0, PolicyParams(swapped, params.q), cfg)[1]
 
+        value, tape = ad.forward(surrogate, original)
+        scale = np.abs(tape.gradients(value)[original]).max()
         worst = max(
             worst,
-            ad.finite_diff_check(surrogate, original, eps=1e-6, max_coords=10, rng=rng),
+            ad.finite_diff_check(
+                lambda t: surrogate(t) * (1.0 / scale), original, eps=1e-6, max_coords=10, rng=rng
+            ),
         )
     assert worst <= 1e-4
 
