@@ -54,9 +54,9 @@ class TrainingDivergedError(NumericError):
 
 def whole_number(value, what: str, minimum: int | None) -> int:
     """``value`` as an int: a real number with no fractional part (12.0 is
-    accepted, 12.9 is not) and at least ``minimum``, when one is given;
-    DataError naming ``what`` otherwise."""
-    if not isinstance(value, numbers.Integral) and not (
+    accepted, 12.9 is not), not a bool, and at least ``minimum``, when one
+    is given; DataError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) and not (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         raise DataError(f"{what} must be a whole number, got {value!r}")

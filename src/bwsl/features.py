@@ -7,7 +7,12 @@ close_t / close_{t-1}; the rest are read from the bar at t.
 Z-scores are cross-sectional per period: at each window step, every
 feature is standardized to population mean 0 / std 1 across the stocks
 eligible at the decision time. A stock is eligible at t iff every bar in
-[t-K, t] is present.
+[t-K, t] is present. A window is built in one pass: ``raw_features``
+reads all K steps of the eligible rows as one (I, K, F) block and
+``zscore_crosssection`` standardizes every (step, feature) column of it
+at once. Reducing axis 0 of a block adds the rows in the same order as
+reducing one step's (I, F) slice, so the block gives bitwise the values
+that K separate steps would.
 """
 
 from __future__ import annotations
@@ -25,26 +30,38 @@ N_FEATURES = len(FEATURE_NAMES)
 _PANEL_FIELD = {"tv": "volume", "mc": "mcap"}
 
 
-def raw_features(panel: MarketPanel, rows, j: int) -> np.ndarray:
-    """Unstandardized (len(rows), F) features of the stocks at panel rows
-    ``rows`` in month column j, in FEATURE_NAMES order.
+def raw_features(panel: MarketPanel, rows, j, k) -> np.ndarray:
+    """Unstandardized (len(rows), k, F) features of the stocks at panel rows
+    ``rows`` over the k month columns j-k+1 .. j, in FEATURE_NAMES order.
 
-    Every row needs bars at j-1 and j.
+    Every row needs bars in columns [j-k, j]: ``pr`` at a step divides its
+    close by the one before it. DataError for a row outside the panel, a
+    column that is not a whole number, a block that does not fit on the
+    axis, or a missing bar (naming the first step that cannot be read).
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    if not 1 <= j < panel.n_periods:
-        raise DataError(f"no month column {j} with a month before it")
-    present = panel.mask[:, j - 1 : j + 1][rows]
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
+        rows.min() < 0 or rows.max() >= panel.n_stocks
+    ):
+        raise DataError(f"rows must be a list of panel rows in [0, {panel.n_stocks})")
+    j = whole_number(j, "month column", None)
+    k = whole_number(k, "k", 1)
+    if not k <= j < panel.n_periods:
+        raise DataError(f"no month column {j} with {k} months before it")
+    block = slice(j - k, j + 1)
+    present = panel.mask[rows, block]
     if not present.all():
-        absent = rows[np.flatnonzero(~present.all(axis=1))[0]]
+        r, c = np.argwhere(~present)[0]
         raise DataError(
-            f"missing bar for {panel.stock_ids[absent]} around {format_month(panel.start + j)}"
+            f"missing bar for {panel.stock_ids[rows[r]]} around "
+            f"{format_month(panel.start + j - k + max(c, 1))}"
         )
-    close = panel.field("close")
-    out = np.empty((rows.size, N_FEATURES))
-    out[:, 0] = close[:, j][rows] / close[:, j - 1][rows]
+    close = panel.field("close")[rows, block]
+    out = np.empty((rows.size, k, N_FEATURES))
+    with np.errstate(over="ignore"):  # an infinite ratio is zscore_crosssection's to reject
+        np.divide(close[:, 1:], close[:, :-1], out=out[:, :, 0])
     for col, name in enumerate(FEATURE_NAMES[1:], start=1):
-        out[:, col] = panel.field(_PANEL_FIELD.get(name, name))[:, j][rows]
+        out[:, :, col] = panel.field(_PANEL_FIELD.get(name, name))[rows, j - k + 1 : j + 1]
     return out
 
 
@@ -59,20 +76,34 @@ def _eligible(panel: MarketPanel, pi: int, k: int) -> np.ndarray:
 
 
 def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
-    """Standardize feature columns across stocks (population std).
+    """Standardize every feature column across stocks (population std), in
+    place, and return the array.
 
-    ``raw`` is (I, F) for I >= 2 stocks. Columns with zero cross-sectional
-    variance map to all zeros.
+    ``raw`` is (I, ..., F) for I >= 2 stocks: one period's (I, F) or a
+    window block's (I, K, F); axis 0 is reduced for every trailing index.
+    A float64 array is overwritten; anything else is converted first.
+    Columns with zero cross-sectional variance map to all zeros. DataError,
+    naming the feature, when a column holds NaN or infinity or its spread
+    overflows: nothing is substituted for it.
     """
     raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim != 2 or raw.shape[0] < 2:
-        raise DataError("zscore: need at least 2 stocks")
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
-    z = np.zeros_like(raw)
-    nz = std > 0
-    z[:, nz] = (raw[:, nz] - mean[nz]) / std[nz]
-    return z
+    if raw.ndim < 2 or raw.shape[0] < 2 or raw.shape[-1] != N_FEATURES:
+        raise DataError(f"zscore: need (I, ..., {N_FEATURES}) features of at least 2 stocks")
+    n = raw.shape[0]
+    # the steps of ndarray.std, so the spread is bitwise what raw.std(axis=0)
+    # gives, reusing the centring that the z-scores need anyway
+    with np.errstate(invalid="ignore", over="ignore"):
+        raw -= raw.mean(axis=0)
+        std = np.sqrt((raw * raw).sum(axis=0) / n)
+    bad = ~np.isfinite(std)
+    if bad.any():
+        name = FEATURE_NAMES[np.argwhere(bad)[0][-1]]
+        raise DataError(f"zscore: non-finite value in feature {name}")
+    flat = std == 0
+    std[flat] = 1.0
+    raw /= std
+    raw[:, flat] = 0.0
+    return raw
 
 
 @dataclass(frozen=True)
@@ -92,9 +123,9 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     """Assemble (I, K, F) windows and last-period ranks at decision time t.
 
     Eligibility: all bars in [t-k, t] present. Standardization happens
-    cross-sectionally at each of the k steps among the stocks eligible at t.
-    Ranks are dense over the eligible set, ties broken by ascending
-    stock_id.
+    cross-sectionally at each of the k steps among the stocks eligible at t,
+    all steps in one pass over the raw block. Ranks are dense over the
+    eligible set by the raw ``pr`` at t, ties broken by ascending stock_id.
     """
     k = whole_number(k, "k", 1)
     pi = panel.index_of(t)
@@ -108,15 +139,11 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
             f"fewer than 2 stocks have a complete window at {format_month(panel.start + pi)}"
         )
     ids = [panel.stock_ids[i] for i in eligible]
-    feats = np.zeros((eligible.size, k, N_FEATURES))
-    for step in range(k):
-        raw = raw_features(panel, eligible, pi - k + 1 + step)
-        feats[:, step, :] = zscore_crosssection(raw)
-
-    # rank by pr at month t, the last step's raw features
+    raw = raw_features(panel, eligible, pi, k)
+    # rank by the raw pr at t, read before the block is z-scored in place
     ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[descending_order(raw[:, 0], ids)] = np.arange(1, len(ids) + 1)
-    return WindowSet(panel.start + pi, tuple(ids), feats, ranks)
+    ranks[descending_order(raw[:, -1, 0], ids)] = np.arange(1, len(ids) + 1)
+    return WindowSet(panel.start + pi, tuple(ids), zscore_crosssection(raw), ranks)
 
 
 class PreparedPanel:

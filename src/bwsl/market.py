@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, whole_number
 
 CSV_FIELDS = ("stock_id", "period", "close", "vol", "volume", "mcap", "pe", "bm", "div")
 CSV_HEADER = ",".join(CSV_FIELDS)
@@ -45,6 +45,11 @@ def parse_month(text: str) -> int:
     if not 1 <= month <= 12:
         raise DataError(f"bad period {text!r}, month out of range")
     return year * 12 + (month - 1)
+
+
+def _month(period) -> int:
+    """Absolute month number of a 'YYYY-MM' string or a whole number."""
+    return parse_month(period) if isinstance(period, str) else whole_number(period, "period", None)
 
 
 def format_month(period: int) -> str:
@@ -113,7 +118,7 @@ class MarketPanel:
         return self._values[name]
 
     def index_of(self, period) -> int:
-        p = parse_month(period) if isinstance(period, str) else int(period)
+        p = _month(period)
         idx = p - self.start
         if not 0 <= idx < self.n_periods:
             raise DataError(f"period {format_month(p)} outside the panel axis")
@@ -217,12 +222,10 @@ class SynthConfig:
     start: int = parse_month("2000-01")
 
     def __post_init__(self):
-        if self.num_stocks < 4:
-            raise DataError("synth: num_stocks must be at least 4")
-        if self.num_periods < 26:
-            raise DataError("synth: num_periods must be at least 26")
-        if self.sub_steps < 2:
-            raise DataError("synth: sub_steps must be at least 2")
+        # sizes are stored as ints, so 30.0 becomes 30
+        for name, minimum in (("num_stocks", 4), ("num_periods", 26), ("sub_steps", 2)):
+            value = whole_number(getattr(self, name), f"synth: {name}", minimum)
+            object.__setattr__(self, name, value)
         lo, hi = self.vol_range
         if not (0 < lo <= hi):
             raise DataError("synth: vol_range must satisfy 0 < lo <= hi")
@@ -301,7 +304,8 @@ def split(panel: MarketPanel, train_end, k: int = 12) -> tuple[MarketPanel, Mark
     The test panel keeps the trailing k months of the training range so the
     first test decision (train_end + 1) has a complete look-back window.
     """
-    te = parse_month(train_end) if isinstance(train_end, str) else int(train_end)
+    te = _month(train_end)
+    k = whole_number(k, "split: k", 0)
     if te <= panel.start or te >= panel.end:
         raise DataError(
             f"train_end {format_month(te)} must lie strictly inside the axis "

@@ -41,16 +41,17 @@ def panel_from_closes(closes, mask=None, ids=None, **field_overrides):
 
 def test_raw_features_price_rising_rate():
     panel = panel_from_closes([[100.0, 110.0]])
-    vec = raw_features(panel, [0], 1)
-    assert vec.shape == (1, len(FEATURE_NAMES))
-    assert vec[0, 0] == pytest.approx(1.1)
+    vec = raw_features(panel, [0], 1, 1)
+    assert vec.shape == (1, 1, len(FEATURE_NAMES))
+    assert vec[0, 0, 0] == pytest.approx(1.1)
 
 
 def test_raw_features_constant_path():
     panel = panel_from_closes([[50.0, 50.0, 50.0]], vol=np.zeros((1, 3)))
-    vec = raw_features(panel, [0], 2)
-    assert vec[0, 0] == 1.0
-    assert vec[0, 1] == 0.0
+    vec = raw_features(panel, [0], 2, 2)
+    assert vec.shape == (1, 2, len(FEATURE_NAMES))
+    np.testing.assert_array_equal(vec[0, :, 0], [1.0, 1.0])
+    np.testing.assert_array_equal(vec[0, :, 1], [0.0, 0.0])
 
 
 def test_raw_features_echoes_bar_fields_in_order():
@@ -63,17 +64,46 @@ def test_raw_features_echoes_bar_fields_in_order():
         bm=[[1.0, 0.8]],
         div=[[0.0, 0.25]],
     )
-    vec = raw_features(panel, [0], 1)
-    np.testing.assert_allclose(vec, [[1.2, 0.7, 123.0, 4e6, 17.5, 0.8, 0.25]])
+    vec = raw_features(panel, [0], 1, 1)
+    np.testing.assert_allclose(vec[:, 0], [[1.2, 0.7, 123.0, 4e6, 17.5, 0.8, 0.25]])
+
+
+def test_raw_features_block_steps_are_the_single_steps():
+    panel = synth_market(SynthConfig(num_stocks=5, num_periods=30, seed=6))
+    rows = [4, 0, 2]
+    block = raw_features(panel, rows, 20, 6)
+    assert block.shape == (3, 6, len(FEATURE_NAMES))
+    for step, j in enumerate(range(15, 21)):
+        assert block[:, step].tobytes() == raw_features(panel, rows, j, 1)[:, 0].tobytes()
+    close = panel.field("close")
+    np.testing.assert_array_equal(block[:, -1, 0], close[rows, 20] / close[rows, 19])
 
 
 def test_raw_features_missing_bar_errors():
     panel = panel_from_closes([[10.0, 11.0, 12.0]] * 2, mask=[[True] * 3, [False, True, True]])
     with pytest.raises(DataError, match=f"S1 around {format_month(START + 1)}"):
-        raw_features(panel, [0, 1], 1)
-    np.testing.assert_allclose(raw_features(panel, [0, 1], 2)[:, 0], [12.0 / 11.0] * 2)
+        raw_features(panel, [0, 1], 1, 1)
+    with pytest.raises(DataError, match=f"S1 around {format_month(START + 1)}"):
+        raw_features(panel, [0, 1], 2, 2)
+    np.testing.assert_allclose(raw_features(panel, [0, 1], 2, 1)[:, 0, 0], [12.0 / 11.0] * 2)
     with pytest.raises(DataError):
-        raw_features(panel, [0], 0)
+        raw_features(panel, [0], 0, 1)
+    with pytest.raises(DataError, match="no month column 2 with 3 months before it"):
+        raw_features(panel, [0], 2, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, j",
+    [([0, 1], 2.5), ([0, 99], 2), ([-1], 2), ([0.0, 1.0], 2), ([True, False], 2), ([[0, 1]], 2)],
+    ids=["fractional_column", "row_past_the_end", "negative_row", "float_rows", "bool_rows",
+         "two_d_rows"],
+)
+def test_raw_features_rejects_bad_rows_and_columns(rows, j):
+    # a fractional column used to fail with a bare TypeError, row 99 of 8
+    # with a bare IndexError, and row -1 read the last stock
+    panel = panel_from_closes(np.ones((8, 3)))
+    with pytest.raises(DataError):
+        raw_features(panel, rows, j, 1)
 
 
 def test_zscore_two_points():
@@ -102,9 +132,54 @@ def test_zscore_needs_two_stocks():
 def test_zscore_invariant_under_common_affine_map():
     rng = np.random.default_rng(1)
     raw = rng.normal(size=(6, 7)) + 10
-    z1 = zscore_crosssection(raw)
+    z1 = zscore_crosssection(raw.copy())
     z2 = zscore_crosssection(3.5 * raw + 100.0)
     np.testing.assert_allclose(z1, z2, atol=1e-12)
+
+
+def test_zscore_standardizes_a_block_in_place_as_its_slices():
+    rng = np.random.default_rng(2)
+    block = rng.normal(size=(9, 4, 7)) * 3 + 1
+    block[:, 2, 5] = 0.25  # one zero-variance column
+    slices = [zscore_crosssection(block[:, step].copy()) for step in range(4)]
+    z = zscore_crosssection(block)
+    assert z is block
+    for step in range(4):
+        assert z[:, step].tobytes() == slices[step].tobytes()
+    assert not z[:, 2, 5].any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zscore_rejects_a_non_finite_feature(bad):
+    # a non-finite column used to come back as all zeros, with a NumPy
+    # RuntimeWarning as the only trace
+    raw = np.arange(21.0).reshape(3, 7)
+    raw[1, 4] = bad
+    with pytest.raises(DataError, match="non-finite value in feature pe"):
+        zscore_crosssection(raw)
+    block = np.arange(42.0).reshape(3, 2, 7)
+    block[2, 1, 0] = bad
+    with pytest.raises(DataError, match="non-finite value in feature pr"):
+        zscore_crosssection(block)
+
+
+def test_zscore_rejects_a_spread_that_overflows():
+    raw = np.ones((3, 7))
+    raw[:, 2] = [1e200, -1e200, 0.0]
+    with pytest.raises(DataError, match="feature tv"):
+        zscore_crosssection(raw)
+
+
+def test_build_windows_rejects_an_overflowing_price_ratio():
+    closes = np.ones((3, 6))
+    closes[0, 4:] = [1e-300, 1e300]
+    with pytest.raises(DataError, match="non-finite value in feature pr"):
+        build_windows(panel_from_closes(closes), START + 5, k=2)
+
+
+def test_zscore_needs_the_feature_axis_last():
+    with pytest.raises(DataError, match="features of at least 2 stocks"):
+        zscore_crosssection(np.ones((3, 4)))
 
 
 def test_build_windows_ranks_by_last_pr():
@@ -250,3 +325,60 @@ def test_build_windows_rank_ties_break_by_stock_id_whatever_the_row_order():
     panel = panel_from_closes(closes, ids=["D", "C", "B", "A"])
     ws = build_windows(panel, START + 3, k=2)
     np.testing.assert_array_equal(ws.ranks, [2, 4, 1, 3])
+
+
+def _zscore_out_of_place(raw):
+    # the per-step standardization as first written: a fresh array, zeros
+    # for zero-variance columns
+    mean, std = raw.mean(axis=0), raw.std(axis=0)
+    z = np.zeros_like(raw)
+    nz = std > 0
+    z[:, nz] = (raw[:, nz] - mean[nz]) / std[nz]
+    return z
+
+
+def _per_step_windows(panel, t, k):
+    """Oracle: build_windows as K single-step reads and z-scores."""
+    pi = panel.index_of(t)
+    eligible = np.flatnonzero(panel.mask[:, pi - k : pi + 1].all(axis=1))
+    ids = tuple(panel.stock_ids[i] for i in eligible)
+    steps = []
+    for j in range(pi - k + 1, pi + 1):
+        raw = raw_features(panel, eligible, j, 1)[:, 0]
+        z = zscore_crosssection(raw.copy())
+        assert z.tobytes() == _zscore_out_of_place(raw).tobytes()
+        steps.append(z)
+    order = sorted(range(len(ids)), key=lambda i: (-raw[i, 0], ids[i]))
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[order] = np.arange(1, len(ids) + 1)
+    return ids, np.stack(steps, axis=1), ranks
+
+
+def test_build_windows_equals_the_per_step_composition_bitwise():
+    n, p, k = 9, 24, 5
+    rng = np.random.default_rng(11)
+    closes = np.exp(rng.normal(0, 0.05, size=(n, p))).cumprod(axis=1) * 20
+    closes[7] = closes[2]  # S7 and S2 tie on pr at every step
+    fields = {
+        name: np.exp(rng.normal(0, 0.3, size=(n, p)))
+        for name in ("vol", "volume", "mcap", "pe", "div")
+    }
+    fields["bm"] = np.full((n, p), 0.5)  # zero cross-sectional variance
+    mask = np.ones((n, p), dtype=bool)
+    mask[3, :9] = False  # late listing
+    mask[5, 14:] = False  # delisted inside later windows
+    mask[6, 11] = False  # a one-month gap
+    ids = ["S8", "S2", "S5", "S0", "S4", "S6", "S1", "S7", "S3"]  # not in row order
+    panel = panel_from_closes(closes, mask=mask, ids=ids, **fields)
+    universes = set()
+    for t in range(panel.start + k, panel.end + 1):
+        ws = build_windows(panel, t, k)
+        ids_t, feats, ranks = _per_step_windows(panel, t, k)
+        assert ws.stock_ids == ids_t
+        assert ws.features.shape == feats.shape and ws.features.tobytes() == feats.tobytes()
+        assert ws.ranks.tobytes() == ranks.tobytes()
+        assert not ws.features[:, :, FEATURE_NAMES.index("bm")].any()
+        i2, i7 = ids_t.index("S5"), ids_t.index("S7")  # rows 2 and 7
+        assert ws.ranks[i7] == ws.ranks[i2] + 1  # the tie goes to the lower id
+        universes.add(ids_t)
+    assert len(universes) >= 4

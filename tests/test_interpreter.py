@@ -59,11 +59,12 @@ def test_sensitivity_rejects_an_out_of_range_stock(case, stock):
 
 
 def test_sensitivity_rejects_a_fractional_stock_index(case):
-    # 1.5 used to be truncated, explaining stock 1
+    # 1.5 used to be truncated and True read as 1, each explaining stock 1
     windows, ranks = case
     params = small_params(3)
-    with pytest.raises(DataError, match="stock index must be a whole number"):
-        input_sensitivity(windows, ranks, params, 1.5)
+    for index in (1.5, True):
+        with pytest.raises(DataError, match="stock index must be a whole number"):
+            input_sensitivity(windows, ranks, params, index)
     whole = input_sensitivity(windows, ranks, params, 1.0)
     assert whole.tobytes() == input_sensitivity(windows, ranks, params, 1).tobytes()
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bwsl.errors import DataError
+from bwsl.features import PreparedPanel
 from bwsl.market import (
     CSV_HEADER,
     MarketPanel,
@@ -191,6 +192,50 @@ def test_split_leaves_no_gap():
     assert np.array_equal(
         np.union1d(train.periods, test.periods), panel.periods
     )
+
+
+def test_index_of_rejects_a_fractional_month():
+    # start + 12.5 used to be truncated to start + 12
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=2))
+    with pytest.raises(DataError, match="period must be a whole number, got"):
+        panel.index_of(panel.start + 12.5)
+    with pytest.raises(DataError, match="period must be a whole number, got"):
+        panel.index_of(True)
+    assert panel.index_of(float(panel.start + 12)) == 12
+    prep = PreparedPanel(panel, k=12)
+    with pytest.raises(DataError, match="period must be a whole number"):
+        prep.windows(panel.start + 12.5)
+    assert prep.windows(float(panel.start + 12)) is prep.windows(panel.start + 12)
+
+
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda panel: split(panel, panel.start + 12, 12.5), "split: k"),
+        (lambda panel: split(panel, panel.start + 12.5), "period"),
+        (lambda panel: SynthConfig(8.5, 30), "synth: num_stocks"),
+        (lambda panel: SynthConfig(8, 30.5), "synth: num_periods"),
+        (lambda panel: SynthConfig(8, 30, sub_steps=2.5), "synth: sub_steps"),
+        (lambda panel: SynthConfig(True, 30), "synth: num_stocks"),
+    ],
+    ids=["split_k", "split_train_end", "num_stocks", "num_periods", "sub_steps", "bool_size"],
+)
+def test_fractional_market_sizes_raise_data_error(build, what):
+    # each used to fail with a bare TypeError from a slice or array shape,
+    # or to truncate the month
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=2))
+    with pytest.raises(DataError, match=f"{what} must be a whole number, got"):
+        build(panel)
+
+
+def test_whole_float_market_sizes_are_kept_as_ints():
+    cfg = SynthConfig(4.0, 30.0, sub_steps=np.int64(3), seed=2)
+    assert [type(v) for v in (cfg.num_stocks, cfg.num_periods, cfg.sub_steps)] == [int] * 3
+    a = synth_market(cfg)
+    b = synth_market(SynthConfig(4, 30, sub_steps=3, seed=2))
+    assert a.field("close").tobytes() == b.field("close").tobytes()
+    _, test = split(a, a.start + 15, 6.0)
+    assert test.start == split(a, a.start + 15, 6)[1].start == a.start + 10
 
 
 def test_panel_arrays_are_read_only():

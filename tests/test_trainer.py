@@ -304,14 +304,19 @@ def test_train_config_keeps_zero_leg_size_and_zero_clip():
         lambda panel: TrainConfig(n=1.5),
         lambda panel: TrainConfig(epochs=1.5),
         lambda panel: TrainConfig(k=3.5),
+        lambda panel: TrainConfig(n=True),
+        lambda panel: PreparedPanel(panel, True),
+        lambda panel: TrainConfig(g=False),
     ],
     ids=[
         "leg_size", "quantization_step", "hidden_width", "look_back",
         "train_g", "train_t", "train_n", "train_epochs", "train_k",
+        "train_n_bool", "look_back_bool", "train_g_bool",
     ],
 )
 def test_fractional_whole_number_setting_raises_data_error(panel, build):
-    # each used to be truncated or to fail later with a bare TypeError
+    # each used to be truncated or to fail later with a bare TypeError; a
+    # bool passed as a numbers.Integral, so n=True gave n=1
     with pytest.raises(DataError, match="must be a whole number, got"):
         build(panel)
 
