@@ -19,11 +19,14 @@ its vector-Jacobian products by hand (an "elemental function" in the
 sense of Griewank & Walther), such as the fused encoder ``encode`` and
 the fused cross-asset attention and score head ``score`` in
 :mod:`policy`, and the trainer's surrogate ``leg_logprob`` in
-:mod:`portfolio`. Such an op is one record however much work it does, its
-output passes the same finiteness check, and the VJP of an operand that
-does not require grad is never called. An op whose output can be finite
-where an intermediate overflowed (a sigmoid of +inf is 1) checks that
-intermediate itself.
+:mod:`portfolio`. A record is a value, one VJP per operand, and an
+optional ``sweep``, the backward work its VJPs share: the tape runs it
+once per record on each backward pass and hands its result to every VJP
+in place of the output cotangent. Such an op is one record however much
+work it does, its output passes the same finiteness check, and the VJP of
+an operand that does not require grad is never called. An op whose output
+can be finite where an intermediate overflowed (a sigmoid of +inf is 1)
+checks that intermediate itself.
 """
 
 from __future__ import annotations
@@ -126,15 +129,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -149,11 +143,12 @@ class Tensor:
 
 
 class _Record:
-    __slots__ = ("out_id", "pulls")
+    __slots__ = ("out_id", "pulls", "sweep")
 
-    def __init__(self, out_id: int, pulls: tuple):
+    def __init__(self, out_id: int, pulls: tuple, sweep):
         self.out_id = out_id
         self.pulls = pulls  # tuple of (parent_tid, vjp)
+        self.sweep = sweep  # None, or the backward computation the VJPs share
 
 
 class Tape:
@@ -188,6 +183,8 @@ class Tape:
             g = grads.get(rec.out_id)
             if g is None:
                 continue
+            if rec.sweep is not None:
+                g = rec.sweep(g)
             for tid, vjp in rec.pulls:
                 contrib = vjp(g)
                 prev = grads.get(tid)
@@ -203,9 +200,7 @@ class GradientMap:
 
     def __getitem__(self, t: Tensor) -> np.ndarray:
         g = self._grads.get(t.tid)
-        if g is None:
-            return np.zeros(t.shape)
-        return np.asarray(g, dtype=np.float64).reshape(t.shape)
+        return np.zeros(t.shape) if g is None else g
 
 
 def forward(fn: Callable, *inputs: Tensor) -> tuple[Tensor, Tape]:
@@ -273,12 +268,14 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def emit(op: str, out_arr: np.ndarray, pulls) -> Tensor:
+def emit(op: str, out_arr: np.ndarray, pulls, sweep=None) -> Tensor:
     """Record one op with value ``out_arr`` on the active tape.
 
     ``pulls`` holds (operand, vjp) pairs; ``vjp(g)`` maps the cotangent of
-    the output to that operand's. Only operands that require grad keep
-    their VJP, and none is called before a backward pass. Raises
+    the output to that operand's, of the operand's shape. Given a ``sweep``,
+    each backward pass calls ``sweep(g)`` once and hands the result to
+    every VJP in place of g. Only operands that require grad keep their
+    VJP, and none is called before a backward pass. Raises
     :class:`NonFiniteError`, naming ``op``, if the value is not finite.
     """
     out_arr = np.asarray(out_arr, dtype=np.float64)
@@ -295,7 +292,7 @@ def emit(op: str, out_arr: np.ndarray, pulls) -> Tensor:
     if live:
         tape = _active_tape()
         if tape is not None:
-            tape._records.append(_Record(out.tid, tuple(live)))
+            tape._records.append(_Record(out.tid, tuple(live), sweep))
     return out
 
 

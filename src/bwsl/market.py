@@ -57,9 +57,11 @@ def format_month(period: int) -> str:
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Named, reproducible PCG64 stream derived from one master seed."""
+    """Named, reproducible PCG64 stream derived from one master seed, a
+    whole number of at least 0."""
+    seed = whole_number(seed, "seed", 0)
     tag = int.from_bytes(hashlib.sha256(name.encode("utf-8")).digest()[:8], "big")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), tag])))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
 
 
 class MarketPanel:
@@ -222,8 +224,8 @@ class SynthConfig:
     start: int = parse_month("2000-01")
 
     def __post_init__(self):
-        # sizes are stored as ints, so 30.0 becomes 30
-        for name, minimum in (("num_stocks", 4), ("num_periods", 26), ("sub_steps", 2)):
+        # sizes and the seed are stored as ints, so 30.0 becomes 30
+        for name, minimum in (("num_stocks", 4), ("num_periods", 26), ("sub_steps", 2), ("seed", 0)):
             value = whole_number(getattr(self, name), f"synth: {name}", minimum)
             object.__setattr__(self, name, value)
         lo, hi = self.vol_range

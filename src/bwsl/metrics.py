@@ -47,6 +47,13 @@ def _finite_returns(returns, who: str) -> np.ndarray:
     return r
 
 
+def _finite_settings(who: str, **settings: float) -> None:
+    """DataError naming ``who`` unless every setting (theta, tc) is finite."""
+    for name, value in settings.items():
+        if not math.isfinite(value):
+            raise DataError(f"{who}: {name} must be finite, got {value!r}")
+
+
 def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
     """A and V of a 1-d series. A is NaN for an empty series; V is 0.0 at
     zero volatility: fewer than 2 returns, all equal, or a spread whose
@@ -61,6 +68,7 @@ def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
 def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     """Mean excess return (net of tc) per unit of return volatility."""
     r = _finite_returns(returns, "sharpe")
+    _finite_settings("sharpe", theta=theta, tc=tc)
     if r.ndim != 1 or r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
     a, v = _mean_and_vol(r, tc)
@@ -71,6 +79,7 @@ def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
 
 def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
     """Wealth series of length T+1 starting at 1: prod of (R_t + 1 - tc)."""
+    _finite_settings("wealth", tc=tc)
     r = np.asarray(returns, dtype=float)
     factors = r + 1.0 - tc
     if np.any(factors <= 0):
@@ -161,9 +170,10 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
     A series of fewer than 2 returns, or of zero volatility, gets a report
     flagged ``short_series`` or ``zero_volatility``: AVOL is 0, ASR and DDR
     are NaN, and APR (NaN when empty), MDD, CR and the wealth series are
-    kept. DataError for non-finite returns, a series that is not 1-d, and
-    a periods_per_year that is not a positive whole number."""
+    kept. DataError for non-finite returns, theta or tc, a series that is
+    not 1-d, and a periods_per_year that is not a positive whole number."""
     r = _finite_returns(returns, "report")
+    _finite_settings("report", theta=theta, tc=tc)
     ny = whole_number(periods_per_year, "report: periods_per_year", 1)
     if r.ndim != 1:
         raise DataError(f"report: returns must be a 1-d series, got shape {r.shape}")

@@ -16,10 +16,10 @@ with hand-written VJPs:
 
 While a tape records, :func:`encode` writes its seven stocks-last
 (K, ., I) arrays, four forward caches and three backward-sweep buffers,
-into buffers leased from a per-thread workspace. The lease is returned
-when the record's VJP closures die (when its tape is dropped), never
-while a live record can read it. The workspace keeps at most one spare buffer per role,
-the largest returned, and a smaller universe writes into a prefix of it.
+into buffers leased from a per-thread workspace. The record's sweep holds
+the lease, so they return when the record dies (when its tape is dropped).
+The workspace keeps at most one spare buffer per role, the largest
+returned, and a smaller universe writes into a prefix of it.
 So successive recorded calls, one per decision time in training and
 interpretation, reuse the same memory instead of faulting in fresh pages.
 An untaped call allocates fresh arrays, and the float operations are the
@@ -125,9 +125,10 @@ class PolicyParams:
         l_cols: int = 16,
         q: int = 4,
     ) -> "PolicyParams":
-        """Uniform +-1/sqrt(fan-in) weights, forget-gate bias +1, zero biases."""
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
+        """Uniform +-1/sqrt(fan-in) weights, forget-gate bias +1, zero biases;
+        ``rng`` is a generator or a seed, a whole number of at least 0."""
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(whole_number(rng, "seed", 0))
         widths = {"n_features": n_features, "hidden": hidden, "embed": embed, "l_cols": l_cols}
         f, h, e, l = (whole_number(v, f"policy params: {k}", 1) for k, v in widths.items())
         shapes = _shapes(f, h, e, l)
@@ -389,11 +390,10 @@ class _Lease:
     ``lease(role, shape)`` is a prefix view of the buffer held for that
     role, so a contiguous (K, ., I) array for any universe size I. The
     buffer is taken from the workspace the first time (or allocated, when
-    its spare is missing or too small). Every VJP of the record reaches the
-    lease through the memoized sweep, so its buffers go back to the
-    workspace when the last closure that can read them dies, and never
-    while one lives. A later sweep of the same record writes into the same
-    sweep buffers, whose earlier results the memo has dropped.
+    its spare is missing or too small). The record's sweep holds the lease,
+    so its buffers go back to the workspace when the record dies, and never
+    while it lives. A sweep's outputs live only for the record's step of one
+    backward pass, so the next pass's sweep writes into the same buffers.
     """
 
     __slots__ = ("_spare", "_taken", "__weakref__")
@@ -525,11 +525,11 @@ def encode(windows, params: PolicyParams) -> Tensor:
     so each gate block of a step is one contiguous slab; it computes x Wx for
     all K steps in one batched matmul and the attention over all K states in
     another. The record has one VJP per operand: the windows and each of
-    :data:`ENCODER_PARAMS`. They share one backward sweep per cotangent,
-    and the tape calls only those whose operand requires grad; each
-    K-summed parameter gradient is one batched matmul summed over k. A
-    recorded call takes its (K, ., I) arrays from the workspace (module
-    docstring).
+    :data:`ENCODER_PARAMS`. They share the sweep :func:`_encode_sweep`, run
+    once per backward pass, and the tape calls only those whose operand
+    requires grad; each K-summed parameter gradient is one batched matmul
+    summed over k. A recorded call takes its (K, ., I) arrays from the
+    workspace (module docstring).
 
     Every op here works column by column, so stock i depends on window i
     alone; stocks first meet in :func:`score`.
@@ -542,27 +542,21 @@ def encode(windows, params: PolicyParams) -> Tensor:
     take = _Lease(_spare()) if ad.recording() else _fresh
     rep, cache = _encode_forward(xs, p, take)
     _, _, states, u, _ = cache
-    memo = [None, None]
-
-    def swept(g):
-        if memo[0] is not g:
-            memo[:] = [g, _encode_sweep(g, cache, p, take)]
-        return memo[1]
 
     def k_summed(left, right):
         """sum over k of left[k] @ right[k]', for (K, ., I) stacks."""
         return np.matmul(left, right.transpose(0, 2, 1)).sum(axis=0)
 
     pulls = (
-        (x, lambda g: (p["lstm_wx"] @ swept(g)[0]).transpose(2, 0, 1)),
-        (params["lstm_wx"], lambda g: k_summed(xs, swept(g)[0])),
-        (params["lstm_wh"], lambda g: k_summed(states[:-1], swept(g)[0][1:])),
-        (params["lstm_b"], lambda g: swept(g)[0].sum(axis=(0, 2))),
-        (params["att_w1"], lambda g: k_summed(states, swept(g)[1])),
-        (params["att_w2"], lambda g: states[-1] @ swept(g)[1].sum(axis=0).T),
-        (params["att_w"], lambda g: np.einsum("khi,ki->h", u, swept(g)[2])),
+        (x, lambda sw: (p["lstm_wx"] @ sw[0]).transpose(2, 0, 1)),
+        (params["lstm_wx"], lambda sw: k_summed(xs, sw[0])),
+        (params["lstm_wh"], lambda sw: k_summed(states[:-1], sw[0][1:])),
+        (params["lstm_b"], lambda sw: sw[0].sum(axis=(0, 2))),
+        (params["att_w1"], lambda sw: k_summed(states, sw[1])),
+        (params["att_w2"], lambda sw: states[-1] @ sw[1].sum(axis=0).T),
+        (params["att_w"], lambda sw: np.einsum("khi,ki->h", u, sw[2])),
     )
-    return ad.emit("encode", rep, pulls)
+    return ad.emit("encode", rep, pulls, lambda g: _encode_sweep(g, cache, p, take))
 
 
 def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
@@ -693,39 +687,33 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
 
     The value of ``winner_scores(caan_forward(rep, ranks, params), params)``,
     bitwise, as one tape record. The record has one VJP per operand: the
-    representations and each of :data:`SCORE_PARAMS`. They share one
-    backward sweep per cotangent, and the tape calls only those whose
-    operand requires grad. Raises :class:`NonFiniteError` whenever the
-    primitive composition would, from checks of the rank-prior logits, the
-    attention logits, the attended values and the head logits: a sigmoid
-    of an overflowed logit is finite, so the output alone would not show it.
+    representations and each of :data:`SCORE_PARAMS`, all reading one
+    sweep per backward pass; the tape calls only those whose operand
+    requires grad. Raises :class:`NonFiniteError` whenever the primitive
+    composition would, from checks of the rank-prior logits, the attention
+    logits, the attended values and the head logits: a sigmoid of an
+    overflowed logit is finite, so the output alone would not show it.
     """
     r, ranks = _score_inputs(rep.data, ranks, params)
     p = {name: params[name].data for name in SCORE_PARAMS}
     s, cache = _score_forward(r, ranks, p, params.q)
     attended = cache[3]
-    memo = [None, None]
 
-    def swept(g):
-        if memo[0] is not g:
-            memo[:] = [g, _score_sweep(g, s, cache, ranks, p, params.q)]
-        return memo[1]
-
-    def d_rep(g):
-        _, d_query, d_key, d_value, _ = swept(g)
+    def d_rep(sw):
+        _, d_query, d_key, d_value, _ = sw
         return d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T
 
     pulls = (
         (rep, d_rep),
-        (params["wq"], lambda g: r.T @ swept(g)[1]),
-        (params["wk"], lambda g: r.T @ swept(g)[2]),
-        (params["wv"], lambda g: r.T @ swept(g)[3]),
-        (params["w_score"], lambda g: attended.T @ swept(g)[0]),
-        (params["b_score"], lambda g: np.asarray(swept(g)[0].sum())),
-        (params["rank_emb"], lambda g: np.outer(p["rank_w"], swept(g)[4])),
-        (params["rank_w"], lambda g: p["rank_emb"] @ swept(g)[4]),
+        (params["wq"], lambda sw: r.T @ sw[1]),
+        (params["wk"], lambda sw: r.T @ sw[2]),
+        (params["wv"], lambda sw: r.T @ sw[3]),
+        (params["w_score"], lambda sw: attended.T @ sw[0]),
+        (params["b_score"], lambda sw: np.asarray(sw[0].sum())),
+        (params["rank_emb"], lambda sw: np.outer(p["rank_w"], sw[4])),
+        (params["rank_w"], lambda sw: p["rank_emb"] @ sw[4]),
     )
-    return ad.emit("score", s, pulls)
+    return ad.emit("score", s, pulls, lambda g: _score_sweep(g, s, cache, ranks, p, params.q))
 
 
 def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:

@@ -71,7 +71,7 @@ class TrainConfig:
     def __post_init__(self):
         # whole-number settings are stored as ints, so 12.0 becomes 12;
         # g == 0 is the quarter-universe rule
-        for name, minimum in (("t", 2), ("n", 1), ("epochs", 1), ("k", 1), ("g", 0)):
+        for name, minimum in (("t", 2), ("n", 1), ("epochs", 1), ("k", 1), ("g", 0), ("seed", 0)):
             value = whole_number(getattr(self, name), f"train: {name}", minimum)
             object.__setattr__(self, name, value)
         for name in ("eta", "clip", "theta", "tc"):
@@ -172,6 +172,7 @@ def market_threshold(panel, t0, t: int, theta: float, tc: float, k: int = 12):
     Returns (h0, degenerate): when the market return series has zero
     volatility, h0 is 0.0 and the flag is set.
     """
+    t = whole_number(t, "market_threshold: t", 2)
     prep = PreparedPanel.of(panel, k)
     t0 = prep.month(t0)
     returns = np.zeros(t)

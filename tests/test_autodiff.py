@@ -104,6 +104,54 @@ def test_emit_records_one_op_and_calls_only_live_vjps():
     np.testing.assert_array_equal(tape.gradients(value)[x], [3.0, 3.0])
 
 
+def test_emit_runs_its_sweep_once_per_backward_for_every_live_vjp():
+    a = ad.Tensor([1.0, 2.0], requires_grad=True)
+    b = ad.Tensor([3.0, 5.0], requires_grad=True)
+    swept, pulled = [], []
+
+    def sweep(g):
+        swept.append(g * 1.0)  # a new array on every call
+        return swept[-1]
+
+    def vjp(other):
+        def pull(sw):
+            pulled.append(sw)
+            return sw * other
+
+        return pull
+
+    tape = ad.Tape()
+    with tape:
+        y = ad.emit("product", a.data * b.data, ((a, vjp(b.data)), (b, vjp(a.data))), sweep)
+        root = (y * ad.Tensor([2.0, 7.0])).sum()
+    for passes in (1, 2):
+        grads = tape.gradients(root)
+        assert len(swept) == passes and len(pulled) == 2 * passes
+        assert all(sw is swept[-1] for sw in pulled[-2:])
+        np.testing.assert_array_equal(swept[-1], [2.0, 7.0])
+        np.testing.assert_array_equal(grads[a], [6.0, 35.0])
+        np.testing.assert_array_equal(grads[b], [2.0, 14.0])
+
+
+def test_a_swept_record_runs_only_live_vjps_and_only_on_the_root_path():
+    x = ad.Tensor([1.0, 2.0], requires_grad=True)
+    const = ad.Tensor([5.0, 7.0])
+    swept = []
+
+    def never(sw):
+        raise AssertionError("called off the root path or for a constant operand")
+
+    tape = ad.Tape()
+    with tape:
+        pulls = ((x, lambda sw: sw * const.data), (const, never))
+        y = ad.emit("scaled", const.data * x.data, pulls, lambda g: swept.append(g) or g)
+        ad.emit("unused", x.data, ((x, never),), never)
+        value = y.sum()
+    assert len(tape) == 3
+    np.testing.assert_array_equal(tape.gradients(value)[x], [5.0, 7.0])
+    assert len(swept) == 1
+
+
 def test_emit_rejects_a_non_finite_value():
     x = ad.Tensor([1.0], requires_grad=True)
     with pytest.raises(NonFiniteError, match="^scaled: produced non-finite values$"):

@@ -229,8 +229,9 @@ def test_fractional_market_sizes_raise_data_error(build, what):
 
 
 def test_whole_float_market_sizes_are_kept_as_ints():
-    cfg = SynthConfig(4.0, 30.0, sub_steps=np.int64(3), seed=2)
-    assert [type(v) for v in (cfg.num_stocks, cfg.num_periods, cfg.sub_steps)] == [int] * 3
+    cfg = SynthConfig(4.0, 30.0, sub_steps=np.int64(3), seed=2.0)
+    sizes = (cfg.num_stocks, cfg.num_periods, cfg.sub_steps, cfg.seed)
+    assert [type(v) for v in sizes] == [int] * 4
     a = synth_market(cfg)
     b = synth_market(SynthConfig(4, 30, sub_steps=3, seed=2))
     assert a.field("close").tobytes() == b.field("close").tobytes()

@@ -183,3 +183,21 @@ def test_report_or_degenerate_propagates_a_wrong_rank():
 def test_non_finite_returns_raise_data_error(fn, bad):
     with pytest.raises(DataError, match="non-finite"):
         fn([bad, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: sharpe([0.1, -0.05, 0.02], theta=bad),
+        lambda bad: sharpe([0.1, -0.05, 0.02], tc=bad),
+        lambda bad: cumulative_wealth([0.1, -0.05, 0.02], tc=bad),
+        lambda bad: report_or_degenerate([0.1, -0.05, 0.02], theta=bad),
+        lambda bad: report_or_degenerate([0.1, -0.05, 0.02], tc=bad),
+    ],
+    ids=["sharpe_theta", "sharpe_tc", "wealth_tc", "report_theta", "report_tc"],
+)
+def test_non_finite_theta_or_tc_raise_data_error(call, bad):
+    # each used to return a NaN or infinite result with no error or flag
+    with pytest.raises(DataError, match="(theta|tc) must be finite"):
+        call(bad)

@@ -414,21 +414,36 @@ def test_encode_values_and_gradients_repeat_bitwise():
         assert a.tobytes() == b.tobytes()
 
 
-def test_each_backward_over_one_encode_record_sweeps_its_own_cotangent():
+def _count_calls(monkeypatch, name):
+    """Patch ``policy.<name>`` to record the cotangent of each call."""
+    calls, real = [], getattr(policy, name)
+
+    def counted(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(policy, name, counted)
+    return calls
+
+
+def test_each_backward_over_one_encode_record_sweeps_its_own_cotangent(monkeypatch):
     params = small_params(68)
     rng = np.random.default_rng(69)
     windows = rng.normal(size=(4, 5, 7))
     cots = [rng.normal(size=(4, params.hidden)) for _ in range(2)]
+    expected = [_encode_and_grads(encode, windows, params, c)[1:] for c in cots]
+    sweeps = _count_calls(monkeypatch, "_encode_sweep")
     x = Tensor(windows, requires_grad=True)
     tape = ad.Tape()
     with tape:
         rep = encode(x, params)
         roots = [(rep * Tensor(c)).sum() for c in cots]
-    for root, cot in zip(roots, cots):
+    for passes, (root, want) in enumerate(zip(roots, expected), start=1):
         grads = tape.gradients(root)
-        expected = _encode_and_grads(encode, windows, params, cot)[1:]
+        # one sweep per backward, shared by all seven VJPs
+        assert len(sweeps) == passes
         got = [grads[x]] + [grads[params[n]] for n in ENCODER_PARAMS]
-        for a, b in zip(got, expected):
+        for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
 
@@ -677,6 +692,28 @@ def test_score_values_and_gradients_repeat_bitwise():
     second = _score_and_grads(score, rep, ranks, params, cot)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
+
+
+def test_each_backward_over_one_score_record_sweeps_its_own_cotangent(monkeypatch):
+    params = small_params(78)
+    rng = np.random.default_rng(79)
+    rep = rng.normal(size=(6, params.hidden))
+    ranks = 1 + rng.permutation(6)
+    cots = [rng.normal(size=6) for _ in range(2)]
+    expected = [_score_and_grads(score, rep, ranks, params, c)[1:] for c in cots]
+    sweeps = _count_calls(monkeypatch, "_score_sweep")
+    x = Tensor(rep, requires_grad=True)
+    tape = ad.Tape()
+    with tape:
+        scores = score(x, ranks, params)
+        roots = [(scores * Tensor(c)).sum() for c in cots]
+    for passes, (root, want) in enumerate(zip(roots, expected), start=1):
+        grads = tape.gradients(root)
+        # one sweep per backward, shared by all eight VJPs
+        assert len(sweeps) == passes
+        got = [grads[x]] + [grads[params[n]] for n in SCORE_PARAMS]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 def _positive_rows(params):

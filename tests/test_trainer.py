@@ -7,7 +7,7 @@ import pytest
 from bwsl import autodiff as ad
 from bwsl.errors import DataError, TrainingDivergedError
 from bwsl.features import PreparedPanel
-from bwsl.market import SynthConfig, synth_market
+from bwsl.market import SynthConfig, substream, synth_market
 from bwsl.metrics import sharpe
 from bwsl.policy import PARAM_ORDER, PolicyParams, WinnerScores
 from bwsl.portfolio import generate
@@ -133,6 +133,13 @@ def test_market_threshold_flags_cancelling_market():
     panel2 = panel_from_closes(closes)
     h0, degenerate = market_threshold(panel2, panel2.start + 3, 3, 0.0, 0.0, k=2)
     assert degenerate and h0 == 0.0
+
+
+@pytest.mark.parametrize("t", [-1, 1])
+def test_market_threshold_needs_at_least_two_periods(panel, t):
+    # t = -1 used to fail with NumPy's bare ValueError
+    with pytest.raises(DataError, match="market_threshold: t must be at least 2"):
+        market_threshold(panel, panel.start + 6, t, 0.0, 0.0, k=4)
 
 
 def test_batch_gradient_zero_advantage_is_zero(panel, params):
@@ -307,11 +314,13 @@ def test_train_config_keeps_zero_leg_size_and_zero_clip():
         lambda panel: TrainConfig(n=True),
         lambda panel: PreparedPanel(panel, True),
         lambda panel: TrainConfig(g=False),
+        lambda panel: market_threshold(panel, panel.start + 6, 2.5, 0.0, 0.0, k=4),
+        lambda panel: market_threshold(panel, panel.start + 6, True, 0.0, 0.0, k=4),
     ],
     ids=[
         "leg_size", "quantization_step", "hidden_width", "look_back",
         "train_g", "train_t", "train_n", "train_epochs", "train_k",
-        "train_n_bool", "look_back_bool", "train_g_bool",
+        "train_n_bool", "look_back_bool", "train_g_bool", "threshold_t", "threshold_t_bool",
     ],
 )
 def test_fractional_whole_number_setting_raises_data_error(panel, build):
@@ -322,7 +331,33 @@ def test_fractional_whole_number_setting_raises_data_error(panel, build):
 
 
 def test_whole_float_settings_are_kept_as_ints(panel):
-    cfg = TrainConfig(t=3.0, n=np.int64(2), epochs=1.0, k=4.0, g=2.0)
-    assert [type(v) for v in (cfg.t, cfg.n, cfg.epochs, cfg.k, cfg.g)] == [int] * 5
+    cfg = TrainConfig(t=3.0, n=np.int64(2), epochs=1.0, k=4.0, g=2.0, seed=np.float64(2.0))
+    assert [type(v) for v in (cfg.t, cfg.n, cfg.epochs, cfg.k, cfg.g, cfg.seed)] == [int] * 6
+    t0 = panel.start + 6
+    whole = market_threshold(panel, t0, 3.0, 0.0, 0.0, k=4)
+    assert whole == market_threshold(panel, t0, 3, 0.0, 0.0, k=4)
+    a, b = PolicyParams.init(np.float64(2.0)), PolicyParams.init(2)
+    assert all(a[n].data.tobytes() == b[n].data.tobytes() for n in PARAM_ORDER)
     assert PreparedPanel(panel, 4.0).k == 4 and PolicyParams.init(0, q=2.0).q == 2
     assert PolicyParams.init(0, hidden=6.0, embed=np.int64(4))["wq"].shape == (6, 6)
+
+
+@pytest.mark.parametrize(
+    "seed", [1.5, np.float64(2.5), True, -1], ids=["fraction", "np_fraction", "bool", "negative"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: SynthConfig(8, 30, seed=seed),
+        lambda seed: TrainConfig(seed=seed),
+        lambda seed: PolicyParams.init(seed),
+        lambda seed: substream(seed, "init"),
+    ],
+    ids=["synth", "train", "init", "substream"],
+)
+def test_every_seed_is_read_as_a_whole_number(build, seed):
+    # 1.5 used to be read as seed 1 by the configs and True as seed 1
+    # everywhere; PolicyParams.init(1.5) failed with a bare AttributeError
+    # and -1 with NumPy's bare ValueError
+    with pytest.raises(DataError, match="seed must be"):
+        build(seed)
