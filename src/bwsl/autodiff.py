@@ -10,8 +10,10 @@ same tape are bitwise identical.
 The primitives are the set the scoring network's primitive reference in
 :mod:`policy` and the interpretation pass use: add, mul, matmul,
 transpose, reshape, concatenate, basic slicing, take (row gather), tanh,
-sigmoid, softmax and sum. Every exposed operation checks its output for finiteness
-and raises :class:`NonFiniteError` otherwise.
+sigmoid, softmax and sum; the plain-array :func:`logistic` and
+:func:`normalized_exp` give sigmoid and softmax values to them and to the
+hand-written layers alike. Every exposed operation checks its output for
+finiteness and raises :class:`NonFiniteError` otherwise.
 
 :func:`emit` is the one way to record an operation: each primitive calls
 it, and so may a caller that computes a whole layer in NumPy and writes
@@ -47,6 +49,7 @@ __all__ = [
     "emit",
     "recording",
     "logistic",
+    "normalized_exp",
     "add",
     "mul",
     "matmul",
@@ -465,6 +468,12 @@ def logistic(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def normalized_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax of a plain array along ``axis``: exp(x - max) over its sum."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     y = logistic(a.data)
@@ -475,10 +484,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeError("softmax: operand must have at least one axis")
-    x = a.data
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = normalized_exp(a.data, axis)
 
     def vjp(g, y=y, axis=axis):
         return y * (g - np.sum(g * y, axis=axis, keepdims=True))

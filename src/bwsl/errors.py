@@ -1,7 +1,8 @@
-"""Exception hierarchy shared across the package, and the one check for
-whole-number settings."""
+"""Exception hierarchy shared across the package, and the one check each
+for whole-number and real-number settings."""
 
 import numbers
+import sys
 
 
 class BwslError(Exception):
@@ -63,3 +64,16 @@ def whole_number(value, what: str, minimum: int | None) -> int:
     if minimum is not None and value < minimum:
         raise DataError(f"{what} must be at least {minimum}, got {value!r}")
     return int(value)
+
+
+def real_number(value, what: str, minimum: float | None = None) -> float:
+    """``value`` as a float: a finite real number, not a bool, and at least
+    ``minimum``, when one is given; DataError naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataError(f"{what} must be a real number, got {value!r}")
+    # false for NaN, infinities and ints too large for a float alike
+    if not abs(value) <= sys.float_info.max:
+        raise DataError(f"{what} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DataError(f"{what} must be at least {minimum}, got {value!r}")
+    return float(value)

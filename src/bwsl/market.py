@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, whole_number
+from .errors import DataError, real_number, whole_number
 
 CSV_FIELDS = ("stock_id", "period", "close", "vol", "volume", "mcap", "pe", "bm", "div")
 CSV_HEADER = ",".join(CSV_FIELDS)
@@ -64,41 +64,43 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, tag])))
 
 
+def _bar_fault(bars: np.ndarray) -> str | None:
+    """The first rule that ``bars`` break, or None. ``bars`` holds one bar's
+    numeric fields in CSV order, or one row of bars per field: every value
+    is finite, close and mcap are positive, vol and volume non-negative."""
+    if not np.isfinite(bars).all():
+        return "non-finite value"
+    close, vol, volume, mcap = bars[:4]
+    broken = {"non-positive close": close <= 0, "negative vol": vol < 0,
+              "negative volume": volume < 0, "non-positive mcap": mcap <= 0}
+    return next((fault for fault, test in broken.items() if np.any(test)), None)
+
+
 class MarketPanel:
     """Immutable per-stock, per-month panel on a contiguous month axis."""
 
     def __init__(self, stock_ids, start: int, values: dict, mask: np.ndarray):
         self.stock_ids = tuple(str(s) for s in stock_ids)
-        self.start = int(start)
+        self.start = whole_number(start, "panel: start", None)
         self.mask = np.asarray(mask, dtype=bool)
-        n_stocks, n_periods = self.mask.shape
-        if len(self.stock_ids) != n_stocks:
-            raise DataError("panel: mask rows do not match stock ids")
+        if self.mask.ndim != 2 or len(self.stock_ids) != self.mask.shape[0]:
+            raise DataError(f"panel: mask rows do not match stock ids, mask shape {self.mask.shape}")
         self._values = {}
         for name in _NUMERIC_FIELDS:
-            arr = np.asarray(values[name], dtype=np.float64)
+            # a missing field reads as a 0-d NaN, so its shape is reported
+            arr = np.asarray(values.get(name), dtype=np.float64)
             if arr.shape != self.mask.shape:
                 raise DataError(f"panel: field {name} has shape {arr.shape}")
             self._values[name] = arr
         self._index = {s: i for i, s in enumerate(self.stock_ids)}
-        self._validate()
+        if len(self._index) != len(self.stock_ids):
+            raise DataError("panel: duplicate stock id")
+        fault = _bar_fault(np.stack([self._values[f][self.mask] for f in _NUMERIC_FIELDS]))
+        if fault:
+            raise DataError(f"panel: {fault} in a present bar")
         for arr in self._values.values():
             arr.flags.writeable = False
         self.mask.flags.writeable = False
-
-    def _validate(self) -> None:
-        m = self.mask
-        bad = ~np.isfinite(np.stack([self._values[f] for f in _NUMERIC_FIELDS]))
-        if np.any(bad[:, m]):
-            raise DataError("panel: non-finite value in a present bar")
-        if np.any(self._values["close"][m] <= 0):
-            raise DataError("panel: non-positive close in a present bar")
-        if np.any(self._values["vol"][m] < 0):
-            raise DataError("panel: negative vol in a present bar")
-        if np.any(self._values["volume"][m] < 0):
-            raise DataError("panel: negative volume in a present bar")
-        if np.any(self._values["mcap"][m] <= 0):
-            raise DataError("panel: non-positive mcap in a present bar")
 
     @property
     def n_stocks(self) -> int:
@@ -138,7 +140,7 @@ def load_panel(path) -> MarketPanel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read {path}: {e}") from None
     if not lines or lines[0].strip() != CSV_HEADER:
         raise DataError(f"{path}: missing or wrong header, expected '{CSV_HEADER}'")
@@ -160,15 +162,9 @@ def load_panel(path) -> MarketPanel:
             nums = [float(p) for p in parts[2:]]
         except ValueError:
             raise DataError(f"{path}:{lineno}: unparsable number") from None
-        if not all(np.isfinite(nums)):
-            raise DataError(f"{path}:{lineno}: non-finite value")
-        close, vol, volume, mcap = nums[0], nums[1], nums[2], nums[3]
-        if close <= 0:
-            raise DataError(f"{path}:{lineno}: close must be positive")
-        if vol < 0 or volume < 0:
-            raise DataError(f"{path}:{lineno}: vol and volume must be non-negative")
-        if mcap <= 0:
-            raise DataError(f"{path}:{lineno}: mcap must be positive")
+        fault = _bar_fault(np.array(nums))
+        if fault:
+            raise DataError(f"{path}:{lineno}: {fault}")
         key = (stock_id, period)
         if key in records:
             raise DataError(
@@ -224,13 +220,20 @@ class SynthConfig:
     start: int = parse_month("2000-01")
 
     def __post_init__(self):
-        # sizes and the seed are stored as ints, so 30.0 becomes 30
+        # sizes and the seed are stored as ints (30.0 becomes 30), the knobs as floats
         for name, minimum in (("num_stocks", 4), ("num_periods", 26), ("sub_steps", 2), ("seed", 0)):
             value = whole_number(getattr(self, name), f"synth: {name}", minimum)
             object.__setattr__(self, name, value)
-        lo, hi = self.vol_range
+        # a negative reversion would make the idiosyncratic term explode
+        for name, minimum in (("momentum", None), ("reversion", 0)):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"synth: {name}", minimum))
+        try:
+            lo, hi = (real_number(v, "synth: vol_range") for v in self.vol_range)
+        except (TypeError, ValueError):  # not iterable, or not two entries
+            raise DataError(f"synth: need a (lo, hi) vol_range, got {self.vol_range!r}") from None
         if not (0 < lo <= hi):
             raise DataError("synth: vol_range must satisfy 0 < lo <= hi")
+        object.__setattr__(self, "vol_range", (lo, hi))
 
 
 def synth_market(cfg: SynthConfig) -> MarketPanel:

@@ -12,6 +12,10 @@ series of fewer than 2 returns is flagged ``short_series`` and one of zero
 volatility ``zero_volatility`` (AVOL 0, ASR and DDR NaN); otherwise
 MDD = 0 makes CR +inf with flag ``no_drawdown``, and no negative returns
 make DDR +inf with flag ``no_downside``.
+
+Input rule: a series (returns, or wealth for :func:`max_drawdown`) is a
+1-d array of finite floats and theta and tc are finite real numbers;
+anything else raises :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, RuinError, ZeroVolatilityError, whole_number
+from .errors import DataError, RuinError, ZeroVolatilityError, real_number, whole_number
 
 CSV_COLUMNS = (
     "n_periods",
@@ -40,18 +44,15 @@ CSV_COLUMNS = (
 )
 
 
-def _finite_returns(returns, who: str) -> np.ndarray:
-    r = np.asarray(returns, dtype=float)
+def _series(values, who: str) -> np.ndarray:
+    """``values`` as a float array; DataError naming ``who`` unless it is
+    1-d and finite."""
+    r = np.asarray(values, dtype=float)
+    if r.ndim != 1:
+        raise DataError(f"{who} must be a 1-d series, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
-        raise DataError(f"{who}: non-finite returns")
+        raise DataError(f"{who} must be finite, got a non-finite value")
     return r
-
-
-def _finite_settings(who: str, **settings: float) -> None:
-    """DataError naming ``who`` unless every setting (theta, tc) is finite."""
-    for name, value in settings.items():
-        if not math.isfinite(value):
-            raise DataError(f"{who}: {name} must be finite, got {value!r}")
 
 
 def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
@@ -67,9 +68,9 @@ def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
 
 def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     """Mean excess return (net of tc) per unit of return volatility."""
-    r = _finite_returns(returns, "sharpe")
-    _finite_settings("sharpe", theta=theta, tc=tc)
-    if r.ndim != 1 or r.size < 2:
+    r = _series(returns, "sharpe: returns")
+    theta, tc = real_number(theta, "sharpe: theta"), real_number(tc, "sharpe: tc")
+    if r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
     a, v = _mean_and_vol(r, tc)
     if v == 0.0:
@@ -79,8 +80,8 @@ def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
 
 def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
     """Wealth series of length T+1 starting at 1: prod of (R_t + 1 - tc)."""
-    _finite_settings("wealth", tc=tc)
-    r = np.asarray(returns, dtype=float)
+    r = _series(returns, "wealth: returns")
+    tc = real_number(tc, "wealth: tc")
     factors = r + 1.0 - tc
     if np.any(factors <= 0):
         t = int(np.argmax(factors <= 0))
@@ -93,7 +94,7 @@ def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
 
 def max_drawdown(wealth) -> float:
     """Largest peak-to-trough fraction lost, via a running-peak pass."""
-    w = np.asarray(wealth, dtype=float)
+    w = _series(wealth, "max_drawdown: wealth")
     if np.any(w <= 0):
         raise DataError("max_drawdown: wealth must be positive")
     if w.size < 2:
@@ -131,37 +132,23 @@ class PerformanceReport:
     def final_wealth(self) -> float:
         return float(self.wealth[-1])
 
+    @property
+    def n_periods(self) -> int:
+        return int(self.returns.size)
+
     def to_kv(self) -> str:
         """Flat key=value text block."""
-        lines = []
-        for key in CSV_COLUMNS:
-            lines.append(f"{key}={self._format(key)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key}={self._format(key)}\n" for key in CSV_COLUMNS)
 
     def to_csv_row(self) -> str:
         """One CSV row in CSV_COLUMNS order (flags joined by ';')."""
         return ",".join(self._format(key) for key in CSV_COLUMNS)
 
     def _format(self, key: str) -> str:
-        if key == "n_periods":
-            return str(int(self.returns.size))
+        value = getattr(self, key)
         if key == "flags":
-            return ";".join(self.flags)
-        if key == "periods_per_year":
-            return str(int(self.periods_per_year))
-        value = {
-            "apr": self.apr,
-            "avol": self.avol,
-            "asr": self.asr,
-            "sharpe": self.sharpe,
-            "mdd": self.mdd,
-            "cr": self.cr,
-            "ddr": self.ddr,
-            "final_wealth": self.final_wealth,
-            "theta": self.theta,
-            "tc": self.tc,
-        }[key]
-        return repr(float(value))
+            return ";".join(value)
+        return str(int(value)) if key in ("n_periods", "periods_per_year") else repr(float(value))
 
 
 def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
@@ -172,11 +159,9 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
     are NaN, and APR (NaN when empty), MDD, CR and the wealth series are
     kept. DataError for non-finite returns, theta or tc, a series that is
     not 1-d, and a periods_per_year that is not a positive whole number."""
-    r = _finite_returns(returns, "report")
-    _finite_settings("report", theta=theta, tc=tc)
+    r = _series(returns, "report: returns")
+    theta, tc = real_number(theta, "report: theta"), real_number(tc, "report: tc")
     ny = whole_number(periods_per_year, "report: periods_per_year", 1)
-    if r.ndim != 1:
-        raise DataError(f"report: returns must be a 1-d series, got shape {r.shape}")
     wealth = cumulative_wealth(r, tc)
     mdd = max_drawdown(wealth)
     a, v = _mean_and_vol(r, tc)
@@ -200,8 +185,8 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
         mdd=mdd,
         cr=cr,
         ddr=ddr,
-        theta=float(theta),
-        tc=float(tc),
+        theta=theta,
+        tc=tc,
         periods_per_year=ny,
         flags=tuple(flags),
     )

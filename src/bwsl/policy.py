@@ -324,10 +324,7 @@ def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
 def _caan_terms(rep: Tensor, ranks: np.ndarray, params: PolicyParams):
     """Query, key, value, rank prior psi and attention A = softmax(psi * QK'/sqrt(H)),
     each (I, H) or (I, I); recorded on the active tape like any other op."""
-    if rep.ndim != 2 or rep.shape[0] < 2:
-        raise ShapeError("caan: need representations for at least 2 stocks")
-    if len(ranks) != rep.shape[0]:
-        raise ShapeError("caan: ranks misaligned with representations")
+    _, ranks = _score_inputs(rep.data, ranks, params)
     h_dim = params.hidden
     query = rep @ params["wq"]
     key = rep @ params["wk"]
@@ -462,8 +459,7 @@ def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
     u += p["att_w2"].T @ states[-1]
     np.tanh(u, out=u)
     scores = p["att_w"] @ u
-    e = np.exp(scores - scores.max(axis=0))
-    weights = e / e.sum(axis=0)
+    weights = ad.normalized_exp(scores, axis=0)
     rep = weights[0] * states[0]
     for k in range(1, k_steps):
         rep += weights[k] * states[k]

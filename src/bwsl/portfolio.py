@@ -75,21 +75,12 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
     return long_idx, short_idx
 
 
-def _leg_softmax(values: np.ndarray) -> np.ndarray:
-    e = np.exp(values - values.max())
-    return e / e.sum()
-
-
 def generate(scores: WinnerScores, g: int, mode: str = LONG_SHORT) -> PortfolioPair:
     """Build the portfolio pair for one holding period."""
     values = np.asarray(scores.values, dtype=float)
     long_idx, short_idx = select_legs(values, scores.stock_ids, g, mode)
-    b_plus = _leg_softmax(values[list(long_idx)])
-    b_minus = (
-        _leg_softmax(1.0 - values[list(short_idx)])
-        if short_idx
-        else np.zeros(0)
-    )
+    b_plus = ad.normalized_exp(values[list(long_idx)])
+    b_minus = ad.normalized_exp(1.0 - values[list(short_idx)]) if short_idx else np.zeros(0)
     b_c = np.zeros(len(values))
     b_c[list(long_idx)] = b_plus
     b_c[list(short_idx)] = b_minus

@@ -36,14 +36,13 @@ needed, read once per prepared panel however many starts overlap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import (
-    DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError, whole_number,
+    DataError, NonFiniteError, TrainingDivergedError, ZeroVolatilityError, real_number, whole_number,
 )
 from .features import PreparedPanel
 from .market import format_month, substream
@@ -74,17 +73,12 @@ class TrainConfig:
         for name, minimum in (("t", 2), ("n", 1), ("epochs", 1), ("k", 1), ("g", 0), ("seed", 0)):
             value = whole_number(getattr(self, name), f"train: {name}", minimum)
             object.__setattr__(self, name, value)
-        for name in ("eta", "clip", "theta", "tc"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"train: {name} must be finite")
-        # eta == 0 is allowed as an explicit no-op update
-        if self.eta < 0:
-            raise DataError("train: eta must be non-negative")
-        # clip == 0 turns clipping off
-        if self.clip < 0:
-            raise DataError("train: clip must be non-negative")
+        # stored as floats; eta == 0 is a no-op update and clip == 0 turns clipping off
+        for name, minimum in (("eta", 0), ("clip", 0), ("theta", None), ("tc", None)):
+            value = real_number(getattr(self, name), f"train: {name}", minimum)
+            object.__setattr__(self, name, value)
         if self.mode not in MODES:
-            raise DataError(f"train: unknown mode {self.mode!r}")
+            raise DataError(f"train: mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -300,6 +300,14 @@ def test_prepared_panel_forward_ratios_and_delisting_substitution():
     assert events == [("S1", "missing_next_close")]
 
 
+def test_prepared_panel_has_no_windows_before_a_full_look_back_and_no_ratios_after_the_end():
+    prep = PreparedPanel(panel_from_closes(np.cumprod(np.full((3, 6), 1.01), axis=1)), k=2)
+    assert prep.windows(START) is None and prep.windows(START + 1) is None
+    assert len(prep.windows(START + 2)) == 3
+    with pytest.raises(DataError, match=f"no close after {format_month(START + 5)}"):
+        prep.forward_ratios(START + 5, ("S0", "S1"))
+
+
 def test_forward_ratios_rejects_stock_without_bar_at_t():
     closes = np.array([[1.0, 1.1, 1.2, 1.3, 1.4], [1.0, 1.2, 1.4, 1.6, 0.4]])
     mask = np.ones((2, 5), dtype=bool)

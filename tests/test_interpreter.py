@@ -12,6 +12,7 @@ from bwsl.features import FEATURE_NAMES, PreparedPanel
 from bwsl.interpret import SensitivityReport, average_sensitivity, input_sensitivity
 from bwsl.market import SynthConfig, format_month, synth_market
 from bwsl.policy import PolicyParams, encode, policy_forward
+from test_features import panel_from_closes
 
 
 def small_params(seed=0):
@@ -99,6 +100,24 @@ def test_sensitivity_matches_finite_differences(case):
         err = abs(sens[k, f] - central) / max(1.0, abs(sens[k, f]))
         worst = max(worst, err)
     assert worst <= 1e-4
+
+
+def test_average_sensitivity_skips_a_decision_time_with_one_eligible_stock():
+    # 3 stocks, 12 months, k=2: only S0 has a bar in the last month, so the
+    # last decision time keeps a single eligible stock and has no windows
+    closes = np.cumprod(np.random.default_rng(21).uniform(0.9, 1.1, size=(3, 12)), axis=1)
+    mask = np.ones((3, 12), dtype=bool)
+    mask[1:, 11] = False
+    prep = PreparedPanel(panel_from_closes(closes, mask=mask), k=2)
+    last = prep.panel.end
+    assert prep.windows(last) is None and len(prep.windows(last - 1)) == 3
+    params = small_params(9)
+    every = average_sensitivity(prep, params, k=2)
+    before = average_sensitivity(prep, params, end=last - 1, k=2)
+    assert every.samples == before.samples == 3 * 9
+    assert every.delta_bar.tobytes() == before.delta_bar.tobytes()
+    with pytest.raises(DataError, match="no valid decision time in range"):
+        average_sensitivity(prep, params, start=last, k=2)
 
 
 def test_lag_orientation_most_recent_row_is_last(case):

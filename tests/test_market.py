@@ -17,6 +17,7 @@ from bwsl.market import (
     substream,
     synth_market,
 )
+from test_features import START
 
 
 def _write(tmp_path, rows, name="panel.csv"):
@@ -134,6 +135,39 @@ def test_synth_validates_config():
         SynthConfig(num_stocks=8, num_periods=30, vol_range=(0.0, 0.1))
 
 
+@pytest.mark.parametrize(
+    "knobs, message",
+    [
+        ({"momentum": "x"}, "synth: momentum must be a real number, got 'x'"),
+        ({"momentum": True}, "synth: momentum must be a real number, got True"),
+        ({"reversion": float("nan")}, "synth: reversion must be finite, got nan"),
+        ({"reversion": -1.0}, "synth: reversion must be at least 0, got -1.0"),
+        ({"vol_range": (0.02,)}, r"synth: need a \(lo, hi\) vol_range, got"),
+        ({"vol_range": 0.02}, r"synth: need a \(lo, hi\) vol_range, got"),
+        ({"vol_range": (0.02, "0.08")}, "synth: vol_range must be a real number"),
+        ({"vol_range": (0.08, 0.02)}, "synth: vol_range must satisfy 0 < lo <= hi"),
+    ],
+    ids=["momentum_str", "momentum_bool", "reversion_nan", "reversion_negative", "short_pair",
+         "scalar", "str_hi", "reversed"],
+)
+def test_synth_knobs_that_are_not_finite_reals_raise_data_error(knobs, message):
+    # momentum="x" used to fail with a bare UFuncTypeError in the generator,
+    # reversion=nan with a misleading "panel: non-finite value", and a
+    # one-entry vol_range with a bare ValueError; a negative reversion
+    # overflowed the generator
+    with pytest.raises(DataError, match=message):
+        SynthConfig(num_stocks=8, num_periods=30, **knobs)
+
+
+def test_synth_knobs_are_kept_as_floats():
+    cfg = SynthConfig(4, 30, momentum=2, reversion=np.float64(0.5), vol_range=[1, 2], seed=2)
+    knobs = (cfg.momentum, cfg.reversion, *cfg.vol_range)
+    assert [type(v) for v in knobs] == [float] * 4 and cfg.vol_range == (1.0, 2.0)
+    floats = SynthConfig(4, 30, momentum=2.0, reversion=0.5, vol_range=(1.0, 2.0), seed=2)
+    closes = [synth_market(c).field("close").tobytes() for c in (cfg, floats)]
+    assert closes[0] == closes[1]
+
+
 def test_substream_is_deterministic_and_named():
     a = substream(7, "data").standard_normal(4)
     b = substream(7, "data").standard_normal(4)
@@ -243,3 +277,119 @@ def test_panel_arrays_are_read_only():
     panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=2))
     with pytest.raises(ValueError):
         panel.field("close")[0, 0] = 1.0
+
+
+def _bars(**bad):
+    """The fields of a 2-stock, 3-month panel, with ``bad`` values written
+    into stock 1's bar at month 1."""
+    good = dict(close=10.0, vol=0.5, volume=1e3, mcap=1e6, pe=12.0, bm=0.4, div=0.1)
+    fields = {name: np.full((2, 3), value) for name, value in good.items()}
+    for name, value in bad.items():
+        fields[name][1, 1] = value
+    return fields
+
+
+def _two_stock_panel(fields=None, ids=("A", "B"), mask=None, start=START):
+    mask = np.ones((2, 3), bool) if mask is None else mask
+    return MarketPanel(ids, start, _bars() if fields is None else fields, mask)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _two_stock_panel(ids=("A",)), "mask rows do not match stock ids"),
+        (lambda: _two_stock_panel(mask=np.ones(3, bool)), "mask rows do not match stock ids"),
+        (lambda: _two_stock_panel(ids=("A", "A")), "duplicate stock id"),
+        (lambda: _two_stock_panel(start=START + 0.5), "start must be a whole number"),
+        (lambda: _two_stock_panel({**_bars(), "vol": np.ones(6)}), r"field vol has shape \(6,\)"),
+        (lambda: _two_stock_panel(_bars(pe=np.nan)), "non-finite value in a present bar"),
+        (lambda: _two_stock_panel(_bars(close=0.0)), "non-positive close in a present bar"),
+        (lambda: _two_stock_panel(_bars(vol=-0.1)), "negative vol in a present bar"),
+        (lambda: _two_stock_panel(_bars(volume=-1.0)), "negative volume in a present bar"),
+        (lambda: _two_stock_panel(_bars(mcap=0.0)), "non-positive mcap in a present bar"),
+    ],
+    ids=["id_count", "flat_mask", "duplicate_id", "fractional_start", "field_shape", "non_finite",
+         "close", "vol", "volume", "mcap"],
+)
+def test_market_panel_rejects_inconsistent_fields_and_bad_bars(build, message):
+    # a 1-d mask used to fail with a bare ValueError, a repeated id was
+    # accepted (stock_index found its last row), and a fractional start was
+    # truncated
+    with pytest.raises(DataError, match=f"panel: {message}"):
+        build()
+
+
+def test_market_panel_rejects_a_missing_field():
+    # used to fail with a bare KeyError
+    fields = _bars()
+    del fields["div"]
+    with pytest.raises(DataError, match=r"panel: field div has shape \(\)"):
+        _two_stock_panel(fields)
+
+
+def test_market_panel_accepts_any_value_in_an_absent_bar():
+    mask = np.ones((2, 3), bool)
+    mask[1, 1] = False
+    panel = _two_stock_panel(_bars(close=np.nan, vol=-1.0, volume=-1.0, mcap=0.0), mask=mask)
+    assert not panel.mask[1, 1]
+
+
+@pytest.mark.parametrize(
+    "look_up, message",
+    [
+        (lambda panel: panel.index_of(START - 1), "period 1999-12 outside the panel axis"),
+        (lambda panel: panel.index_of("2000-04"), "period 2000-04 outside the panel axis"),
+        (lambda panel: panel.stock_index("C"), "unknown stock 'C'"),
+    ],
+    ids=["before_start", "after_end", "unknown_stock"],
+)
+def test_panel_look_ups_outside_the_panel_raise_data_error(look_up, message):
+    with pytest.raises(DataError, match=message):
+        look_up(_two_stock_panel())
+
+
+def _file(content):
+    """A writer of ``content`` (str or bytes) to panel.csv in a directory."""
+    def write(tmp_path):
+        path = tmp_path / "panel.csv"
+        (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+        return path
+    return write
+
+
+def _rows(*rows):
+    return _file("\n".join((CSV_HEADER,) + rows) + "\n")
+
+
+_GOOD = _row("A", "2001-01", 10.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda tmp_path: tmp_path / "absent.csv", "cannot read"),
+        (lambda tmp_path: tmp_path, "cannot read"),
+        (_file(CSV_HEADER.encode() + b"\nA,2001-01,\xff\n"), "cannot read"),
+        (_file(""), "missing or wrong header"),
+        (_file("id,period\n" + _GOOD + "\n"), "missing or wrong header"),
+        (_rows(_row(" ", "2001-01", 10.0)), ":2: empty stock_id"),
+        (_rows(_row("A", "2001-13", 10.0)), ":2: bad period '2001-13'"),
+        (_rows(_row("A", "2001-01", "ten")), ":2: unparsable number"),
+        (_rows(_GOOD, _row("A", "2001-02", "nan")), ":3: non-finite value"),
+        (_rows(_row("A", "2001-01", 10.0, pe="inf")), ":2: non-finite value"),
+        (_rows(_row("A", "2001-01", 10.0, vol=-0.5)), ":2: negative vol"),
+        (_rows(_row("A", "2001-01", 10.0, volume=-1)), ":2: negative volume"),
+        (_rows(_row("A", "2001-01", 10.0, mcap=0)), ":2: non-positive mcap"),
+        (_rows(), "no data rows"),
+        (_rows("", "  "), "no data rows"),
+    ],
+    ids=[
+        "missing_file", "directory", "not_utf8", "empty_file", "wrong_header", "empty_id",
+        "bad_period", "unparsable", "nan_close", "inf_pe", "negative_vol", "negative_volume",
+        "zero_mcap", "no_rows", "blank_rows",
+    ],
+)
+def test_load_panel_rejects_unreadable_or_malformed_files(tmp_path, make, message):
+    # a file that is not UTF-8 used to fail with a bare UnicodeDecodeError
+    with pytest.raises(DataError, match=message):
+        load_panel(make(tmp_path))

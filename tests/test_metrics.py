@@ -179,25 +179,46 @@ def test_report_or_degenerate_propagates_a_wrong_rank():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("fn", [sharpe, report_or_degenerate])
+@pytest.mark.parametrize("fn", [sharpe, report_or_degenerate, cumulative_wealth, max_drawdown])
 def test_non_finite_returns_raise_data_error(fn, bad):
+    # cumulative_wealth and max_drawdown used to return NaN or infinite
+    # results with no error
     with pytest.raises(DataError, match="non-finite"):
         fn([bad, 0.1, 0.2])
 
 
+@pytest.mark.parametrize("fn", [sharpe, cumulative_wealth, max_drawdown])
+def test_every_series_that_is_not_1d_raises_data_error(fn):
+    # cumulative_wealth used to build a 5-point wealth series of the
+    # flattened matrix, and max_drawdown to read it as one series
+    with pytest.raises(DataError, match=r"must be a 1-d series, got shape \(2, 2\)"):
+        fn(np.array([[0.1, 0.2], [0.0, 0.1]]))
+
+
+_SETTING_CALLS = [
+    lambda bad: sharpe([0.1, -0.05, 0.02], theta=bad),
+    lambda bad: sharpe([0.1, -0.05, 0.02], tc=bad),
+    lambda bad: cumulative_wealth([0.1, -0.05, 0.02], tc=bad),
+    lambda bad: report_or_degenerate([0.1, -0.05, 0.02], theta=bad),
+    lambda bad: report_or_degenerate([0.1, -0.05, 0.02], tc=bad),
+]
+_SETTING_IDS = ["sharpe_theta", "sharpe_tc", "wealth_tc", "report_theta", "report_tc"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda bad: sharpe([0.1, -0.05, 0.02], theta=bad),
-        lambda bad: sharpe([0.1, -0.05, 0.02], tc=bad),
-        lambda bad: cumulative_wealth([0.1, -0.05, 0.02], tc=bad),
-        lambda bad: report_or_degenerate([0.1, -0.05, 0.02], theta=bad),
-        lambda bad: report_or_degenerate([0.1, -0.05, 0.02], tc=bad),
-    ],
-    ids=["sharpe_theta", "sharpe_tc", "wealth_tc", "report_theta", "report_tc"],
-)
+@pytest.mark.parametrize("call", _SETTING_CALLS, ids=_SETTING_IDS)
 def test_non_finite_theta_or_tc_raise_data_error(call, bad):
     # each used to return a NaN or infinite result with no error or flag
     with pytest.raises(DataError, match="(theta|tc) must be finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.1", None, True, 10**400], ids=["str", "none", "bool", "huge_int"]
+)
+@pytest.mark.parametrize("call", _SETTING_CALLS, ids=_SETTING_IDS)
+def test_theta_or_tc_that_is_not_a_finite_real_raises_data_error(call, bad):
+    # a str or None used to fail with a bare TypeError, True was read as
+    # 1.0, and an int beyond the float range failed with a bare OverflowError
+    with pytest.raises(DataError, match="(theta|tc) must be (a real number|finite)"):
         call(bad)

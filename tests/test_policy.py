@@ -853,6 +853,59 @@ def _edited_checkpoint(tmp_path, edit):
     return path
 
 
+def _first_tensor(edit):
+    """A checkpoint edit that passes the first tensor line's fields
+    (name, shape, values...) through ``edit``."""
+    return lambda lines: lines[:2] + [" ".join(edit(lines[2].split(" ")))] + lines[3:]
+
+
+def _written(content: bytes):
+    def write(tmp_path):
+        path = tmp_path / "ckpt.txt"
+        path.write_bytes(content)
+        return path
+    return write
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda d: d / "absent.txt", "cannot read checkpoint"),
+        (lambda d: d, "cannot read checkpoint"),
+        (_written(b"bwsl-policy-checkpoint v1\nq=\xff\n"), "cannot read checkpoint"),
+        (_written(b""), "not a policy checkpoint"),
+        (lambda d: _edited_checkpoint(d, lambda lines: ["v1"] + lines[1:]),
+         "not a policy checkpoint"),
+        (lambda d: _edited_checkpoint(d, lambda lines: lines[:1] + lines[2:]),
+         "missing quantization line"),
+        (lambda d: _edited_checkpoint(d, lambda lines: lines[:1]),
+         "missing quantization line"),
+        (lambda d: _edited_checkpoint(d, lambda lines: lines + lines[2:3]),
+         "tensor lstm_wx given twice"),
+        (lambda d: _edited_checkpoint(d, _first_tensor(lambda f: [f[0], "7xA"] + f[2:])),
+         "malformed tensor lstm_wx"),
+        (lambda d: _edited_checkpoint(d, _first_tensor(lambda f: f[:2] + ["zz"] + f[3:])),
+         "malformed tensor lstm_wx"),
+        (lambda d: _edited_checkpoint(d, _first_tensor(lambda f: [f[0], "-7x24"] + f[2:])),
+         "tensor lstm_wx has a negative dimension"),
+        (lambda d: _edited_checkpoint(d, _first_tensor(lambda f: f[:-1])),
+         "tensor lstm_wx has wrong element count"),
+        (lambda d: _edited_checkpoint(d, _first_tensor(lambda f: f[:-1] + ["inf"])),
+         "tensor lstm_wx has non-finite values"),
+        (lambda d: _edited_checkpoint(d, lambda lines: lines[:2] + lines[3:]),
+         r"missing tensors: \['lstm_wx'\]"),
+    ],
+    ids=[
+        "missing_file", "directory", "not_utf8", "empty", "no_magic", "no_q_line", "magic_only",
+        "given_twice", "bad_shape", "bad_value", "negative_dimension", "element_count",
+        "non_finite", "missing_tensor",
+    ],
+)
+def test_checkpoint_unreadable_or_malformed_raises_data_error(tmp_path, make, message):
+    with pytest.raises(DataError, match=message):
+        PolicyParams.load(make(tmp_path))
+
+
 def test_checkpoint_malformed_q_raises_data_error(tmp_path):
     path = _edited_checkpoint(tmp_path, lambda lines: [lines[0], "q=x"] + lines[2:])
     with pytest.raises(DataError, match="quantization"):

@@ -88,6 +88,19 @@ def test_overlapping_legs_rejected():
         generate(scores_of([0.9, 0.1]), g=0)
 
 
+@pytest.mark.parametrize(
+    "mode, g, message",
+    [
+        ("long-long", 1, "unknown portfolio mode 'long-long'"),
+        (LONG_ONLY, 5, "leg size 5 exceeds 4 stocks"),
+    ],
+    ids=["unknown_mode", "long_only_too_wide"],
+)
+def test_select_legs_rejects_an_unknown_mode_or_a_too_wide_long_leg(mode, g, message):
+    with pytest.raises(DataError, match=message):
+        select_legs(np.array([0.9, 0.7, 0.4, 0.1]), ("A", "B", "C", "D"), g, mode)
+
+
 def test_long_only_emits_only_long_leg():
     pair = generate(scores_of([0.9, 0.7, 0.4, 0.1]), g=2, mode=LONG_ONLY)
     assert pair.short_indices == ()

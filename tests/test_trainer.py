@@ -287,6 +287,14 @@ def test_learning_log_csv_format():
         ("theta", float("-inf")),
         ("tc", float("nan")),
         ("tc", float("inf")),
+        # a str used to fail with a bare TypeError and True to be read as 1.0;
+        # the last two cases reach raises no other test reached
+        ("eta", "0.1"),
+        ("clip", True),
+        ("theta", None),
+        pytest.param("tc", 10**400, id="tc-huge_int"),
+        ("eta", -1),
+        ("mode", "x"),
     ],
 )
 def test_train_config_rejects_bad_settings(field, value):

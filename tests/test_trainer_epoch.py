@@ -160,11 +160,22 @@ def thin_month_panel(n_periods, thin_index):
     return panel_from_closes(closes, mask=mask)
 
 
-def test_train_samples_around_a_thin_month():
+def test_train_samples_around_a_thin_month(monkeypatch):
     panel = thin_month_panel(30, 20)
     cfg = TrainConfig(t=3, n=4, epochs=5, eta=1e-3, k=2, seed=0, tc=0.0)
+    picked = []
+
+    def recording(prep, starts, *rest):
+        picked.extend(starts)
+        return epoch_gradient(prep, starts, *rest)
+
+    monkeypatch.setattr(trainer_mod, "epoch_gradient", recording)
     result = train(panel, cfg, small_params(16))
-    assert len(result.log) == cfg.epochs
+    assert len(result.log) == cfg.epochs and len(picked) == cfg.n * cfg.epochs
+    # no sampled trajectory covers a decision time with a single eligible stock
+    thin = {START + i for i in (20, 21, 22)}
+    assert all(PreparedPanel(panel, 2).windows(t) is None for t in thin)
+    assert not thin & {t0 + j for t0 in picked for j in range(cfg.t)}
 
 
 def test_train_without_an_eligible_start_raises():
