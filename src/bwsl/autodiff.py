@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError
+from .errors import DomainError, NonFiniteError, ShapeError, real_array
 
 __all__ = [
     "Tensor",
@@ -96,7 +96,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "tid")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = real_array(data, "tensor")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("tensor: non-finite input values")
         self.data = arr

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package, and the one check each
-for whole-number and real-number settings."""
+for whole-number and real-number settings and for arrays of real numbers."""
 
 import numbers
 import sys
+
+import numpy as np
 
 
 class BwslError(Exception):
@@ -77,3 +79,19 @@ def real_number(value, what: str, minimum: float | None = None) -> float:
     if minimum is not None and value < minimum:
         raise DataError(f"{what} must be at least {minimum}, got {value!r}")
     return float(value)
+
+
+def real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, returned as it is when it already is
+    one. Values whose array has an integer or float dtype, of any width,
+    pass; strings, None, bools, complex numbers, other objects and ragged
+    nesting raise DataError naming ``what``."""
+    if type(values) is np.ndarray and values.dtype == np.float64:
+        return values
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting has no array shape
+        raise DataError(f"{what} must be an array of real numbers, got a ragged nesting") from None
+    if arr.dtype.kind not in "iuf":
+        raise DataError(f"{what} must be an array of real numbers, got {arr.dtype} values")
+    return arr.astype(np.float64, copy=False)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NoEligibleStocksError, whole_number
+from .errors import DataError, NoEligibleStocksError, real_array, whole_number
 from .market import MarketPanel, format_month
 
 FEATURE_NAMES = ("pr", "vol", "tv", "mc", "pe", "bm", "div")
@@ -81,12 +81,13 @@ def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
 
     ``raw`` is (I, ..., F) for I >= 2 stocks: one period's (I, F) or a
     window block's (I, K, F); axis 0 is reduced for every trailing index.
-    A float64 array is overwritten; anything else is converted first.
+    A float64 array is overwritten; other integer or float arrays are
+    converted first, and DataError is raised for anything else.
     Columns with zero cross-sectional variance map to all zeros. DataError,
     naming the feature, when a column holds NaN or infinity or its spread
     overflows: nothing is substituted for it.
     """
-    raw = np.asarray(raw, dtype=np.float64)
+    raw = real_array(raw, "zscore: features")
     if raw.ndim < 2 or raw.shape[0] < 2 or raw.shape[-1] != N_FEATURES:
         raise DataError(f"zscore: need (I, ..., {N_FEATURES}) features of at least 2 stocks")
     n = raw.shape[0]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import DataError, whole_number
+from .errors import DataError, real_array, whole_number
 from .features import FEATURE_NAMES, PreparedPanel
 from .market import format_month
 from .policy import PolicyParams, encode, own_score_grads
@@ -52,7 +52,7 @@ def input_sensitivity(
     computed jointly (the attention couples stocks) but only the stock's
     own window block of the gradient is returned.
     """
-    windows = np.asarray(windows, dtype=float)
+    windows = real_array(windows, "input_sensitivity: windows")
     if windows.ndim != 3:
         raise DataError(f"windows must be (I, K, F), got {windows.shape}")
     i = whole_number(stock_index, "stock index", None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, real_number, whole_number
+from .errors import DataError, real_array, real_number, whole_number
 
 CSV_FIELDS = ("stock_id", "period", "close", "vol", "volume", "mcap", "pe", "bm", "div")
 CSV_HEADER = ",".join(CSV_FIELDS)
@@ -88,7 +88,7 @@ class MarketPanel:
         self._values = {}
         for name in _NUMERIC_FIELDS:
             # a missing field reads as a 0-d NaN, so its shape is reported
-            arr = np.asarray(values.get(name), dtype=np.float64)
+            arr = real_array(values.get(name, np.nan), f"panel: field {name}")
             if arr.shape != self.mask.shape:
                 raise DataError(f"panel: field {name} has shape {arr.shape}")
             self._values[name] = arr

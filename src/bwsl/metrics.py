@@ -2,20 +2,22 @@
 
 Conventions: per-period returns R_t; A = mean(R_t - tc) (flat per-period
 transaction cost), V = population std of R_t, sharpe H = (A - theta)/V.
-Annualization over N_Y periods per year: APR = A*N_Y, AVOL = V*sqrt(N_Y),
-ASR = APR/AVOL. Max drawdown is computed on the cumulative-wealth series
-with a running peak. Downside deviation is the root mean square of
+The objective (:func:`sharpe`) and the report's ``sharpe`` are one H, so
+they agree bitwise. Annualization over N_Y periods per year: APR = A*N_Y,
+AVOL = V*sqrt(N_Y), ASR = APR/AVOL. Max drawdown is computed on the
+cumulative-wealth series with a running peak. Downside deviation is the root mean square of
 min(R_t, 0) over all periods (MAR = 0).
 
 Degenerate denominators in a report are flagged rather than thrown: a
 series of fewer than 2 returns is flagged ``short_series`` and one of zero
-volatility ``zero_volatility`` (AVOL 0, ASR and DDR NaN); otherwise
+volatility ``zero_volatility`` (AVOL 0; sharpe, ASR and DDR NaN); otherwise
 MDD = 0 makes CR +inf with flag ``no_drawdown``, and no negative returns
 make DDR +inf with flag ``no_downside``.
 
 Input rule: a series (returns, or wealth for :func:`max_drawdown`) is a
-1-d array of finite floats and theta and tc are finite real numbers;
-anything else raises :class:`DataError`.
+1-d array of finite real numbers (ints and floats of any width) and
+theta and tc are finite real numbers; anything else, a string or a bool
+among them, raises :class:`DataError`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, RuinError, ZeroVolatilityError, real_number, whole_number
+from .errors import DataError, RuinError, ZeroVolatilityError, real_array, real_number, whole_number
 
 CSV_COLUMNS = (
     "n_periods",
@@ -47,7 +49,7 @@ CSV_COLUMNS = (
 def _series(values, who: str) -> np.ndarray:
     """``values`` as a float array; DataError naming ``who`` unless it is
     1-d and finite."""
-    r = np.asarray(values, dtype=float)
+    r = real_array(values, who)
     if r.ndim != 1:
         raise DataError(f"{who} must be a 1-d series, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
@@ -55,15 +57,15 @@ def _series(values, who: str) -> np.ndarray:
     return r
 
 
-def _mean_and_vol(r: np.ndarray, tc: float) -> tuple[float, float]:
-    """A and V of a 1-d series. A is NaN for an empty series; V is 0.0 at
-    zero volatility: fewer than 2 returns, all equal, or a spread whose
-    variance underflows."""
+def _measures(r: np.ndarray, theta: float, tc: float) -> tuple[float, float, float]:
+    """A, V and H = (A - theta)/V of a 1-d series. A is NaN for an empty
+    series; V is 0.0 and H NaN at zero volatility: fewer than 2 returns,
+    all equal, or a spread whose variance underflows."""
     if r.size == 0:
-        return math.nan, 0.0
+        return math.nan, 0.0, math.nan
     a = float(np.mean(r - tc))
-    v = float(np.std(r))
-    return a, (0.0 if np.ptp(r) == 0.0 else v)
+    v = 0.0 if np.ptp(r) == 0.0 else float(np.std(r))
+    return a, v, ((a - theta) / v if v else math.nan)
 
 
 def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
@@ -72,10 +74,10 @@ def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     theta, tc = real_number(theta, "sharpe: theta"), real_number(tc, "sharpe: tc")
     if r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
-    a, v = _mean_and_vol(r, tc)
+    _, v, h = _measures(r, theta, tc)
     if v == 0.0:
         raise ZeroVolatilityError("sharpe: returns have zero volatility")
-    return (a - theta) / v
+    return h
 
 
 def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
@@ -112,6 +114,7 @@ class PerformanceReport:
     apr: float
     avol: float
     asr: float
+    sharpe: float  # per-period (A - theta)/V, bitwise sharpe()'s; NaN where ASR is
     mdd: float
     cr: float
     ddr: float
@@ -119,14 +122,6 @@ class PerformanceReport:
     tc: float
     periods_per_year: int
     flags: tuple[str, ...] = field(default=())
-
-    @property
-    def sharpe(self) -> float:
-        """Per-period (A - theta)/V implied by the annualized fields."""
-        if self.avol == 0.0 or math.isnan(self.avol):
-            return math.nan
-        ny = self.periods_per_year
-        return (self.apr / ny - self.theta) / (self.avol / math.sqrt(ny))
 
     @property
     def final_wealth(self) -> float:
@@ -156,15 +151,17 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
 
     A series of fewer than 2 returns, or of zero volatility, gets a report
     flagged ``short_series`` or ``zero_volatility``: AVOL is 0, ASR and DDR
-    are NaN, and APR (NaN when empty), MDD, CR and the wealth series are
-    kept. DataError for non-finite returns, theta or tc, a series that is
-    not 1-d, and a periods_per_year that is not a positive whole number."""
+    are NaN, and so is sharpe, which is otherwise :func:`sharpe`'s value;
+    APR (NaN when empty), MDD, CR and the wealth series are kept. DataError
+    for returns that are not a 1-d series of finite real numbers, a
+    non-finite theta or tc, and a periods_per_year that is not a positive
+    whole number."""
     r = _series(returns, "report: returns")
     theta, tc = real_number(theta, "report: theta"), real_number(tc, "report: tc")
     ny = whole_number(periods_per_year, "report: periods_per_year", 1)
     wealth = cumulative_wealth(r, tc)
     mdd = max_drawdown(wealth)
-    a, v = _mean_and_vol(r, tc)
+    a, v, h = _measures(r, theta, tc)
     apr = a * ny
     cr = math.inf if mdd == 0.0 else apr / mdd
     if v == 0.0:
@@ -182,6 +179,7 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
         apr=apr,
         avol=avol,
         asr=asr,
+        sharpe=h,
         mdd=mdd,
         cr=cr,
         ddr=ddr,

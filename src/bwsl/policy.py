@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, NonFiniteError, ShapeError, whole_number
+from .errors import DataError, NonFiniteError, ShapeError, real_array, whole_number
 from .features import N_FEATURES, WindowSet
 
 _CHECKPOINT_MAGIC = "bwsl-policy-checkpoint v1"
@@ -112,6 +112,9 @@ class PolicyParams:
         if missing:
             raise DataError(f"policy params missing tensors: {missing}")
         self._tensors = {n: tensors[n] for n in PARAM_ORDER}
+        plain = [n for n, t in self._tensors.items() if not isinstance(t, Tensor)]
+        if plain:
+            raise DataError(f"policy params: {plain} must be Tensors")
         _check_shapes(self._tensors)
         self.q = whole_number(q, "quantization step q", 1)
 
@@ -140,7 +143,7 @@ class PolicyParams:
                 tensors[name] = rng.uniform(-bound, bound, size=shape)
             else:
                 tensors[name] = np.zeros(shape)
-        tensors["lstm_b"][h : 2 * h] = 1.0
+        tensors["lstm_b"][_gate_blocks(h)[1]] = 1.0
         return cls({n: Tensor(v, requires_grad=True) for n, v in tensors.items()}, q)
 
     def __getitem__(self, name: str) -> Tensor:
@@ -317,32 +320,24 @@ def _rank_ints(ranks) -> np.ndarray:
 def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     """Quantized pairwise rank distance, clamped to the embedding width."""
     ranks = _rank_ints(ranks)
-    d = np.abs(ranks[:, None] - ranks[None, :]) // int(q)
-    return np.minimum(d, l_cols - 1)
-
-
-def _caan_terms(rep: Tensor, ranks: np.ndarray, params: PolicyParams):
-    """Query, key, value, rank prior psi and attention A = softmax(psi * QK'/sqrt(H)),
-    each (I, H) or (I, I); recorded on the active tape like any other op."""
-    _, ranks = _score_inputs(rep.data, ranks, params)
-    h_dim = params.hidden
-    query = rep @ params["wq"]
-    key = rep @ params["wk"]
-    value = rep @ params["wv"]
-    logits = (query @ ad.transpose(key)) * (1.0 / np.sqrt(h_dim))
-    d = rank_distance(ranks, params.q, params.l_cols)
-    prior = ad.sigmoid(params["rank_w"] @ params["rank_emb"])
-    psi = ad.take(prior, d.ravel()).reshape(d.shape)
-    attention = ad.softmax(psi * logits, axis=1)
-    return query, key, value, psi, attention
+    q = whole_number(q, "quantization step q", 1)
+    l_cols = whole_number(l_cols, "rank_distance: l_cols", 1)
+    return np.minimum(np.abs(ranks[:, None] - ranks[None, :]) // q, l_cols - 1)
 
 
 def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor:
-    """Cross-asset attention: each stock attends over all stocks' values,
-    with attention logits scaled by 1/sqrt(H) and multiplied by the rank
-    prior before normalization."""
-    _, _, value, _, attention = _caan_terms(rep, ranks, params)
-    return attention @ value
+    """Cross-asset attention softmax(psi * QK'/sqrt(H)) V: each stock
+    attends over all stocks' values, with its logits multiplied by the rank
+    prior psi before normalization."""
+    _, ranks = _score_inputs(rep.data, ranks, params)
+    query = rep @ params["wq"]
+    key = rep @ params["wk"]
+    value = rep @ params["wv"]
+    logits = (query @ ad.transpose(key)) * (1.0 / np.sqrt(params.hidden))
+    d = rank_distance(ranks, params.q, params.l_cols)
+    prior = ad.sigmoid(params["rank_w"] @ params["rank_emb"])
+    psi = ad.take(prior, d.ravel()).reshape(d.shape)
+    return ad.softmax(psi * logits, axis=1) @ value
 
 
 def winner_scores(attended: Tensor, params: PolicyParams) -> Tensor:
@@ -558,7 +553,7 @@ def encode(windows, params: PolicyParams) -> Tensor:
 def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
     """The (I, H) representations r and the ranks as (I,) integers, checked
     with the shape errors of the primitive composition."""
-    r = np.asarray(r, dtype=np.float64)
+    r = real_array(r, "score: representations")
     ranks = _rank_ints(ranks)
     if r.ndim != 2 or r.shape[0] < 2:
         raise ShapeError("caan: need representations for at least 2 stocks")
@@ -603,10 +598,10 @@ def _psi_blocks(ranks: np.ndarray, table: np.ndarray):
 def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[np.ndarray, tuple]:
     """Forward of :func:`score` on (I, H) representations r, integer ranks
     and the head's arrays ``p``: the (I,) scores and the caches
-    (query, key, value, attended, attention, prior, table) its adjoints
-    read.
+    (query, key, value, attended, attention, prior, table, scale) its
+    adjoints read, scale being the logits' 1/sqrt(H).
 
-    The float operations are those of :func:`_caan_terms` and
+    The float operations are those of :func:`caan_forward` and
     :func:`winner_scores`, in the same order, so the scores are bitwise
     theirs. psi is gathered from ``table``, the prior of each rank distance
     clamped at C = q(L-1), the first distance of the last quantized bin,
@@ -640,7 +635,7 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[n
     head += p["b_score"]
     if not np.isfinite(head).all():
         raise NonFiniteError("score: non-finite head logits")
-    return ad.logistic(head), (query, key, value, attended, attention, prior, table)
+    return ad.logistic(head), (query, key, value, attended, attention, prior, table, scale)
 
 
 def _softmax_adjoint(attention, g, value, ranks, table, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -661,8 +656,7 @@ def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: 
     """Backward of :func:`score` for the cotangent g (I,) of its scores:
     the cotangents of the head logits (I,), of query, key and value
     (I, H) and of the prior logits w'E (L,)."""
-    query, key, value, attended, attention, prior, table = cache
-    scale = 1.0 / np.sqrt(query.shape[1])
+    query, key, value, attended, attention, prior, table, scale = cache
     d_head = g * (s * (1.0 - s))
     d_attended = d_head[:, None] * p["w_score"]
     n, d = _softmax_adjoint(attention, d_attended, value, ranks, table, scale)
@@ -730,9 +724,8 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
     """
     r, ranks = _score_inputs(rep, ranks, params)
     p = {name: params[name].data for name in SCORE_PARAMS}
-    s, (query, key, value, _, attention, _, table) = _score_forward(r, ranks, p, params.q)
+    s, (query, key, value, _, attention, _, table, scale) = _score_forward(r, ranks, p, params.q)
     g = (s * (1.0 - s))[:, None] * p["w_score"]
-    scale = 1.0 / np.sqrt(params.hidden)
     _, d = _softmax_adjoint(attention, g, value, ranks, table, scale)
     return (
         np.diag(attention)[:, None] * (g @ p["wv"].T)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import DataError, MissingReturnError, ShapeError, whole_number
+from .errors import DataError, MissingReturnError, ShapeError, real_array, whole_number
 from .features import descending_order
 from .policy import WinnerScores
 
@@ -59,7 +59,7 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
     if mode not in MODES:
         raise DataError(f"unknown portfolio mode {mode!r}")
     n = len(stock_ids)
-    scores = np.asarray(scores, dtype=float)
+    scores = real_array(scores, "select_legs: scores")
     if scores.shape != (n,):
         raise ShapeError(f"select_legs: {scores.size} scores for {n} stocks")
     if not np.isfinite(scores).all():
@@ -77,7 +77,7 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
 
 def generate(scores: WinnerScores, g: int, mode: str = LONG_SHORT) -> PortfolioPair:
     """Build the portfolio pair for one holding period."""
-    values = np.asarray(scores.values, dtype=float)
+    values = real_array(scores.values, "generate: scores")
     long_idx, short_idx = select_legs(values, scores.stock_ids, g, mode)
     b_plus = ad.normalized_exp(values[list(long_idx)])
     b_minus = ad.normalized_exp(1.0 - values[list(short_idx)]) if short_idx else np.zeros(0)
@@ -125,8 +125,10 @@ def realize_return(pair: PortfolioPair, z: Mapping[str, float]) -> float:
     one; mid-hold delistings are the caller's responsibility
     (``PreparedPanel.forward_ratios`` substitutes them and reports events).
     """
-    given = np.fromiter(z.values(), dtype=float, count=len(z))
-    if not (np.isfinite(given) & (given > 0)).all():
+    if not isinstance(z, Mapping):
+        raise DataError(f"price rising rates must be a mapping by stock id, got {type(z).__name__}")
+    given = real_array(list(z.values()), "price rising rates")
+    if given.ndim != 1 or not (np.isfinite(given) & (given > 0)).all():
         raise DataError("price rising rates must be finite and positive")
 
     def rates(indices) -> np.ndarray:

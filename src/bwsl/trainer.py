@@ -199,6 +199,7 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     """
     if len(starts) != len(thresholds):
         raise DataError("epoch_gradient: one threshold per trajectory required")
+    thresholds = [real_number(h0, "epoch_gradient: threshold") for h0 in thresholds]
     prep = PreparedPanel.of(panel, cfg.k)
     windows = [range(t0, t0 + cfg.t) for t0 in (prep.month(s) for s in starts)]
     steps: dict[int, PeriodStep] = {}
@@ -217,7 +218,7 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     for i, (window, h0) in enumerate(zip(windows, thresholds)):
         held = [steps[t] for t in window]
         sharpes[i], is_flat = _sharpe_or_flat(np.array([s.ret for s in held]), cfg.theta, cfg.tc)
-        advantages[i] = sharpes[i] - float(h0)
+        advantages[i] = sharpes[i] - h0
         flat += is_flat
         score_dev += float(np.mean([s.score_dev for s in held]))
         for t in window:

@@ -173,6 +173,51 @@ def test_matmul_shape_mismatch_names_primitive():
         ad.matmul(a, b)
 
 
+def _finite_only_at(point):
+    """A scalar fn that is finite at ``point`` and NaN at every other input,
+    a value no primitive lets through, so only finite_diff_check can see it."""
+    def fn(t):
+        out = t.sum()
+        if t is not point:
+            out.data = np.array(np.nan)
+        return out
+    return fn
+
+
+_POINT = ad.Tensor([1.0, 2.0], requires_grad=True)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ad.Tensor([1.0, np.nan]), NonFiniteError, "non-finite input"),
+        (lambda: ad.forward(lambda t: t.data, _POINT), TypeError, "must return a Tensor"),
+        (lambda: ad.finite_diff_check(lambda t: t * 2.0, _POINT), ShapeError, "scalar-valued"),
+        (lambda: ad.finite_diff_check(_finite_only_at(_POINT), _POINT), NonFiniteError,
+         "non-finite evaluation"),
+        (lambda: ad.add(np.zeros(2), np.zeros(3)), ShapeError, "^add: "),
+        (lambda: ad.mul(np.zeros(2), np.zeros(3)), ShapeError, "^mul: "),
+        (lambda: ad.matmul(np.zeros((2, 2, 2)), np.zeros((2, 2))), ShapeError, "1-d or 2-d"),
+        (lambda: ad.transpose(np.zeros(3)), ShapeError, "expected a matrix"),
+        (lambda: ad.reshape(np.zeros(6), (4,)), ShapeError, "^reshape: "),
+        (lambda: ad.concatenate([]), ShapeError, "no operands"),
+        (lambda: ad.concatenate([np.zeros((2, 2)), np.zeros((2, 3))]), ShapeError,
+         "^concatenate: "),
+        (lambda: ad.take(1.0, [0]), ShapeError, "at least one axis"),
+        (lambda: _POINT[[0, 1]], TypeError, "only basic indexing"),
+        (lambda: ad.softmax(1.0), ShapeError, "at least one axis"),
+    ],
+    ids=[
+        "non_finite_tensor", "forward_not_a_tensor", "fd_not_scalar", "fd_non_finite", "add",
+        "mul", "matmul_rank", "transpose", "reshape", "concatenate_empty",
+        "concatenate_mismatch", "take_scalar", "fancy_index", "softmax_scalar",
+    ],
+)
+def test_malformed_operands_raise_the_documented_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_finite_diff_linear_function_is_exact():
     w = np.array([0.3, -1.2, 2.0])
     x = ad.Tensor([0.5, 0.25, -1.0], requires_grad=True)

@@ -84,6 +84,20 @@ def test_missing_month_is_masked_exactly_there(tmp_path):
     assert not panel.mask[panel.stock_index("B"), panel.index_of("2001-02")]
 
 
+def test_save_load_roundtrip_keeps_a_missing_bar_missing(tmp_path):
+    rows = [_row("A", f"2001-0{m}", 10 + m) for m in (1, 2, 3)]
+    rows += [_row("B", "2001-01", 20), _row("B", "2001-03", 22)]
+    panel = load_panel(_write(tmp_path, rows))
+    save_panel(panel, tmp_path / "saved.csv")
+    saved = (tmp_path / "saved.csv").read_text(encoding="utf-8").splitlines()
+    assert len(saved) == 1 + len(rows)
+    assert not any(line.startswith("B,2001-02,") for line in saved)
+    again = load_panel(tmp_path / "saved.csv")
+    np.testing.assert_array_equal(again.mask, panel.mask)
+    for name in ("close", "vol", "volume", "mcap", "pe", "bm", "div"):
+        np.testing.assert_array_equal(again.field(name), panel.field(name))
+
+
 def test_save_load_roundtrip_is_byte_identical(tmp_path):
     cfg = SynthConfig(num_stocks=5, num_periods=30, seed=3)
     panel = synth_market(cfg)

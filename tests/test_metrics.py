@@ -68,6 +68,12 @@ def test_mdd_known_case():
     assert max_drawdown([1.0, 1.2, 0.9, 1.5]) == pytest.approx(0.25, abs=1e-15)
 
 
+@pytest.mark.parametrize("low", [0.0, -0.5])
+def test_mdd_rejects_non_positive_wealth(low):
+    with pytest.raises(DataError, match="wealth must be positive"):
+        max_drawdown([1.0, low, 1.2])
+
+
 def test_mdd_single_element():
     assert max_drawdown([1.0]) == 0.0
 
@@ -106,7 +112,21 @@ def test_report_asr_equals_sharpe_scaled():
     r = rng.normal(0.01, 0.05, size=36)
     rep = report_or_degenerate(r, theta=0.0, tc=0.0, periods_per_year=12)
     assert rep.asr == pytest.approx(sharpe(r) * math.sqrt(12), rel=1e-12)
-    assert rep.sharpe == pytest.approx(sharpe(r), rel=1e-12)
+    assert rep.sharpe == sharpe(r)
+
+
+@pytest.mark.parametrize("theta, tc", [(0.0, 0.0), (0.0, 0.001), (0.001, 0.0), (0.001, 0.001)])
+def test_report_sharpe_is_the_objective_bitwise_and_nan_when_flagged(theta, tc):
+    # the report used to work H out again from APR and AVOL, which differed
+    # from sharpe() in the last bits on about a fifth of these series
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        r = rng.normal(0.01, 0.05, size=int(rng.integers(2, 61)))
+        assert report_or_degenerate(r, theta, tc).sharpe == sharpe(r, theta, tc)
+    flagged = (([], "short_series"), ([0.02], "short_series"), ([0.02] * 3, "zero_volatility"))
+    for r, flag in flagged:
+        rep = report_or_degenerate(r, theta, tc)
+        assert rep.flags == (flag,) and math.isnan(rep.sharpe)
 
 
 def test_report_scaling_property():

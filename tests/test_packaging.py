@@ -1,6 +1,7 @@
 """Packaging metadata: every console script names an importable callable,
-no module of the package imports a name it never uses, and every name the
-benchmark looks up in the package exists."""
+no module of the package imports a name it never uses or defines a private
+helper nothing calls, and every name the benchmark looks up in the package
+exists."""
 
 import ast
 import importlib
@@ -41,6 +42,35 @@ def test_src_has_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, f"unused imports: {unused}"
+
+
+def test_src_has_no_unreferenced_private_definitions():
+    # a private function, class or constant, or a private method, that no
+    # code in the package reads is a helper left behind by a refactor
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "bwsl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for node in (n for body in scopes for n in body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unreferenced = [f"{where} {name}" for name, where in defined.items() if name not in referenced]
+    assert not unreferenced, f"private definitions nothing references: {unreferenced}"
 
 
 def _assigned(tree: ast.AST, name: str):

@@ -181,6 +181,20 @@ def test_non_integer_ranks_raise_data_error(ranks):
             fn()
 
 
+@pytest.mark.parametrize(
+    "q, l_cols, message",
+    [(0, 4, "quantization step q must be at least 1"), (1, 0, "l_cols must be at least 1")],
+    ids=["zero_step", "zero_width"],
+)
+def test_rank_distance_rejects_a_step_or_width_below_one(q, l_cols, message):
+    # a zero step divided by zero and, past a warning, returned all zeros;
+    # a zero width clamped every distance to -1, which take reads as the
+    # last prior. The other entry points take q and L from PolicyParams,
+    # which checks both, so only rank_distance is called here
+    with pytest.raises(DataError, match=message):
+        rank_distance([1, 2, 5], q, l_cols)
+
+
 def test_integral_ranks_of_any_dtype_score_alike():
     params = small_params(18)
     rep = Tensor(np.random.default_rng(19).normal(size=(3, params.hidden)))
@@ -933,3 +947,43 @@ def test_checkpoint_inconsistent_shapes_raise_data_error(tmp_path):
     path = _edited_checkpoint(tmp_path, edit)
     with pytest.raises(DataError, match=r"wq has shape \(5, 5\), expected \(6, 6\)"):
         PolicyParams.load(path)
+
+
+def test_checkpoint_blank_lines_are_skipped(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda lines: lines[:3] + ["", "  "] + lines[3:] + [""])
+    loaded, params = PolicyParams.load(path), small_params(32)
+    for name in PARAM_ORDER:
+        assert loaded[name].data.tobytes() == params[name].data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: {n: x.data for n, x in t.items()}, "must be Tensors"),
+        (lambda t: {**t, "lstm_wx": Tensor(np.zeros((7, 25)))},
+         r"lstm_wx \(7, 25\) must be \(F, 4H\)"),
+        (lambda t: {**t, "rank_emb": Tensor(np.zeros(8))}, r"rank_emb \(8,\) must be \(E, L\)"),
+    ],
+    ids=["plain_arrays", "gate_width_not_4h", "one_d_rank_emb"],
+)
+def test_policy_params_reject_plain_arrays_and_unshaped_tensors(edit, message):
+    # plain arrays used to be accepted, and the first forward then failed
+    # with a bare AttributeError
+    params = small_params(60)
+    with pytest.raises(DataError, match=message):
+        PolicyParams(edit(params.tensors()), params.q)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: policy_forward(np.zeros((3, 7)), [1, 2, 3], p), r"windows must be \(I, K, F\)"),
+        (lambda p: lstm_encode(np.zeros((3, 2, 5)), p), "window has 5 features, parameters expect"),
+        (lambda p: history_attention([], p), "no hidden states"),
+        (lambda p: history_attention([Tensor(np.zeros(6))], p), r"states must be \(I, H\)"),
+    ],
+    ids=["two_d_windows", "feature_count", "no_states", "one_d_states"],
+)
+def test_windows_and_states_of_the_wrong_shape_raise_shape_error(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call(small_params(61))

@@ -157,6 +157,18 @@ def test_realize_return_rejects_non_finite_rates(rate):
         realize_return(pair, {"A": 1.1, "B": rate})
 
 
+@pytest.mark.parametrize(
+    "z", [[1.1, 1.0], None, {"A": np.array([1.1]), "B": np.array([1.0])}],
+    ids=["list", "none", "array_values"],
+)
+def test_realize_return_rejects_rates_that_are_not_a_mapping_of_numbers(z):
+    # a list used to fail with a bare AttributeError, arrays as rates with
+    # a bare ValueError
+    pair = generate(scores_of([0.9, 0.1], ids=("A", "B")), g=1)
+    with pytest.raises(DataError, match="price rising rates must be"):
+        realize_return(pair, z)
+
+
 def test_select_legs_descending_with_tail_short():
     long_idx, short_idx = select_legs(
         np.array([0.2, 0.9, 0.5, 0.7]), ("A", "B", "C", "D"), g=1, mode=LONG_SHORT

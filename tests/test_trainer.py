@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
-from bwsl.errors import DataError, TrainingDivergedError
+from bwsl.errors import DataError, NonFiniteError, TrainingDivergedError
 from bwsl.features import PreparedPanel
 from bwsl.market import SynthConfig, substream, synth_market
 from bwsl.metrics import sharpe
@@ -14,6 +14,7 @@ from bwsl.portfolio import generate
 from bwsl.trainer import (
     EpochStats,
     TrainConfig,
+    _param_grads,
     epoch_gradient,
     grad_global_norm,
     leg_size,
@@ -147,6 +148,27 @@ def test_batch_gradient_zero_advantage_is_zero(panel, params):
     sharpes = epoch_gradient(panel, starts, [0.0, 0.0], params, SMALL_CFG).sharpes
     grads = epoch_gradient(panel, starts, list(sharpes), params, SMALL_CFG).grads
     assert grad_global_norm(grads) == 0.0
+
+
+@pytest.mark.parametrize("h0", [np.nan, np.inf, "x"], ids=["nan", "inf", "str"])
+def test_epoch_gradient_rejects_a_threshold_that_is_not_a_finite_real(panel, params, h0):
+    # NaN and inf used to give NaN gradients, with NumPy's "invalid value"
+    # warning the only sign, and a str a bare ValueError
+    with pytest.raises(DataError, match="epoch_gradient: threshold must be"):
+        epoch_gradient(panel, [panel.start + 5], [h0], params, SMALL_CFG)
+
+
+def test_epoch_gradient_needs_one_threshold_per_start(panel, params):
+    with pytest.raises(DataError, match="one threshold per trajectory"):
+        epoch_gradient(panel, [panel.start + 5, panel.start + 6], [0.0], params, SMALL_CFG)
+
+
+def test_a_non_finite_parameter_gradient_raises(params):
+    tape = ad.Tape()
+    with tape:
+        root = ad.emit("nan_slope", 0.0, ((params["b_score"], lambda g: np.asarray(np.nan)),))
+    with pytest.raises(NonFiniteError, match="period x: non-finite gradient for b_score"):
+        _param_grads(tape, root, params, "period x")
 
 
 def test_batch_gradient_single_trajectory_scaling(panel, params):
