@@ -13,7 +13,9 @@ transpose, reshape, concatenate, basic slicing, take (row gather), tanh,
 sigmoid, softmax and sum; the plain-array :func:`logistic` and
 :func:`normalized_exp` give sigmoid and softmax values to them and to the
 hand-written layers alike. Every exposed operation checks its output for
-finiteness and raises :class:`NonFiniteError` otherwise.
+finiteness and raises :class:`NonFiniteError` otherwise. A NumPy failure
+on an operand's shape, axis or index raises :class:`ShapeError` naming
+the op, through the one handler ``_computed``.
 
 :func:`emit` is the one way to record an operation: each primitive calls
 it, and so may a caller that computes a whole layer in NumPy and writes
@@ -39,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError, real_array
+from .errors import DomainError, NonFiniteError, ShapeError, real_array, whole_array
 
 __all__ = [
     "Tensor",
@@ -299,6 +301,15 @@ def emit(op: str, out_arr: np.ndarray, pulls, sweep=None) -> Tensor:
     return out
 
 
+def _computed(op: str, fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``; ShapeError naming ``op`` when NumPy rejects
+    an operand's shape, axis or index (its AxisError is a ValueError too)."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, IndexError, TypeError) as e:
+        raise ShapeError(f"{op}: {e}") from None
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -319,10 +330,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data + b.data
-    except ValueError as e:
-        raise ShapeError(f"add: {e}") from None
+    out = _computed("add", np.add, a.data, b.data)
     ash, bsh = a.shape, b.shape
     return emit(
         "add",
@@ -336,10 +344,7 @@ def add(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError as e:
-        raise ShapeError(f"mul: {e}") from None
+    out = _computed("mul", np.multiply, a.data, b.data)
     ad, bd = a.data, b.data
     ash, bsh = a.shape, b.shape
     return emit(
@@ -389,11 +394,7 @@ def transpose(a) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
-    try:
-        out = a.data.reshape(shape)
-    except ValueError as e:
-        raise ShapeError(f"reshape: {e}") from None
+    out = _computed("reshape", a.data.reshape, shape)
     orig = a.shape
     return emit("reshape", out, ((a, lambda g: g.reshape(orig)),))
 
@@ -402,10 +403,7 @@ def concatenate(parts: Sequence, axis: int = 0) -> Tensor:
     tensors = [_as_tensor(p) for p in parts]
     if not tensors:
         raise ShapeError("concatenate: no operands")
-    try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
-    except ValueError as e:
-        raise ShapeError(f"concatenate: {e}") from None
+    out = _computed("concatenate", np.concatenate, [t.data for t in tensors], axis=axis)
     pulls = []
     offset = 0
     for t in tensors:
@@ -424,7 +422,7 @@ def _getitem(a: Tensor, key) -> Tensor:
             raise TypeError(
                 "slice: only basic indexing (ints and slices) is differentiable"
             )
-    out = np.asarray(a.data[key])
+    out = _computed("slice", a.data.__getitem__, key)
     shape = a.shape
 
     def vjp(g, key=key, shape=shape):
@@ -436,12 +434,13 @@ def _getitem(a: Tensor, key) -> Tensor:
 
 
 def take(a, indices) -> Tensor:
-    """Gather rows of ``a`` (leading axis) at fixed integer ``indices``."""
+    """Gather rows of ``a`` (leading axis) at fixed ``indices``, read by
+    :func:`errors.whole_array`, so a fractional index raises DataError."""
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeError("take: operand must have at least one axis")
-    idx = np.asarray(indices, dtype=np.intp)
-    out = a.data[idx]
+    idx = whole_array(indices, "take: indices")
+    out = _computed("take", a.data.__getitem__, idx)
     shape = a.shape
 
     def vjp(g, idx=idx, shape=shape):
@@ -484,7 +483,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if a.ndim < 1:
         raise ShapeError("softmax: operand must have at least one axis")
-    y = normalized_exp(a.data, axis)
+    y = _computed("softmax", normalized_exp, a.data, axis)
 
     def vjp(g, y=y, axis=axis):
         return y * (g - np.sum(g * y, axis=axis, keepdims=True))
@@ -494,7 +493,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = _computed("sum", a.data.sum, axis=axis, keepdims=keepdims)
     shape = a.shape
 
     def vjp(g):

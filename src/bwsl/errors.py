@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and the one check each
-for whole-number and real-number settings and for arrays of real numbers."""
+for whole-number and real-number settings and for arrays of real numbers
+(``real_array``) and of whole numbers (``whole_array``, for ranks, row
+indices and masks)."""
 
 import numbers
 import sys
@@ -20,7 +22,8 @@ class DataError(BwslError):
 
 
 class NoEligibleStocksError(DataError):
-    """Fewer than 2 stocks have a complete look-back window at the requested time."""
+    """Fewer than 2 stocks have a complete look-back window at the requested
+    time, or the time comes before k look-back months."""
 
 
 class MissingReturnError(DataError):
@@ -81,17 +84,34 @@ def real_number(value, what: str, minimum: float | None = None) -> float:
     return float(value)
 
 
+def _array(values, what: str, noun: str) -> np.ndarray:
+    """``np.asarray(values)``; DataError naming ``what`` for a ragged nesting."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # a ragged nesting has no array shape
+        raise DataError(f"{what} must be an array of {noun}, got a ragged nesting") from None
+
+
 def real_array(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, returned as it is when it already is
     one. Values whose array has an integer or float dtype, of any width,
     pass; strings, None, bools, complex numbers, other objects and ragged
     nesting raise DataError naming ``what``."""
-    if type(values) is np.ndarray and values.dtype == np.float64:
-        return values
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # a ragged nesting has no array shape
-        raise DataError(f"{what} must be an array of real numbers, got a ragged nesting") from None
+    arr = _array(values, what, "real numbers")
     if arr.dtype.kind not in "iuf":
         raise DataError(f"{what} must be an array of real numbers, got {arr.dtype} values")
     return arr.astype(np.float64, copy=False)
+
+
+def whole_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array. Bools, integers of any width and floats
+    with no fractional part pass, so a fractional value is never truncated;
+    NaN, infinities, strings, other objects and ragged nesting raise
+    DataError naming ``what``."""
+    arr = _array(values, what, "whole numbers")
+    if arr.dtype.kind not in "biuf":
+        raise DataError(f"{what} must be an array of whole numbers, got {arr.dtype} values")
+    # the range test also rejects NaN and infinities
+    if arr.dtype.kind == "f" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
+        raise DataError(f"{what} must be an array of whole numbers, got a non-integer value")
+    return arr.astype(np.int64, copy=False)

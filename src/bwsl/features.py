@@ -127,11 +127,13 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     cross-sectionally at each of the k steps among the stocks eligible at t,
     all steps in one pass over the raw block. Ranks are dense over the
     eligible set by the raw ``pr`` at t, ties broken by ascending stock_id.
+    NoEligibleStocksError when t comes before k look-back months or fewer
+    than 2 stocks are eligible.
     """
     k = whole_number(k, "k", 1)
     pi = panel.index_of(t)
     if pi < k:
-        raise DataError(
+        raise NoEligibleStocksError(
             f"decision time {format_month(panel.start + pi)} needs {k} look-back months"
         )
     eligible = _eligible(panel, pi, k)
@@ -190,15 +192,13 @@ class PreparedPanel:
         return list(range(self.panel.start + self.k, self.panel.end))
 
     def windows(self, t) -> WindowSet | None:
-        """WindowSet at t, or None when fewer than 2 stocks are eligible."""
+        """WindowSet at t, or None where build_windows finds no universe."""
         t = self.month(t)
         if t not in self._windows:
             self._windows[t] = self._build(t)
         return self._windows[t]
 
     def _build(self, t: int) -> WindowSet | None:
-        if self.panel.index_of(t) < self.k:
-            return None
         try:
             return build_windows(self.panel, t, self.k)
         except NoEligibleStocksError:
@@ -207,7 +207,7 @@ class PreparedPanel:
     def period_data(self, t) -> tuple[WindowSet, np.ndarray, tuple[tuple[str, str], ...]]:
         """The eligible windows at t, their forward price ratios (read-only)
         and the substitution events behind those ratios, read once per
-        prepared panel; DataError when fewer than 2 stocks are eligible."""
+        prepared panel; NoEligibleStocksError where windows(t) is None."""
         t = self.month(t)
         if t not in self._periods:
             self._periods[t] = self._read_period(t)
@@ -216,7 +216,7 @@ class PreparedPanel:
     def _read_period(self, t: int):
         ws = self.windows(t)
         if ws is None:
-            raise DataError(f"fewer than 2 eligible stocks at {format_month(t)}")
+            raise NoEligibleStocksError(f"fewer than 2 eligible stocks at {format_month(t)}")
         z, events = self.forward_ratios(t, ws.stock_ids)
         z.flags.writeable = False
         return ws, z, tuple(events)

@@ -1,8 +1,8 @@
 """Monthly market panels: CSV ingestion, synthetic generation, splitting.
 
 A panel is a rectangular (stock x month) block of bars with a presence
-mask; the month axis is contiguous with no gaps. Absent (stock, month)
-cells are masked out and never imputed.
+mask of bools or 0/1 whole numbers; the month axis is contiguous with no
+gaps. Absent (stock, month) cells are masked out and never imputed.
 
 All randomness comes from named substreams of one 64-bit seed via
 NumPy's PCG64 generator, so identical configs reproduce panels bitwise
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, real_array, real_number, whole_number
+from .errors import DataError, real_array, real_number, whole_array, whole_number
 
 CSV_FIELDS = ("stock_id", "period", "close", "vol", "volume", "mcap", "pe", "bm", "div")
 CSV_HEADER = ",".join(CSV_FIELDS)
@@ -82,9 +82,12 @@ class MarketPanel:
     def __init__(self, stock_ids, start: int, values: dict, mask: np.ndarray):
         self.stock_ids = tuple(str(s) for s in stock_ids)
         self.start = whole_number(start, "panel: start", None)
-        self.mask = np.asarray(mask, dtype=bool)
-        if self.mask.ndim != 2 or len(self.stock_ids) != self.mask.shape[0]:
-            raise DataError(f"panel: mask rows do not match stock ids, mask shape {self.mask.shape}")
+        mask = whole_array(mask, "panel: mask")
+        if mask.ndim != 2 or len(self.stock_ids) != mask.shape[0]:
+            raise DataError(f"panel: mask rows do not match stock ids, mask shape {mask.shape}")
+        if ((mask != 0) & (mask != 1)).any():
+            raise DataError("panel: mask must hold bools or the whole numbers 0 and 1")
+        self.mask = mask.astype(bool)
         self._values = {}
         for name in _NUMERIC_FIELDS:
             # a missing field reads as a 0-d NaN, so its shape is reported

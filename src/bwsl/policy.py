@@ -45,7 +45,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import DataError, NonFiniteError, ShapeError, real_array, whole_number
+from .errors import DataError, NonFiniteError, ShapeError, real_array, whole_array, whole_number
 from .features import N_FEATURES, WindowSet
 
 _CHECKPOINT_MAGIC = "bwsl-policy-checkpoint v1"
@@ -303,18 +303,12 @@ def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
 
 
 def _rank_ints(ranks) -> np.ndarray:
-    """``ranks`` as int64; :class:`ShapeError` unless they are 1-d, and
-    :class:`DataError` unless every value is a finite integer (of any
-    dtype), so a fractional rank is never truncated."""
-    arr = np.asarray(ranks)
+    """``ranks`` as int64 through :func:`whole_array` (DataError for a
+    fractional rank); :class:`ShapeError` unless they are 1-d."""
+    arr = whole_array(ranks, "ranks")
     if arr.ndim != 1:
         raise ShapeError(f"ranks must be 1-d, one per stock, got shape {arr.shape}")
-    if arr.dtype.kind in "biu":
-        return arr.astype(np.int64, copy=False)
-    # the range test also rejects NaN and infinities
-    if arr.dtype.kind != "f" or not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
-        raise DataError(f"ranks must be finite integers, got {ranks!r}")
-    return arr.astype(np.int64)
+    return arr
 
 
 def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:

@@ -137,10 +137,7 @@ def realize_return(pair: PortfolioPair, z: Mapping[str, float]) -> float:
         except KeyError as e:
             raise MissingReturnError(f"no realized price ratio for {e.args[0]}") from None
 
-    long_z = rates(pair.long_indices)
-    long_part = float(pair.b_plus @ long_z) if len(long_z) else 0.0
+    long_part = float(pair.b_plus @ rates(pair.long_indices))
     if pair.mode == LONG_ONLY:
         return long_part - 1.0
-    short_z = rates(pair.short_indices)
-    short_part = float(pair.b_minus @ short_z) if len(short_z) else 0.0
-    return long_part - short_part
+    return long_part - float(pair.b_minus @ rates(pair.short_indices))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
-from bwsl.errors import DomainError, NonFiniteError, ShapeError
+from bwsl.errors import DataError, DomainError, NonFiniteError, ShapeError
 
 
 def test_identity_slice_value_and_tape_length():
@@ -206,11 +206,23 @@ _POINT = ad.Tensor([1.0, 2.0], requires_grad=True)
         (lambda: ad.take(1.0, [0]), ShapeError, "at least one axis"),
         (lambda: _POINT[[0, 1]], TypeError, "only basic indexing"),
         (lambda: ad.softmax(1.0), ShapeError, "at least one axis"),
+        # the six below leaked NumPy's IndexError, AxisError or TypeError, or
+        # truncated the argument: a shape of (3.7,) read as (3,), an index
+        # of 1.5 gathered row 1
+        (lambda: ad.take(_POINT, [5]), ShapeError, "^take: "),
+        (lambda: ad.take(_POINT, [1.5]), DataError, "^take: indices must be an array of whole"),
+        (lambda: _POINT[5], ShapeError, "^slice: "),
+        (lambda: ad.softmax(_POINT, axis=2), ShapeError, "^softmax: "),
+        (lambda: ad.softmax(_POINT, axis="x"), ShapeError, "^softmax: "),
+        (lambda: ad.tsum(_POINT, axis=2), ShapeError, "^sum: "),
+        (lambda: ad.reshape(np.zeros(3), (3.7,)), ShapeError, "^reshape: "),
     ],
     ids=[
         "non_finite_tensor", "forward_not_a_tensor", "fd_not_scalar", "fd_non_finite", "add",
         "mul", "matmul_rank", "transpose", "reshape", "concatenate_empty",
         "concatenate_mismatch", "take_scalar", "fancy_index", "softmax_scalar",
+        "take_out_of_range", "take_fractional", "index_out_of_range", "softmax_axis",
+        "softmax_axis_type", "sum_axis", "reshape_fractional",
     ],
 )
 def test_malformed_operands_raise_the_documented_error(call, error, message):

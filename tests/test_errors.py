@@ -62,6 +62,33 @@ def test_entry_points_reject_arrays_that_are_not_real(entry, kind):
         call(_malformed(kind, shape))
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [np.full((2, 3), "a"), np.full((2, 3), 2), np.full((2, 3), 0.5), [[1, 1, 1], [1, 1]]],
+    ids=["str", "two", "half", "ragged"],
+)
+def test_market_panel_rejects_a_mask_that_is_not_bools_or_zeros_and_ones(mask):
+    # the first three built a panel with every bar present, the ragged one
+    # raised a bare ValueError
+    with pytest.raises(DataError, match="panel: mask"):
+        MarketPanel(("A", "B"), 0, FIELDS, mask)
+
+
+def test_market_panel_reads_a_0_1_mask_as_bools():
+    mask = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint8)
+    panel = MarketPanel(("A", "B"), 0, FIELDS, mask)
+    assert panel.mask.dtype == bool and panel.mask.tolist() == mask.astype(bool).tolist()
+
+
+def test_whole_array_passes_integers_and_whole_floats_and_never_truncates():
+    for values in ([True, False], np.arange(3, dtype=np.uint16), [2.0, -1.0]):
+        out = errors.whole_array(values, "x")
+        assert out.dtype == np.int64 and out.tolist() == np.asarray(values).astype(int).tolist()
+    for values in ([1.5], [np.nan], [np.inf], [2.0**63], ["1"], [None], [[1], [1, 2]]):
+        with pytest.raises(DataError, match="^x must be an array of whole numbers"):
+            errors.whole_array(values, "x")
+
+
 def test_real_array_passes_ints_and_floats_of_any_width():
     arr = np.arange(3.0)
     assert errors.real_array(arr, "x") is arr  # so zscore_crosssection works in place

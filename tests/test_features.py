@@ -225,8 +225,9 @@ def test_build_windows_shape_and_last_row_is_t():
 
 
 def test_build_windows_needs_enough_history():
+    # a plain DataError before, so PreparedPanel checked the month itself
     panel = panel_from_closes(np.ones((2, 5)))
-    with pytest.raises(DataError):
+    with pytest.raises(NoEligibleStocksError, match="needs 4 look-back months"):
         build_windows(panel, START + 3, k=4)
 
 
@@ -236,6 +237,16 @@ def test_build_windows_no_eligible_stocks():
     panel = panel_from_closes(np.ones((2, 6)), mask=mask)
     with pytest.raises(NoEligibleStocksError):
         build_windows(panel, START + 5, k=4)
+
+
+@pytest.mark.parametrize("index", [1, 4], ids=["before_k_months", "thin_month"])
+def test_period_data_without_a_universe_raises_no_eligible_stocks(index):
+    # both raised a plain DataError
+    mask = np.ones((3, 8), dtype=bool)
+    mask[1:, 4] = False  # only S0 has a bar at index 4
+    panel = panel_from_closes(np.cumprod(np.full((3, 8), 1.01), axis=1), mask=mask)
+    with pytest.raises(NoEligibleStocksError, match="fewer than 2 eligible stocks"):
+        PreparedPanel(panel, k=2).period_data(START + index)
 
 
 def test_eligibility_monotone_in_k():

@@ -1,6 +1,7 @@
 """Packaging metadata: every console script names an importable callable,
 no module of the package imports a name it never uses or defines a private
-helper nothing calls, and every name the benchmark looks up in the package
+helper nothing calls, every handler of a foreign exception re-raises it as
+a package error, and every name the benchmark looks up in the package
 exists."""
 
 import ast
@@ -8,6 +9,8 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+from bwsl import errors
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -71,6 +74,30 @@ def test_src_has_no_unreferenced_private_definitions():
                 referenced.update(alias.name for alias in node.names)
     unreferenced = [f"{where} {name}" for name, where in defined.items() if name not in referenced]
     assert not unreferenced, f"private definitions nothing references: {unreferenced}"
+
+
+def test_foreign_errors_are_reraised_as_bwsl_errors():
+    # malformed input raises a BwslError, never a bare NumPy or builtin
+    # error: a handler that catches any other exception must end in
+    # ``raise <BwslError subclass>(...) from None``
+    own = {name for name, obj in vars(errors).items()
+           if isinstance(obj, type) and issubclass(obj, errors.BwslError)}
+    checked, wrong = 0, []
+    for path in sorted((ROOT / "src" / "bwsl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if all(getattr(c, "id", None) in own for c in caught):
+                continue
+            checked += 1
+            last = node.body[-1]
+            if not (isinstance(last, ast.Raise) and isinstance(last.exc, ast.Call)
+                    and getattr(last.exc.func, "id", None) in own
+                    and isinstance(last.cause, ast.Constant) and last.cause.value is None):
+                wrong.append(f"{path.name}:{node.lineno}")
+    assert checked > 0
+    assert not wrong, f"handlers that do not re-raise a BwslError from None: {wrong}"
 
 
 def _assigned(tree: ast.AST, name: str):
