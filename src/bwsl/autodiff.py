@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, ShapeError, real_array, whole_array
+from .errors import DomainError, NonFiniteError, ShapeError, UsageError, real_array, whole_array
 
 __all__ = [
     "Tensor",
@@ -214,7 +214,7 @@ def forward(fn: Callable, *inputs: Tensor) -> tuple[Tensor, Tape]:
     with tape:
         value = fn(*inputs)
     if not isinstance(value, Tensor):
-        raise TypeError("forward: expression must return a Tensor")
+        raise UsageError("forward: expression must return a Tensor")
     return value, tape
 
 
@@ -419,7 +419,7 @@ def _getitem(a: Tensor, key) -> Tensor:
     items = key if isinstance(key, tuple) else (key,)
     for it in items:
         if not isinstance(it, (int, np.integer, slice)):
-            raise TypeError(
+            raise ShapeError(
                 "slice: only basic indexing (ints and slices) is differentiable"
             )
     out = _computed("slice", a.data.__getitem__, key)
@@ -457,14 +457,21 @@ def tanh(a) -> Tensor:
     return emit("tanh", y, ((a, lambda g, y=y: g * (1.0 - y * y)),))
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Elementwise 1 / (1 + exp(-x)) of a plain array, for any finite x.
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)) of a plain array, for any finite x,
+    written into ``out`` when one is given (it may be ``x`` itself) and
+    into a new float64 array otherwise.
 
     Below x = -709, exp(-x) overflows to inf and the quotient is the
     correctly rounded 0; that overflow is expected, so it is not reported.
     """
+    if out is None:
+        out = np.empty(np.shape(x))
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 def normalized_exp(x: np.ndarray, axis: int = -1) -> np.ndarray:

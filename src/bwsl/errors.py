@@ -105,13 +105,16 @@ def real_array(values, what: str) -> np.ndarray:
 
 def whole_array(values, what: str) -> np.ndarray:
     """``values`` as an int64 array. Bools, integers of any width and floats
-    with no fractional part pass, so a fractional value is never truncated;
-    NaN, infinities, strings, other objects and ragged nesting raise
-    DataError naming ``what``."""
+    with no fractional part pass, so a fractional value is never truncated
+    and a large one never wraps; NaN, infinities, values of 2^63 or more,
+    strings, other objects and ragged nesting raise DataError naming
+    ``what``."""
     arr = _array(values, what, "whole numbers")
     if arr.dtype.kind not in "biuf":
         raise DataError(f"{what} must be an array of whole numbers, got {arr.dtype} values")
     # the range test also rejects NaN and infinities
     if arr.dtype.kind == "f" and not ((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)).all():
         raise DataError(f"{what} must be an array of whole numbers, got a non-integer value")
+    if arr.dtype == np.uint64 and (arr >= 2**63).any():
+        raise DataError(f"{what} must be an array of whole numbers below 2^63, got a larger value")
     return arr.astype(np.int64, copy=False)

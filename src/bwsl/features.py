@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NoEligibleStocksError, real_array, whole_number
+from .errors import DataError, NoEligibleStocksError, _array, real_array, whole_number
 from .market import MarketPanel, format_month
 
 FEATURE_NAMES = ("pr", "vol", "tv", "mc", "pe", "bm", "div")
@@ -39,7 +39,7 @@ def raw_features(panel: MarketPanel, rows, j, k) -> np.ndarray:
     column that is not a whole number, a block that does not fit on the
     axis, or a missing bar (naming the first step that cannot be read).
     """
-    rows = np.asarray(rows)
+    rows = _array(rows, "rows", "panel rows")
     if rows.ndim != 1 or rows.dtype.kind not in "iu" or rows.size and (
         rows.min() < 0 or rows.max() >= panel.n_stocks
     ):
@@ -66,8 +66,15 @@ def raw_features(panel: MarketPanel, rows, j, k) -> np.ndarray:
 
 
 def descending_order(values, ids) -> np.ndarray:
-    """Indices that sort ``values`` descending, ties by ascending id."""
-    return np.lexsort((np.asarray(ids), -np.asarray(values, dtype=float)))
+    """Indices that sort ``values`` descending, ties by ascending id.
+    DataError unless ``values`` is a 1-d array of real numbers with one
+    id each."""
+    values, ids = real_array(values, "order: values"), _array(ids, "order: ids", "ids")
+    if values.ndim != 1 or ids.shape != values.shape:
+        raise DataError(
+            f"order: need one value per id, got {values.shape} values for {ids.shape} ids"
+        )
+    return np.lexsort((ids, -values))
 
 
 def _eligible(panel: MarketPanel, pi: int, k: int) -> np.ndarray:

@@ -22,8 +22,12 @@ The workspace keeps at most one spare buffer per role, the largest
 returned, and a smaller universe writes into a prefix of it.
 So successive recorded calls, one per decision time in training and
 interpretation, reuse the same memory instead of faulting in fresh pages.
-An untaped call allocates fresh arrays, and the float operations are the
-same either way, so values do not depend on the workspace.
+An untaped call, such as a backtest's, keeps no backward caches: its gate
+activations and cell states live in one (., I) slab each, rewritten at
+every step, and only the hidden states and the attention's tanh layer,
+which the attention reads over all K steps, are full (K, H, I) arrays.
+The float operations are the same either way, so values depend neither
+on the workspace nor on whether a tape records.
 
 :func:`lstm_encode`, :func:`history_attention`, :func:`caan_forward` and
 :func:`winner_scores` spell the same network out in autodiff primitives
@@ -400,7 +404,15 @@ class _Lease:
 
 
 def _fresh(role: str, shape: tuple) -> np.ndarray:
-    """What an untaped :func:`encode` writes into: a new array."""
+    """What an untaped :func:`encode` writes into. No backward sweep reads
+    its caches, and the forward reads a step's gate activations only at
+    that step and its cell state only until the next step's is written,
+    so ``act`` and ``cells`` are (K, ., I) views with K-stride 0 over one
+    (., I) slab: every step writes the same memory. ``states`` and ``u``,
+    which the attention reads over all K, are new full arrays."""
+    if role in ("act", "cells"):
+        slab = np.empty(shape[1:])
+        return np.lib.stride_tricks.as_strided(slab, shape, (0,) + slab.strides)
     return np.empty(shape)
 
 
@@ -410,33 +422,36 @@ def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
     (act, cells, states, u, weights) its backward sweep reads. The four
     (K, ., I) caches come from ``take(role, shape)``.
 
-    act (K, 4H, I) first holds Wx' x_k + b, then, in place, each step's gate
-    activations; cells and states are c_k and h_k (K, H, I); u is the
-    attention's tanh layer (K, H, I) and weights its softmax over K (K, I).
-    Stocks run along the last axis, so each gate block of a step, such as
-    ``act[k, 0:3H]``, is one contiguous slab and the elementwise work runs
-    on contiguous memory.
+    At step k, act[k] (4H, I) first holds Wx' x_k + b, then, in place, the
+    step's gate activations; cells and states are c_k and h_k (K, H, I);
+    u is the attention's tanh layer (K, H, I) and weights its softmax over
+    K (K, I). Step k reads act[k] and cells[k] only at step k, and takes
+    f * c_{k-1} before it writes c_k, so ``take`` may hand out one slab
+    for all K steps of either (:func:`_fresh`). Stocks run along the last
+    axis, so each gate block of a step, such as ``act[k, 0:3H]``, is one
+    contiguous slab and the elementwise work runs on contiguous memory.
     """
     k_steps, _, n = xs.shape
     h_dim = p["lstm_wh"].shape[0]
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
     act = take("act", (k_steps, 4 * h_dim, n))
-    np.matmul(p["lstm_wx"].T, xs, out=act)
-    act += p["lstm_b"][:, None]
     cells = take("cells", (k_steps, h_dim, n))
     states = take("states", (k_steps, h_dim, n))
     h = c = np.zeros((h_dim, n))
     z = np.empty((4 * h_dim, n))
     for k in range(k_steps):
+        a = act[k]
+        np.matmul(p["lstm_wx"].T, xs[k], out=a)
+        a += p["lstm_b"][:, None]
         np.matmul(p["lstm_wh"].T, h, out=z)
-        z += act[k]
+        z += a
         if not np.isfinite(z).all():
             raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
-        a = act[k]
-        a[sig] = ad.logistic(z[sig])
+        ad.logistic(z[sig], out=a[sig])
         np.tanh(z[cand], out=a[cand])
+        forget = a[gate_forget] * c
         np.multiply(a[gate_in], a[cand], out=cells[k])
-        cells[k] += a[gate_forget] * c
+        cells[k] += forget
         c = cells[k]
         np.tanh(c, out=states[k])
         states[k] *= a[gate_out]
@@ -507,14 +522,15 @@ def encode(windows, params: PolicyParams) -> Tensor:
 
     The value of ``history_attention(lstm_encode(windows, params), params)``
     as one tape record. The forward keeps its caches stocks-last, (K, ., I),
-    so each gate block of a step is one contiguous slab; it computes x Wx for
-    all K steps in one batched matmul and the attention over all K states in
-    another. The record has one VJP per operand: the windows and each of
+    so each gate block of a step is one contiguous slab; each step computes
+    its own x_k Wx, and the attention over all K states is one batched
+    matmul. The record has one VJP per operand: the windows and each of
     :data:`ENCODER_PARAMS`. They share the sweep :func:`_encode_sweep`, run
     once per backward pass, and the tape calls only those whose operand
     requires grad; each K-summed parameter gradient is one batched matmul
     summed over k. A recorded call takes its (K, ., I) arrays from the
-    workspace (module docstring).
+    workspace, and an untaped one keeps no backward caches (module
+    docstring).
 
     Every op here works column by column, so stock i depends on window i
     alone; stocks first meet in :func:`score`.

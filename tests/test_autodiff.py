@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bwsl import autodiff as ad
-from bwsl.errors import DataError, DomainError, NonFiniteError, ShapeError
+from bwsl.errors import DataError, DomainError, NonFiniteError, ShapeError, UsageError
 
 
 def test_identity_slice_value_and_tape_length():
@@ -166,6 +166,20 @@ def test_logistic_saturates_without_warnings_and_backs_sigmoid():
     assert ad.sigmoid(ad.Tensor(x)).data.tobytes() == y.tobytes()
 
 
+def test_logistic_into_a_buffer_or_in_place_is_bitwise_the_plain_value():
+    x = np.concatenate([[-1000.0, -745.0, -709.5, -709.0], np.linspace(-40.0, 40.0, 101)])
+    want = ad.logistic(x)
+    buf = np.full_like(x, np.nan)
+    assert ad.logistic(x, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    same = x.copy()
+    ad.logistic(same, out=same)
+    assert same.tobytes() == want.tobytes()
+    assert x[0] == -1000.0  # the operand is untouched unless it is the buffer
+    for i in (0, 3, 50):  # a number and a 0-d array give the same value
+        assert ad.logistic(x[i]) == ad.logistic(np.asarray(x[i])) == want[i]
+
+
 def test_matmul_shape_mismatch_names_primitive():
     a = ad.Tensor(np.ones((2, 3)))
     b = ad.Tensor(np.ones((4, 2)))
@@ -191,7 +205,8 @@ _POINT = ad.Tensor([1.0, 2.0], requires_grad=True)
     "call, error, message",
     [
         (lambda: ad.Tensor([1.0, np.nan]), NonFiniteError, "non-finite input"),
-        (lambda: ad.forward(lambda t: t.data, _POINT), TypeError, "must return a Tensor"),
+        (lambda: ad.forward(lambda t: t.data, _POINT), UsageError,
+         "^forward: expression must return a Tensor$"),
         (lambda: ad.finite_diff_check(lambda t: t * 2.0, _POINT), ShapeError, "scalar-valued"),
         (lambda: ad.finite_diff_check(_finite_only_at(_POINT), _POINT), NonFiniteError,
          "non-finite evaluation"),
@@ -204,7 +219,7 @@ _POINT = ad.Tensor([1.0, 2.0], requires_grad=True)
         (lambda: ad.concatenate([np.zeros((2, 2)), np.zeros((2, 3))]), ShapeError,
          "^concatenate: "),
         (lambda: ad.take(1.0, [0]), ShapeError, "at least one axis"),
-        (lambda: _POINT[[0, 1]], TypeError, "only basic indexing"),
+        (lambda: _POINT[[0, 1]], ShapeError, "^slice: only basic indexing"),
         (lambda: ad.softmax(1.0), ShapeError, "at least one axis"),
         # the six below leaked NumPy's IndexError, AxisError or TypeError, or
         # truncated the argument: a shape of (3.7,) read as (3,), an index

@@ -11,6 +11,7 @@ from bwsl.features import (
     FEATURE_NAMES,
     PreparedPanel,
     build_windows,
+    descending_order,
     raw_features,
     zscore_crosssection,
 )
@@ -104,6 +105,23 @@ def test_raw_features_rejects_bad_rows_and_columns(rows, j):
     panel = panel_from_closes(np.ones((8, 3)))
     with pytest.raises(DataError):
         raw_features(panel, rows, j, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda panel: raw_features(panel, [[0], [0, 1]], 2, 1),
+         "^rows must be an array of panel rows, got a ragged nesting"),
+        (lambda panel: descending_order([1.0, "x"], [1, 2]),
+         "^order: values must be an array of real numbers"),
+        (lambda panel: descending_order([1.0, 2.0], [1]), "^order: need one value per id"),
+    ],
+    ids=["ragged_rows", "string_value", "value_without_id"],
+)
+def test_feature_helpers_reject_malformed_input_with_data_error(call, message):
+    # each raised a bare ValueError from NumPy
+    with pytest.raises(DataError, match=message):
+        call(panel_from_closes(np.ones((8, 3))))
 
 
 def test_zscore_two_points():

@@ -1,10 +1,11 @@
 """Packaging metadata: every console script names an importable callable,
 no module of the package imports a name it never uses or defines a private
 helper nothing calls, every handler of a foreign exception re-raises it as
-a package error, and every name the benchmark looks up in the package
-exists."""
+a package error, no raise names a built-in exception, and every name the
+benchmark looks up in the package exists."""
 
 import ast
+import builtins
 import importlib
 from pathlib import Path
 
@@ -98,6 +99,24 @@ def test_foreign_errors_are_reraised_as_bwsl_errors():
                 wrong.append(f"{path.name}:{node.lineno}")
     assert checked > 0
     assert not wrong, f"handlers that do not re-raise a BwslError from None: {wrong}"
+
+
+def test_src_raises_no_builtin_exception():
+    # a caller catches BwslError for every malformed input: a raise that
+    # names TypeError, ValueError or another built-in class escapes that
+    raised, wrong = 0, []
+    for path in sorted((ROOT / "src" / "bwsl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            raised += 1
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(exc, "id", None) or getattr(exc, "attr", "")
+            cls = getattr(builtins, name, None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                wrong.append(f"{path.name}:{node.lineno} {name}")
+    assert raised > 0
+    assert not wrong, f"raises of built-in exceptions: {wrong}"
 
 
 def _assigned(tree: ast.AST, name: str):

@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ def test_non_integer_ranks_raise_data_error(ranks):
     ):
         with pytest.raises(DataError, match="ranks"):
             fn()
+
+
+def test_unsigned_ranks_of_2_to_the_63_or_more_raise_data_error():
+    # the uint64 rank 2^64 - 1 used to wrap to -1, so its distance from
+    # rank 1 read 2 instead of the clamped 3
+    with pytest.raises(DataError, match="^ranks must be an array of whole numbers below 2\\^63"):
+        rank_distance(np.array([1, 2**64 - 1], dtype=np.uint64), 1, 4)
+    largest = np.array([1, 2**63 - 1], dtype=np.uint64)
+    assert rank_distance(largest, 1, 4).tolist() == [[0, 3], [3, 0]]
 
 
 @pytest.mark.parametrize(
@@ -415,6 +425,35 @@ def test_untaped_and_taped_encode_give_bitwise_equal_representations(workspace):
             taped = encode(Tensor(windows, requires_grad=True), params).data
         assert taped.tobytes() == untaped.tobytes()
         del tape  # a second pass reads a prefix of the returned spare buffers
+
+
+@pytest.mark.parametrize("k_steps", [1, 2, 12])
+@pytest.mark.parametrize("n_stocks", [2, 3, 100, 800])
+def test_untaped_encode_equals_the_recorded_one_bitwise(n_stocks, k_steps):
+    # the untaped forward rewrites one gate slab and one cell slab at every
+    # step; the recorded one keeps all K of each for the backward sweep
+    params = PolicyParams.init(84)
+    windows = np.random.default_rng(85).normal(size=(n_stocks, k_steps, params.n_features))
+    untaped = encode(windows, params).data
+    with ad.Tape():
+        taped = encode(Tensor(windows, requires_grad=True), params).data
+    assert taped.tobytes() == untaped.tobytes()
+
+
+def test_an_untaped_encode_keeps_no_backward_caches():
+    # I=800, K=12, H=32: the four (K, ., I) caches alone take 17.2 MB; the
+    # untaped call keeps the full states and tanh layer (4.9 MB) and one
+    # gate and one cell slab (1.0 MB)
+    params = PolicyParams.init(86, hidden=32)
+    windows = np.random.default_rng(87).normal(size=(800, 12, params.n_features))
+    encode(windows, params)
+    tracemalloc.start()
+    try:
+        encode(windows, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9e6
 
 
 def test_encode_values_and_gradients_repeat_bitwise():
