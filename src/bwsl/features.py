@@ -152,7 +152,7 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     raw = raw_features(panel, eligible, pi, k)
     # rank by the raw pr at t, read before the block is z-scored in place
     ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[descending_order(raw[:, -1, 0], ids)] = np.arange(1, len(ids) + 1)
+    ranks[descending_order(raw[:, -1, 0], panel.id_ranks[eligible])] = np.arange(1, len(ids) + 1)
     return WindowSet(panel.start + pi, tuple(ids), zscore_crosssection(raw), ranks)
 
 

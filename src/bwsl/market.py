@@ -98,12 +98,15 @@ class MarketPanel:
         self._index = {s: i for i, s in enumerate(self.stock_ids)}
         if len(self._index) != len(self.stock_ids):
             raise DataError("panel: duplicate stock id")
+        # each row's place in ascending id order, a tie-break key that sorts as ints
+        n = len(self.stock_ids)
+        self.id_ranks = np.empty(n, dtype=np.int64)
+        self.id_ranks[sorted(range(n), key=self.stock_ids.__getitem__)] = np.arange(n)
         fault = _bar_fault(np.stack([self._values[f][self.mask] for f in _NUMERIC_FIELDS]))
         if fault:
             raise DataError(f"panel: {fault} in a present bar")
-        for arr in self._values.values():
+        for arr in (*self._values.values(), self.mask, self.id_ranks):
             arr.flags.writeable = False
-        self.mask.flags.writeable = False
 
     @property
     def n_stocks(self) -> int:

@@ -12,22 +12,29 @@ with hand-written VJPs:
 - :func:`score`, the cross-asset attention and score head, with the
   softmax adjoint for the representations and each of its seven
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
-  forward and softmax adjoint.
+  forward and softmax adjoint. When the ranks are a permutation of
+  consecutive integers, such as a window set's 1..I, both run with the
+  stocks in rank order, where the rank prior psi is a Toeplitz band
+  (:func:`score`).
 
-While a tape records, :func:`encode` writes its seven stocks-last
-(K, ., I) arrays, four forward caches and three backward-sweep buffers,
-into buffers leased from a per-thread workspace. The record's sweep holds
-the lease, so they return when the record dies (when its tape is dropped).
-The workspace keeps at most one spare buffer per role, the largest
-returned, and a smaller universe writes into a prefix of it.
-So successive recorded calls, one per decision time in training and
-interpretation, reuse the same memory instead of faulting in fresh pages.
-An untaped call, such as a backtest's, keeps no backward caches: its gate
-activations and cell states live in one (., I) slab each, rewritten at
-every step, and only the hidden states and the attention's tanh layer,
-which the attention reads over all K steps, are full (K, H, I) arrays.
-The float operations are the same either way, so values depend neither
-on the workspace nor on whether a tape records.
+Each encoder step is one GEMM of the stacked weights [Wx; Wh; b'] with
+the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which thereby
+holds the windows and the hidden states. While a tape records,
+:func:`encode` writes its seven stocks-last arrays, four forward caches
+(``stack``, ``act``, ``cells``, ``u``) and three backward-sweep buffers
+(``d_gates``, ``d_states``, ``d_pre``), into buffers leased from a
+per-thread workspace, one per role. The record's sweep holds the lease,
+so they return when the record dies (when its tape is dropped). The
+workspace keeps at most one spare buffer per role, the largest returned,
+and a smaller universe writes into a prefix of it. So successive recorded
+calls, one per decision time in training and interpretation, reuse the
+same memory instead of faulting in fresh pages. An untaped call, such as
+a backtest's, keeps no backward caches: its gate activations and cell
+states live in one (., I) slab each, rewritten at every step, and only
+the stack and the attention's tanh layer, which the attention reads over
+all K steps, are full arrays. The float operations are the same either
+way, so values depend neither on the workspace nor on whether a tape
+records.
 
 :func:`lstm_encode`, :func:`history_attention`, :func:`caan_forward` and
 :func:`winner_scores` spell the same network out in autodiff primitives
@@ -308,10 +315,13 @@ def history_attention(states: list[Tensor], params: PolicyParams) -> Tensor:
 
 def _rank_ints(ranks) -> np.ndarray:
     """``ranks`` as int64 through :func:`whole_array` (DataError for a
-    fractional rank); :class:`ShapeError` unless they are 1-d."""
+    fractional rank, and for two ranks 2^63 or more apart, whose difference
+    would wrap); :class:`ShapeError` unless they are 1-d."""
     arr = whole_array(ranks, "ranks")
     if arr.ndim != 1:
         raise ShapeError(f"ranks must be 1-d, one per stock, got shape {arr.shape}")
+    if arr.size and int(arr.max()) - int(arr.min()) >= 2**63:
+        raise DataError("ranks must lie less than 2^63 apart, so that differences fit in int64")
     return arr
 
 
@@ -331,11 +341,12 @@ def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor
     query = rep @ params["wq"]
     key = rep @ params["wk"]
     value = rep @ params["wv"]
-    logits = (query @ ad.transpose(key)) * (1.0 / np.sqrt(params.hidden))
     d = rank_distance(ranks, params.q, params.l_cols)
     prior = ad.sigmoid(params["rank_w"] @ params["rank_emb"])
-    psi = ad.take(prior, d.ravel()).reshape(d.shape)
-    return ad.softmax(psi * logits, axis=1) @ value
+    # the logits' 1/sqrt(H) is folded into the prior, so that each entry of
+    # QK' is multiplied once, by psi * scale, as in score()
+    psi = ad.take(prior * (1.0 / np.sqrt(params.hidden)), d.ravel()).reshape(d.shape)
+    return ad.softmax(psi * (query @ ad.transpose(key)), axis=1) @ value
 
 
 def winner_scores(attended: Tensor, params: PolicyParams) -> Tensor:
@@ -408,54 +419,60 @@ def _fresh(role: str, shape: tuple) -> np.ndarray:
     its caches, and the forward reads a step's gate activations only at
     that step and its cell state only until the next step's is written,
     so ``act`` and ``cells`` are (K, ., I) views with K-stride 0 over one
-    (., I) slab: every step writes the same memory. ``states`` and ``u``,
-    which the attention reads over all K, are new full arrays."""
+    (., I) slab: every step writes the same memory. ``stack``, which holds
+    the hidden states the attention reads over all K, and ``u`` are new
+    full arrays."""
     if role in ("act", "cells"):
         slab = np.empty(shape[1:])
         return np.lib.stride_tricks.as_strided(slab, shape, (0,) + slab.strides)
     return np.empty(shape)
 
 
-def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
-    """Forward of :func:`encode` on stocks-last windows xs (K, F, I) and the
-    encoder's arrays ``p``: the (I, H) representation and the caches
-    (act, cells, states, u, weights) its backward sweep reads. The four
-    (K, ., I) caches come from ``take(role, shape)``.
+def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
+    """Forward of :func:`encode` on (I, K, F) windows and the encoder's
+    arrays ``p``: the (I, H) representation and the caches (xs, act, cells,
+    states, u, weights) that its pulls and backward sweep read. The (K, ., I)
+    caches come from ``take(role, shape)``.
 
-    At step k, act[k] (4H, I) first holds Wx' x_k + b, then, in place, the
-    step's gate activations; cells and states are c_k and h_k (K, H, I);
-    u is the attention's tanh layer (K, H, I) and weights its softmax over
-    K (K, I). Step k reads act[k] and cells[k] only at step k, and takes
-    f * c_{k-1} before it writes c_k, so ``take`` may hand out one slab
-    for all K steps of either (:func:`_fresh`). Stocks run along the last
-    axis, so each gate block of a step, such as ``act[k, 0:3H]``, is one
-    contiguous slab and the elementwise work runs on contiguous memory.
+    Each step is one GEMM, W' [x_k; h_{k-1}; 1] with W = [Wx; Wh; b']
+    (F+H+1, 4H), on the step's block of ``stack`` (K+1, F+H+1, I): block k
+    holds x_k, h_{k-1} and a row of ones, and h_k is written into the h
+    rows of block k+1. So xs (K, F, I), the stocks-last windows, and states
+    (K, H, I), the hidden states h_k, are views of that one buffer. At step
+    k, act[k] (4H, I) holds the pre-activations, then, in place, the gate
+    activations; cells (K, H, I) holds c_k; u is the attention's tanh layer
+    (K, H, I) and weights its softmax over K (K, I). Step k reads act[k]
+    and cells[k] only at step k, and takes f * c_{k-1} before it writes
+    c_k, so ``take`` may hand out one slab for all K steps of either
+    (:func:`_fresh`). Stocks run along the last axis, so each gate block of
+    a step, such as ``act[k, 0:3H]``, is one contiguous slab and the
+    elementwise work runs on contiguous memory.
     """
-    k_steps, _, n = xs.shape
+    n, k_steps, f_dim = windows.shape
     h_dim = p["lstm_wh"].shape[0]
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
+    w = np.concatenate((p["lstm_wx"], p["lstm_wh"], p["lstm_b"][None, :])).T
+    stack = take("stack", (k_steps + 1, f_dim + h_dim + 1, n))
+    xs, states = stack[:-1, :f_dim], stack[1:, f_dim:-1]
+    xs[...] = windows.transpose(1, 2, 0)
+    stack[0, f_dim:-1] = 0.0
+    stack[:-1, -1] = 1.0
     act = take("act", (k_steps, 4 * h_dim, n))
     cells = take("cells", (k_steps, h_dim, n))
-    states = take("states", (k_steps, h_dim, n))
-    h = c = np.zeros((h_dim, n))
-    z = np.empty((4 * h_dim, n))
+    c = np.zeros((h_dim, n))
     for k in range(k_steps):
         a = act[k]
-        np.matmul(p["lstm_wx"].T, xs[k], out=a)
-        a += p["lstm_b"][:, None]
-        np.matmul(p["lstm_wh"].T, h, out=z)
-        z += a
-        if not np.isfinite(z).all():
+        np.matmul(w, stack[k], out=a)
+        if not np.isfinite(a).all():
             raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
-        ad.logistic(z[sig], out=a[sig])
-        np.tanh(z[cand], out=a[cand])
+        ad.logistic(a[sig], out=a[sig])
+        np.tanh(a[cand], out=a[cand])
         forget = a[gate_forget] * c
         np.multiply(a[gate_in], a[cand], out=cells[k])
         cells[k] += forget
         c = cells[k]
         np.tanh(c, out=states[k])
         states[k] *= a[gate_out]
-        h = states[k]
 
     # history attention: scores of all K states in one matmul, softmax over K
     u = take("u", (k_steps, h_dim, n))
@@ -467,7 +484,7 @@ def _encode_forward(xs: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
     rep = weights[0] * states[0]
     for k in range(1, k_steps):
         rep += weights[k] * states[k]
-    return rep.T, (act, cells, states, u, weights)
+    return rep.T, (xs, act, cells, states, u, weights)
 
 
 def _encode_sweep(g: np.ndarray, cache: tuple, p: dict, take) -> tuple[np.ndarray, ...]:
@@ -475,7 +492,7 @@ def _encode_sweep(g: np.ndarray, cache: tuple, p: dict, take) -> tuple[np.ndarra
     the cotangents of the gate pre-activations (K, 4H, I), of the attention
     pre-activations (K, H, I) and of the attention scores (K, I). The three
     (K, ., I) arrays it writes come from ``take(role, shape)``."""
-    act, cells, states, u, weights = cache
+    _, act, cells, states, u, weights = cache
     k_steps, h_dim, n = states.shape
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
     g = g.T  # (H, I), stocks last like the caches
@@ -522,15 +539,15 @@ def encode(windows, params: PolicyParams) -> Tensor:
 
     The value of ``history_attention(lstm_encode(windows, params), params)``
     as one tape record. The forward keeps its caches stocks-last, (K, ., I),
-    so each gate block of a step is one contiguous slab; each step computes
-    its own x_k Wx, and the attention over all K states is one batched
-    matmul. The record has one VJP per operand: the windows and each of
-    :data:`ENCODER_PARAMS`. They share the sweep :func:`_encode_sweep`, run
-    once per backward pass, and the tape calls only those whose operand
-    requires grad; each K-summed parameter gradient is one batched matmul
-    summed over k. A recorded call takes its (K, ., I) arrays from the
-    workspace, and an untaped one keeps no backward caches (module
-    docstring).
+    so each gate block of a step is one contiguous slab; each step's gate
+    pre-activations are one GEMM, [Wx; Wh; b']' [x_k; h_{k-1}; 1], and the
+    attention over all K states is one batched matmul. The record has one
+    VJP per operand: the windows and each of :data:`ENCODER_PARAMS`. They
+    share the sweep :func:`_encode_sweep`, run once per backward pass, and
+    the tape calls only those whose operand requires grad; each K-summed
+    parameter gradient is one batched matmul summed over k. A recorded call
+    takes its arrays from the workspace, and an untaped one keeps no
+    backward caches (module docstring).
 
     Every op here works column by column, so stock i depends on window i
     alone; stocks first meet in :func:`score`.
@@ -539,10 +556,9 @@ def encode(windows, params: PolicyParams) -> Tensor:
     if x.shape[1] == 0:
         raise ShapeError("encode: no hidden states, the windows have no look-back steps")
     p = {name: params[name].data for name in ENCODER_PARAMS}
-    xs = np.ascontiguousarray(x.data.transpose(1, 2, 0))
     take = _Lease(_spare()) if ad.recording() else _fresh
-    rep, cache = _encode_forward(xs, p, take)
-    _, _, states, u, _ = cache
+    rep, cache = _encode_forward(x.data, p, take)
+    xs, _, _, states, u, _ = cache
 
     def k_summed(left, right):
         """sum over k of left[k] @ right[k]', for (K, ., I) stacks."""
@@ -576,9 +592,36 @@ def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarra
     return r, ranks
 
 
-def _prior_bins(q: int, l_cols: int) -> np.ndarray:
-    """Quantized bin of each clamped rank distance 0 .. q(L-1)."""
-    return np.arange(q * (l_cols - 1) + 1) // q
+def _prior_bins(q: int, l_cols: int, span: int) -> np.ndarray:
+    """Quantized bin of each clamped rank distance 0 .. C, C = min(q(L-1),
+    span): the first distance of the last bin, or the widest distance
+    between ranks ``span`` apart, when that is smaller."""
+    return np.arange(min(q * (l_cols - 1), span) + 1) // q
+
+
+def _banded(ranks: np.ndarray, c: int) -> bool:
+    """Whether psi[i, j] = table[min(|r_i - r_j|, C)] is a Toeplitz band in
+    the stocks' order, with at least one row holding all of its 2C-1 band
+    entries: the ranks rise by one from stock to stock, C >= 1, and there
+    are more than 2(C-1) stocks."""
+    return c >= 1 and ranks.size > 2 * (c - 1) and bool((np.diff(ranks) == 1).all())
+
+
+def _rank_order(ranks: np.ndarray, c: int) -> np.ndarray | None:
+    """The order that sorts the stocks by rank, when psi is a band in it
+    (:func:`_banded`), as for a window set's ranks 1..I; None for ties,
+    gaps and at most 2(C-1) stocks, which keep their order."""
+    order = np.argsort(ranks)
+    return order if _banded(ranks[order], c) else None
+
+
+def _unsorted(x: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """The rows of x, given in ``order``, back in the stocks' order."""
+    if order is None:
+        return x
+    out = np.empty_like(x)
+    out[order] = x
+    return out
 
 
 # elements per row block of the rank prior: two 128 KB (rows, I) buffers,
@@ -587,17 +630,18 @@ def _prior_bins(q: int, l_cols: int) -> np.ndarray:
 _PRIOR_BLOCK = 1 << 14
 
 
-def _psi_blocks(ranks: np.ndarray, table: np.ndarray):
-    """Row blocks of the rank prior psi[i, j] = table[min(|r_i - r_j|, C)],
-    C = table.size - 1: yields (rows, dist, psi), the clamped distances of
-    those rows and their psi, in two buffers reused from block to block."""
+def _psi_blocks(ranks: np.ndarray, table: np.ndarray, lo: int, hi: int):
+    """Row blocks of the rows lo .. hi-1 of the rank prior psi[i, j] =
+    table[min(|r_i - r_j|, C)], C = table.size - 1: yields (rows, dist,
+    psi), the clamped distances of those rows and their psi, in two buffers
+    reused from block to block."""
     n = ranks.size
     step = max(1, _PRIOR_BLOCK // n)
-    dist_buf = np.empty((min(step, n), n), dtype=np.intp)
+    dist_buf = np.empty((min(step, hi - lo), n), dtype=np.intp)
     psi_buf = np.empty(dist_buf.shape)
-    for lo in range(0, n, step):
-        rows = slice(lo, min(lo + step, n))
-        dist, psi = dist_buf[: rows.stop - lo], psi_buf[: rows.stop - lo]
+    for start in range(lo, hi, step):
+        rows = slice(start, min(start + step, hi))
+        dist, psi = dist_buf[: rows.stop - start], psi_buf[: rows.stop - start]
         np.subtract.outer(ranks[rows], ranks, out=dist)
         np.abs(dist, out=dist)
         np.minimum(dist, table.size - 1, out=dist)
@@ -605,18 +649,49 @@ def _psi_blocks(ranks: np.ndarray, table: np.ndarray):
         yield rows, dist, psi
 
 
-def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[np.ndarray, tuple]:
-    """Forward of :func:`score` on (I, H) representations r, integer ranks
-    and the head's arrays ``p``: the (I,) scores and the caches
-    (query, key, value, attended, attention, prior, table, scale) its
-    adjoints read, scale being the logits' 1/sqrt(H).
+def _times_psi(src: np.ndarray, ranks: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+    """out = src * psi for an (I, I) array src (``out`` may be src itself),
+    psi[i, j] = table[min(|r_i - r_j|, C)], C = table.size - 1.
+
+    When psi is a band (:func:`_banded`), the rows C-1 .. I-C hold their
+    entries with |i - j| < C in one strided (I - 2(C-1), 2C-1) view: the
+    view times the Toeplitz row is kept, those rows are multiplied by
+    table[C], and the kept band is written back. The row walk
+    :func:`_psi_blocks` covers the 2(C-1) edge rows, or every row when psi
+    is no band. Each entry is one multiply by its own psi either way, so
+    the band gives bitwise what the walk gives.
+    """
+    n, c = ranks.size, table.size - 1
+    spans = [(0, n)]
+    if _banded(ranks, c):
+        edge = c - 1
+
+        def band(a):
+            strides = (a.strides[0] + a.strides[1], a.strides[1])
+            return np.lib.stride_tricks.as_strided(a[edge:], (n - 2 * edge, 2 * c - 1), strides)
+
+        kept = band(src) * table[np.abs(np.arange(-edge, c))]
+        np.multiply(src[edge : n - edge], table[c], out=out[edge : n - edge])
+        band(out)[...] = kept
+        spans = [(0, edge), (n - edge, n)]
+    for lo, hi in spans:
+        for rows, _, psi in _psi_blocks(ranks, table, lo, hi):
+            np.multiply(src[rows], psi, out=out[rows])
+
+
+def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) -> tuple:
+    """Forward of :func:`score` on (I, H) representations r, integer ranks,
+    the head's arrays ``p`` and the prior bins of the clamped rank distances
+    (:func:`_prior_bins`): the (I,) scores and the caches (query, key,
+    value, attended, attention, prior, table, scale) its adjoints read,
+    scale being the logits' 1/sqrt(H) and ``table`` psi * scale per clamped
+    rank distance.
 
     The float operations are those of :func:`caan_forward` and
     :func:`winner_scores`, in the same order, so the scores are bitwise
-    theirs. psi is gathered from ``table``, the prior of each rank distance
-    clamped at C = q(L-1), the first distance of the last quantized bin,
-    block by block, and never stored. The logits buffer becomes the
-    attention A in place.
+    theirs for stocks in the same order. QK' is multiplied by psi * scale
+    (:func:`_times_psi`), and psi is never stored. The logits buffer
+    becomes the attention A in place.
     """
     scale = 1.0 / np.sqrt(r.shape[1])
     query, key, value = r @ p["wq"], r @ p["wk"], r @ p["wv"]
@@ -624,11 +699,9 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[n
     if not np.isfinite(prior_logits).all():
         raise NonFiniteError("score: non-finite rank-prior logits")
     prior = ad.logistic(prior_logits)
-    table = prior[_prior_bins(q, prior.size)]
+    table = prior[bins] * scale
     logits = query @ key.T
-    logits *= scale
-    for rows, _, psi in _psi_blocks(ranks, table):
-        logits[rows] *= psi
+    _times_psi(logits, ranks, table, logits)
     # a non-finite logit leaves a non-finite row maximum (+inf, nan) or minimum (-inf)
     top = logits.max(axis=1, keepdims=True)
     if not (np.isfinite(top).all() and np.isfinite(logits.min())):
@@ -648,45 +721,64 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple[n
     return ad.logistic(head), (query, key, value, attended, attention, prior, table, scale)
 
 
-def _softmax_adjoint(attention, g, value, ranks, table, scale) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of Z = softmax(psi * S) V, S = QK' * scale, for the
-    cotangent G of Z: with M = GV', the cotangent of the softmax's input
-    N = A * (M - rowsum(A * M)) and that of QK', D = N * psi * scale."""
+def _softmax_adjoint(attention, g, value, ranks, table) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of Z = softmax(psi * scale * QK') V for the cotangent G of Z,
+    ``table`` holding psi * scale: with M = GV', the cotangent of the
+    softmax's input N = A * (M - rowsum(A * M)) and that of QK',
+    D = N * psi * scale."""
     n = g @ value.T
     d = attention * n
     n -= d.sum(axis=1, keepdims=True)
     n *= attention
-    for rows, _, psi in _psi_blocks(ranks, table):
-        np.multiply(n[rows], psi, out=d[rows])
-    d *= scale
+    _times_psi(n, ranks, table, d)
     return n, d
 
 
-def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: int) -> tuple:
+def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, bins) -> tuple:
     """Backward of :func:`score` for the cotangent g (I,) of its scores:
     the cotangents of the head logits (I,), of query, key and value
     (I, H) and of the prior logits w'E (L,)."""
     query, key, value, attended, attention, prior, table, scale = cache
     d_head = g * (s * (1.0 - s))
     d_attended = d_head[:, None] * p["w_score"]
-    n, d = _softmax_adjoint(attention, d_attended, value, ranks, table, scale)
-    # dL/dpsi = N * S, with S recomputed block by block rather than cached,
-    # summed per clamped rank distance, then per quantized bin
+    n, d = _softmax_adjoint(attention, d_attended, value, ranks, table)
+    # dL/d(psi * scale) = N * QK', with QK' recomputed block by block rather
+    # than cached, summed per clamped rank distance, then per quantized bin
     d_table = np.zeros(table.size)
-    for rows, dist, _ in _psi_blocks(ranks, table):
+    for rows, dist, _ in _psi_blocks(ranks, table, 0, ranks.size):
         d_psi = query[rows] @ key.T
-        d_psi *= scale
         d_psi *= n[rows]
         d_table += np.bincount(dist.ravel(), weights=d_psi.ravel(), minlength=table.size)
-    d_prior = np.bincount(_prior_bins(q, prior.size), weights=d_table, minlength=prior.size)
+    d_prior = np.bincount(bins, weights=d_table, minlength=prior.size) * scale
     return d_head, d @ key, d.T @ query, attention.T @ d_attended, d_prior * prior * (1.0 - prior)
+
+
+def _score_setup(rep, ranks, params: PolicyParams) -> tuple:
+    """The checked inputs of :func:`score` (r, ranks, the head's arrays p,
+    the prior bins and the rank order): when the order is not None, the
+    rows of r and the ranks are put in it, an O(I H) row gather."""
+    r, ranks = _score_inputs(rep, ranks, params)
+    p = {name: params[name].data for name in SCORE_PARAMS}
+    bins = _prior_bins(params.q, params.l_cols, ranks.max() - ranks.min())
+    order = _rank_order(ranks, bins.size - 1)
+    if order is not None:
+        r, ranks = r[order], ranks[order]
+    return r, ranks, p, bins, order
 
 
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
     """(I, H) representations -> winner scores (I,), coupled across stocks.
 
-    The value of ``winner_scores(caan_forward(rep, ranks, params), params)``,
-    bitwise, as one tape record. The record has one VJP per operand: the
+    The value of ``winner_scores(caan_forward(rep, ranks, params), params)``
+    as one tape record. When the ranks rise by one in rank order, as a
+    window set's 1..I do, and there are more than 2(C-1) stocks, the
+    record runs with the stocks in rank order, where psi is a Toeplitz band
+    (:func:`_times_psi`); the scores and the representations' cotangent
+    are put back in the stocks' order on the way out. Its softmax sums and
+    attention products then add in rank order, so values and gradients
+    match the primitive composition to rtol 1e-12. Otherwise (ties, gaps,
+    at most 2(C-1) stocks) the stocks keep their order and the scores are
+    bitwise the composition's. The record has one VJP per operand: the
     representations and each of :data:`SCORE_PARAMS`, all reading one
     sweep per backward pass; the tape calls only those whose operand
     requires grad. Raises :class:`NonFiniteError` whenever the primitive
@@ -694,14 +786,16 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
     logits, the attended values and the head logits: a sigmoid of an
     overflowed logit is finite, so the output alone would not show it.
     """
-    r, ranks = _score_inputs(rep.data, ranks, params)
-    p = {name: params[name].data for name in SCORE_PARAMS}
-    s, cache = _score_forward(r, ranks, p, params.q)
+    r, ranks, p, bins, order = _score_setup(rep.data, ranks, params)
+    s, cache = _score_forward(r, ranks, p, bins)
     attended = cache[3]
 
     def d_rep(sw):
         _, d_query, d_key, d_value, _ = sw
-        return d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T
+        return _unsorted(d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T, order)
+
+    def sweep(g):
+        return _score_sweep(g if order is None else g[order], s, cache, ranks, p, bins)
 
     pulls = (
         (rep, d_rep),
@@ -713,7 +807,7 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
         (params["rank_emb"], lambda sw: np.outer(p["rank_w"], sw[4])),
         (params["rank_w"], lambda sw: p["rank_emb"] @ sw[4]),
     )
-    return ad.emit("score", s, pulls, lambda g: _score_sweep(g, s, cache, ranks, p, params.q))
+    return ad.emit("score", _unsorted(s, order), pulls, sweep)
 
 
 def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
@@ -727,21 +821,21 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
         M = GV',  N = A * (M - rowsum(A * M)),  D = N * psi / sqrt(H)
         C = diag(A) G Wv' + (DK) Wq' + diag(D) Q Wk'
 
-    The three terms are r_i's paths through V_i, Q_i and K_i. The forward
-    and the softmax adjoint are those of :func:`score` (``_score_forward``
-    and ``_softmax_adjoint``), run on plain arrays, so nothing is recorded
-    on any tape. Cost O(I^2 H).
+    The three terms are r_i's paths through V_i, Q_i and K_i. The forward,
+    the softmax adjoint and the stock order are those of :func:`score`
+    (``_score_forward`` and ``_softmax_adjoint``), run on plain arrays, so
+    nothing is recorded on any tape. Cost O(I^2 H).
     """
-    r, ranks = _score_inputs(rep, ranks, params)
-    p = {name: params[name].data for name in SCORE_PARAMS}
-    s, (query, key, value, _, attention, _, table, scale) = _score_forward(r, ranks, p, params.q)
+    r, ranks, p, bins, order = _score_setup(rep, ranks, params)
+    s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, bins)
     g = (s * (1.0 - s))[:, None] * p["w_score"]
-    _, d = _softmax_adjoint(attention, g, value, ranks, table, scale)
-    return (
+    _, d = _softmax_adjoint(attention, g, value, ranks, table)
+    own = (
         np.diag(attention)[:, None] * (g @ p["wv"].T)
         + (d @ key) @ p["wq"].T
         + np.diag(d)[:, None] * (query @ p["wk"].T)
     )
+    return _unsorted(own, order)
 
 
 def policy_forward(windows, ranks, params: PolicyParams) -> Tensor:

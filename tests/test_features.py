@@ -364,6 +364,13 @@ def test_build_windows_rank_ties_break_by_stock_id_whatever_the_row_order():
     np.testing.assert_array_equal(ws.ranks, [2, 4, 1, 3])
 
 
+def test_panel_id_ranks_give_each_row_its_place_in_ascending_id_order():
+    # build_windows breaks pr ties on these integers instead of on the id strings
+    panel = panel_from_closes(np.ones((5, 3)), ids=["S10", "B", "S9", "A", "S1"])
+    assert panel.id_ranks.tolist() == [3, 1, 4, 0, 2]
+    assert not panel.id_ranks.flags.writeable
+
+
 def _zscore_out_of_place(raw):
     # the per-step standardization as first written: a fresh array, zeros
     # for zero-variance columns

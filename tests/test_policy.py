@@ -12,11 +12,14 @@ from bwsl import autodiff as ad
 from bwsl import policy
 from bwsl.autodiff import Tensor
 from bwsl.errors import DataError, NonFiniteError, ShapeError
+from bwsl.features import PreparedPanel
+from bwsl.market import SynthConfig, synth_market
 from bwsl.policy import (
     ENCODER_PARAMS,
     PARAM_ORDER,
     SCORE_PARAMS,
     PolicyParams,
+    WinnerScores,
     caan_forward,
     encode,
     history_attention,
@@ -27,6 +30,7 @@ from bwsl.policy import (
     score,
     winner_scores,
 )
+from bwsl.portfolio import generate
 
 
 def small_params(seed=0, hidden=6, embed=4, l_cols=8, q=4):
@@ -500,7 +504,7 @@ def test_each_backward_over_one_encode_record_sweeps_its_own_cotangent(monkeypat
             assert a.tobytes() == b.tobytes()
 
 
-_ROLES = {"act", "cells", "states", "u", "d_gates", "d_states", "d_pre"}
+_ROLES = {"act", "cells", "stack", "u", "d_gates", "d_states", "d_pre"}
 
 
 @pytest.fixture
@@ -595,7 +599,10 @@ def test_one_buffer_per_role_the_largest_outlives_a_many_record_tape(workspace):
     k, h = 5, params.hidden
     widths = {"act": 4 * h, "d_gates": 4 * h}
     for role, buf in workspace.items():
-        assert buf.size == k * 9 * widths.get(role, h), role
+        if role == "stack":  # K + 1 blocks of [x_k; h_{k-1}; 1]
+            assert buf.size == (k + 1) * 9 * (7 + h + 1), role
+        else:
+            assert buf.size == k * 9 * widths.get(role, h), role
 
 
 def test_threads_each_reuse_their_own_workspace_and_release_across_threads(workspace):
@@ -880,6 +887,134 @@ def test_own_score_grads_record_nothing_on_an_active_tape():
     with tape:
         own_score_grads(rep, [1, 2, 3, 4], params)
     assert len(tape) == 0
+
+
+# psi is a Toeplitz band once the stocks are in rank order: with q=1 and
+# L=6, C = min(q(L-1), I-1) = 5, so the band applies above 2(C-1) = 8 stocks;
+# I = 8 is a permutation that keeps the row walk
+_BAND_C = 5
+_BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
+
+
+def _band_case(n, seed):
+    params = small_params(seed, hidden=4, embed=3, l_cols=_BAND_C + 1, q=1)
+    rng = np.random.default_rng(seed + 1)
+    return params, rng.normal(size=(n, params.hidden)), 1 + rng.permutation(n), rng
+
+
+def _walked_rows(monkeypatch):
+    """Patch the psi row walk to count the rows it visits."""
+    rows, real = [], policy._psi_blocks
+
+    def counted(ranks, table, lo, hi):
+        rows.append(hi - lo)
+        return real(ranks, table, lo, hi)
+
+    monkeypatch.setattr(policy, "_psi_blocks", counted)
+    return rows
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES)
+def test_banded_score_matches_the_primitive_composition(n):
+    params, rep, ranks, rng = _band_case(n, 90 + n)
+    cot = rng.normal(size=n)
+    banded = n > 2 * (_BAND_C - 1)
+    fused = _score_and_grads(score, rep, ranks, params, cot)
+    oracle = _score_and_grads(_primitive_score, rep, ranks, params, cot)
+    if not banded:  # the walk keeps the stocks' order, so its scores are bitwise
+        assert fused[0].tobytes() == oracle[0].tobytes()
+    for name, got, want in zip(("scores", "rep") + SCORE_PARAMS, fused, oracle):
+        assert got.shape == want.shape, name
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES[1:])
+def test_banded_score_gradients_match_finite_differences(n):
+    params, rep, ranks, rng = _band_case(n, 95 + n)
+    cot = Tensor(rng.normal(size=n))
+    worst = ad.finite_diff_check(
+        lambda r: (score(r, ranks, params) * cot).sum(), Tensor(rep, requires_grad=True), eps=1e-6
+    )
+    for name in SCORE_PARAMS:
+
+        def weighted(t, name=name):
+            swapped = dict(params.tensors())
+            swapped[name] = t
+            return (score(Tensor(rep), ranks, PolicyParams(swapped, params.q)) * cot).sum()
+
+        worst = max(worst, ad.finite_diff_check(weighted, params[name], eps=1e-6))
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES)
+def test_banded_own_score_grads_match_per_stock_replays_of_score(n):
+    params, rep, ranks, _ = _band_case(n, 100 + n)
+    expected = _replayed_own_score_grads(rep, ranks, params)
+    np.testing.assert_allclose(own_score_grads(rep, ranks, params), expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n", _BAND_SIZES)
+def test_the_psi_walk_visits_only_the_edge_rows_of_a_band(n, monkeypatch):
+    params, rep, ranks, _ = _band_case(n, 105 + n)
+    rows = _walked_rows(monkeypatch)
+    score(Tensor(rep), ranks, params)
+    walked = 2 * (_BAND_C - 1) if n > 2 * (_BAND_C - 1) else n
+    assert sum(rows) == walked  # the forward
+    rows.clear()
+    own_score_grads(rep, ranks, params)
+    assert sum(rows) == 2 * walked  # the forward and the softmax adjoint
+    rows.clear()
+    score(Tensor(rep), np.where(ranks == 1, 2, ranks), params)  # a tie: every row walks
+    assert sum(rows) == n
+
+
+def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
+    panel = synth_market(SynthConfig(300, 30, seed=5))
+    prep = PreparedPanel(panel, 12)
+    params = PolicyParams.init(5)
+    for t in prep.tradable_times[:3]:
+        ws = prep.windows(t)
+        rep = encode(ws.features, params)
+        legs = []
+        for values in (score(rep, ws.ranks, params), _primitive_score(rep, ws.ranks, params)):
+            pair = generate(WinnerScores(ws.stock_ids, values.data), len(ws) // 4)
+            legs.append((pair.long_indices, pair.short_indices))
+        assert legs[0] == legs[1]
+
+
+def test_ranks_whose_difference_would_wrap_raise_data_error():
+    # 2^62 - (-2^62) wraps to -2^63 in int64: the pair scored bitwise as
+    # tied ranks [1, 1], rank_distance returned -2^61, and caan_forward
+    # raised a ShapeError from take
+    params = small_params(110)
+    rep = np.random.default_rng(111).normal(size=(2, params.hidden))
+    ranks = [2**62, -(2**62)]
+    for fn in (
+        lambda r: score(Tensor(rep), r, params),
+        lambda r: own_score_grads(rep, r, params),
+        lambda r: caan_forward(Tensor(rep), r, params),
+        lambda r: rank_distance(r, params.q, params.l_cols),
+    ):
+        with pytest.raises(DataError, match="^ranks must lie less than 2\\^63 apart"):
+            fn(ranks)
+    widest = [2**62, 1 - 2**62]  # 2^63 - 1 apart
+    assert rank_distance(widest, 1, 4).tolist() == [[0, 3], [3, 0]]
+
+
+def test_the_prior_table_is_sized_by_the_universe_not_by_q():
+    # the table once held q(L-1)+1 entries: at q=10**6 one 10-stock score
+    # took 308 ms and 230 MB
+    params = PolicyParams.init(0, q=10**6)
+    rep = Tensor(np.random.default_rng(112).normal(size=(10, params.hidden)))
+    ranks = np.arange(10, 0, -1)
+    score(rep, ranks, params)
+    tracemalloc.start()
+    try:
+        score(rep, ranks, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
