@@ -58,16 +58,18 @@ class TrainingDivergedError(NumericError):
     """The training loop detected a degenerate, non-learning policy."""
 
 
-def whole_number(value, what: str, minimum: int | None) -> int:
+def whole_number(value, what: str, minimum: int | None, maximum: int | None = None) -> int:
     """``value`` as an int: a real number with no fractional part (12.0 is
-    accepted, 12.9 is not), not a bool, and at least ``minimum``, when one
-    is given; DataError naming ``what`` otherwise."""
+    accepted, 12.9 is not), not a bool, and at least ``minimum`` and at most
+    ``maximum``, when given; DataError naming ``what`` otherwise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) and not (
         isinstance(value, numbers.Real) and float(value).is_integer()
     ):
         raise DataError(f"{what} must be a whole number, got {value!r}")
     if minimum is not None and value < minimum:
         raise DataError(f"{what} must be at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise DataError(f"{what} must be at most {maximum}, got {value!r}")
     return int(value)
 
 

@@ -14,27 +14,26 @@ with hand-written VJPs:
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
   forward and softmax adjoint. When the ranks are a permutation of
   consecutive integers, such as a window set's 1..I, both run with the
-  stocks in rank order, where the rank prior psi is a Toeplitz band
-  (:func:`score`).
+  stocks in rank order, where the rank prior psi is Toeplitz: a read-only
+  view of 2I-1 entries, multiplied in one pass (:func:`_times_psi`).
 
 Each encoder step is one GEMM of the stacked weights [Wx; Wh; b'] with
 the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which thereby
-holds the windows and the hidden states. While a tape records,
-:func:`encode` writes its seven stocks-last arrays, four forward caches
-(``stack``, ``act``, ``cells``, ``u``) and three backward-sweep buffers
-(``d_gates``, ``d_states``, ``d_pre``), into buffers leased from a
-per-thread workspace, one per role. The record's sweep holds the lease,
-so they return when the record dies (when its tape is dropped). The
-workspace keeps at most one spare buffer per role, the largest returned,
-and a smaller universe writes into a prefix of it. So successive recorded
-calls, one per decision time in training and interpretation, reuse the
-same memory instead of faulting in fresh pages. An untaped call, such as
-a backtest's, keeps no backward caches: its gate activations and cell
-states live in one (., I) slab each, rewritten at every step, and only
-the stack and the attention's tanh layer, which the attention reads over
-all K steps, are full arrays. The float operations are the same either
-way, so values depend neither on the workspace nor on whether a tape
-records.
+holds the windows and the hidden states, then the attention's projection
+of the new h_k. Each forward bounds its magnitudes once per call, from
+the weights and the largest input; below 1e300 nothing can overflow, so
+the per-step and (I, I) finiteness passes run only above it. While a
+tape records, :func:`encode` writes its seven stocks-last arrays, four
+forward caches (``stack``, ``act``, ``cells``, ``u``) and three sweep
+buffers (``d_gates``, ``d_states``, ``d_pre``), into buffers leased from
+a per-thread workspace, one per role, which return when the record dies
+(when its tape is dropped). The workspace keeps at most one spare buffer
+per role, the largest returned, and a smaller universe writes into a
+prefix of it, so successive recorded calls reuse the same memory. An
+untaped call, such as a backtest's, keeps no backward caches: its gate
+activations and cell states live in one (., I) slab each, rewritten at
+every step. The float operations are the same either way, so values
+depend neither on the workspace nor on whether a tape records.
 
 :func:`lstm_encode`, :func:`history_attention`, :func:`caan_forward` and
 :func:`winner_scores` spell the same network out in autodiff primitives
@@ -127,7 +126,7 @@ class PolicyParams:
         if plain:
             raise DataError(f"policy params: {plain} must be Tensors")
         _check_shapes(self._tensors)
-        self.q = whole_number(q, "quantization step q", 1)
+        self.q = whole_number(q, "quantization step q", 1, 2**63 - 1)
 
     @classmethod
     def init(
@@ -328,8 +327,8 @@ def _rank_ints(ranks) -> np.ndarray:
 def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     """Quantized pairwise rank distance, clamped to the embedding width."""
     ranks = _rank_ints(ranks)
-    q = whole_number(q, "quantization step q", 1)
-    l_cols = whole_number(l_cols, "rank_distance: l_cols", 1)
+    q = whole_number(q, "quantization step q", 1, 2**63 - 1)
+    l_cols = whole_number(l_cols, "rank_distance: l_cols", 1, 2**63)
     return np.minimum(np.abs(ranks[:, None] - ranks[None, :]) // q, l_cols - 1)
 
 
@@ -428,6 +427,15 @@ def _fresh(role: str, shape: tuple) -> np.ndarray:
     return np.empty(shape)
 
 
+# a magnitude bound below this leaves rounding a factor 1e8 short of overflow
+_OVERFLOW_FREE = 1e300
+
+
+def _abs_max(a: np.ndarray):
+    """max |a| (0 for no elements) with no |a| temporary; NaN when a holds one."""
+    return np.maximum(a.max(initial=0.0), -a.min(initial=0.0))
+
+
 def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tuple]:
     """Forward of :func:`encode` on (I, K, F) windows and the encoder's
     arrays ``p``: the (I, H) representation and the caches (xs, act, cells,
@@ -441,12 +449,13 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
     (K, H, I), the hidden states h_k, are views of that one buffer. At step
     k, act[k] (4H, I) holds the pre-activations, then, in place, the gate
     activations; cells (K, H, I) holds c_k; u is the attention's tanh layer
-    (K, H, I) and weights its softmax over K (K, I). Step k reads act[k]
-    and cells[k] only at step k, and takes f * c_{k-1} before it writes
-    c_k, so ``take`` may hand out one slab for all K steps of either
-    (:func:`_fresh`). Stocks run along the last axis, so each gate block of
-    a step, such as ``act[k, 0:3H]``, is one contiguous slab and the
-    elementwise work runs on contiguous memory.
+    (K, H, I), its att_w1' h_k written at step k while h_k is in cache,
+    and weights its softmax over K (K, I). Step k reads act[k] and cells[k]
+    only at step k, and takes f * c_{k-1} before it writes c_k, so ``take``
+    may hand out one slab for all K steps of either (:func:`_fresh`).
+    Stocks run along the last axis, so each gate block of a step is one
+    contiguous slab. A step checks its pre-activations for finiteness only
+    when the call's bound B (below) is not under ``_OVERFLOW_FREE``.
     """
     n, k_steps, f_dim = windows.shape
     h_dim = p["lstm_wh"].shape[0]
@@ -459,11 +468,18 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
     stack[:-1, -1] = 1.0
     act = take("act", (k_steps, 4 * h_dim, n))
     cells = take("cells", (k_steps, h_dim, n))
+    u = take("u", (k_steps, h_dim, n))
+    # |x_k| <= max|x|, |h| <= 1 and the bias input is 1, so no pre-activation
+    # or GEMM partial sum exceeds B in magnitude; inf * 0 makes B NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        aw = np.abs(w)
+        bound = (aw[:, :f_dim].sum(axis=1) * _abs_max(windows) + aw[:, f_dim:].sum(axis=1)).max()
+    checked = not bound < _OVERFLOW_FREE
     c = np.zeros((h_dim, n))
     for k in range(k_steps):
         a = act[k]
         np.matmul(w, stack[k], out=a)
-        if not np.isfinite(a).all():
+        if checked and not np.isfinite(a).all():
             raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
         ad.logistic(a[sig], out=a[sig])
         np.tanh(a[cand], out=a[cand])
@@ -473,10 +489,9 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
         c = cells[k]
         np.tanh(c, out=states[k])
         states[k] *= a[gate_out]
+        np.matmul(p["att_w1"].T, states[k], out=u[k])
 
-    # history attention: scores of all K states in one matmul, softmax over K
-    u = take("u", (k_steps, h_dim, n))
-    np.matmul(p["att_w1"].T, states, out=u)
+    # history attention: add the last state's term, softmax over K
     u += p["att_w2"].T @ states[-1]
     np.tanh(u, out=u)
     scores = p["att_w"] @ u
@@ -541,7 +556,7 @@ def encode(windows, params: PolicyParams) -> Tensor:
     as one tape record. The forward keeps its caches stocks-last, (K, ., I),
     so each gate block of a step is one contiguous slab; each step's gate
     pre-activations are one GEMM, [Wx; Wh; b']' [x_k; h_{k-1}; 1], and the
-    attention over all K states is one batched matmul. The record has one
+    step also projects its h_k for the attention. The record has one
     VJP per operand: the windows and each of :data:`ENCODER_PARAMS`. They
     share the sweep :func:`_encode_sweep`, run once per backward pass, and
     the tape calls only those whose operand requires grad; each K-summed
@@ -599,20 +614,19 @@ def _prior_bins(q: int, l_cols: int, span: int) -> np.ndarray:
     return np.arange(min(q * (l_cols - 1), span) + 1) // q
 
 
-def _banded(ranks: np.ndarray, c: int) -> bool:
-    """Whether psi[i, j] = table[min(|r_i - r_j|, C)] is a Toeplitz band in
-    the stocks' order, with at least one row holding all of its 2C-1 band
-    entries: the ranks rise by one from stock to stock, C >= 1, and there
-    are more than 2(C-1) stocks."""
-    return c >= 1 and ranks.size > 2 * (c - 1) and bool((np.diff(ranks) == 1).all())
+def _banded(ranks: np.ndarray) -> bool:
+    """Whether psi[i, j] = table[min(|r_i - r_j|, C)] is Toeplitz in the
+    stocks' order, table[min(|i - j|, C)]: the ranks rise by one from
+    stock to stock."""
+    return bool((np.diff(ranks) == 1).all())
 
 
-def _rank_order(ranks: np.ndarray, c: int) -> np.ndarray | None:
-    """The order that sorts the stocks by rank, when psi is a band in it
-    (:func:`_banded`), as for a window set's ranks 1..I; None for ties,
-    gaps and at most 2(C-1) stocks, which keep their order."""
+def _rank_order(ranks: np.ndarray) -> np.ndarray | None:
+    """The order that sorts the stocks by rank, when psi is Toeplitz in it
+    (:func:`_banded`), as for a window set's ranks 1..I at any I; None for
+    ties and gaps, which keep the stocks' order."""
     order = np.argsort(ranks)
-    return order if _banded(ranks[order], c) else None
+    return order if _banded(ranks[order]) else None
 
 
 def _unsorted(x: np.ndarray, order: np.ndarray | None) -> np.ndarray:
@@ -630,53 +644,42 @@ def _unsorted(x: np.ndarray, order: np.ndarray | None) -> np.ndarray:
 _PRIOR_BLOCK = 1 << 14
 
 
-def _psi_blocks(ranks: np.ndarray, table: np.ndarray, lo: int, hi: int):
-    """Row blocks of the rows lo .. hi-1 of the rank prior psi[i, j] =
-    table[min(|r_i - r_j|, C)], C = table.size - 1: yields (rows, dist,
-    psi), the clamped distances of those rows and their psi, in two buffers
-    reused from block to block."""
+def _psi_blocks(ranks: np.ndarray, c: int):
+    """Row blocks of the clamped rank distances min(|r_i - r_j|, C): yields
+    (rows, dist), the distances of those rows in one buffer reused from
+    block to block."""
     n = ranks.size
     step = max(1, _PRIOR_BLOCK // n)
-    dist_buf = np.empty((min(step, hi - lo), n), dtype=np.intp)
-    psi_buf = np.empty(dist_buf.shape)
-    for start in range(lo, hi, step):
-        rows = slice(start, min(start + step, hi))
-        dist, psi = dist_buf[: rows.stop - start], psi_buf[: rows.stop - start]
+    buf = np.empty((min(step, n), n), dtype=np.intp)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        dist = buf[: rows.stop - start]
         np.subtract.outer(ranks[rows], ranks, out=dist)
         np.abs(dist, out=dist)
-        np.minimum(dist, table.size - 1, out=dist)
-        table.take(dist, out=psi, mode="clip")
-        yield rows, dist, psi
+        np.minimum(dist, c, out=dist)
+        yield rows, dist
 
 
 def _times_psi(src: np.ndarray, ranks: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
     """out = src * psi for an (I, I) array src (``out`` may be src itself),
     psi[i, j] = table[min(|r_i - r_j|, C)], C = table.size - 1.
 
-    When psi is a band (:func:`_banded`), the rows C-1 .. I-C hold their
-    entries with |i - j| < C in one strided (I - 2(C-1), 2C-1) view: the
-    view times the Toeplitz row is kept, those rows are multiplied by
-    table[C], and the kept band is written back. The row walk
-    :func:`_psi_blocks` covers the 2(C-1) edge rows, or every row when psi
-    is no band. Each entry is one multiply by its own psi either way, so
-    the band gives bitwise what the walk gives.
+    When psi is Toeplitz (:func:`_banded`), it is a read-only strided view
+    of the 2I-1 entries v[m] = table[min(|m|, C)], m = -(I-1) .. I-1, row
+    i being v[-i .. I-1-i], so psi takes no I^2 memory and the product is
+    one multiply. Otherwise the row walk :func:`_psi_blocks` gathers psi
+    block by block. Each entry is one multiply by its own psi either way,
+    so the view gives bitwise what the walk gives.
     """
     n, c = ranks.size, table.size - 1
-    spans = [(0, n)]
-    if _banded(ranks, c):
-        edge = c - 1
-
-        def band(a):
-            strides = (a.strides[0] + a.strides[1], a.strides[1])
-            return np.lib.stride_tricks.as_strided(a[edge:], (n - 2 * edge, 2 * c - 1), strides)
-
-        kept = band(src) * table[np.abs(np.arange(-edge, c))]
-        np.multiply(src[edge : n - edge], table[c], out=out[edge : n - edge])
-        band(out)[...] = kept
-        spans = [(0, edge), (n - edge, n)]
-    for lo, hi in spans:
-        for rows, _, psi in _psi_blocks(ranks, table, lo, hi):
-            np.multiply(src[rows], psi, out=out[rows])
+    if _banded(ranks):
+        v = table[np.minimum(np.abs(np.arange(1 - n, n)), c)]
+        strides = (-v.strides[0], v.strides[0])  # psi[i, j] = v[m = j - i]
+        psi = np.lib.stride_tricks.as_strided(v[n - 1 :], (n, n), strides, writeable=False)
+        np.multiply(src, psi, out=out)
+        return
+    for rows, dist in _psi_blocks(ranks, c):
+        np.multiply(src[rows], table.take(dist, mode="clip"), out=out[rows])
 
 
 def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) -> tuple:
@@ -702,9 +705,11 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) 
     table = prior[bins] * scale
     logits = query @ key.T
     _times_psi(logits, ranks, table, logits)
-    # a non-finite logit leaves a non-finite row maximum (+inf, nan) or minimum (-inf)
     top = logits.max(axis=1, keepdims=True)
-    if not (np.isfinite(top).all() and np.isfinite(logits.min())):
+    # QK' sums stay under the bound; above it, a non-finite logit shows in a row max or min
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = r.shape[1] * _abs_max(query) * _abs_max(key) * table.max()
+    if not bound < _OVERFLOW_FREE and not (np.isfinite(top).all() and np.isfinite(logits.min())):
         raise NonFiniteError("score: non-finite attention logits")
     # row softmax in place: logits -> attention
     logits -= top
@@ -745,7 +750,7 @@ def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, bin
     # dL/d(psi * scale) = N * QK', with QK' recomputed block by block rather
     # than cached, summed per clamped rank distance, then per quantized bin
     d_table = np.zeros(table.size)
-    for rows, dist, _ in _psi_blocks(ranks, table, 0, ranks.size):
+    for rows, dist in _psi_blocks(ranks, table.size - 1):
         d_psi = query[rows] @ key.T
         d_psi *= n[rows]
         d_table += np.bincount(dist.ravel(), weights=d_psi.ravel(), minlength=table.size)
@@ -760,7 +765,7 @@ def _score_setup(rep, ranks, params: PolicyParams) -> tuple:
     r, ranks = _score_inputs(rep, ranks, params)
     p = {name: params[name].data for name in SCORE_PARAMS}
     bins = _prior_bins(params.q, params.l_cols, ranks.max() - ranks.min())
-    order = _rank_order(ranks, bins.size - 1)
+    order = _rank_order(ranks)
     if order is not None:
         r, ranks = r[order], ranks[order]
     return r, ranks, p, bins, order
@@ -771,20 +776,22 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
 
     The value of ``winner_scores(caan_forward(rep, ranks, params), params)``
     as one tape record. When the ranks rise by one in rank order, as a
-    window set's 1..I do, and there are more than 2(C-1) stocks, the
-    record runs with the stocks in rank order, where psi is a Toeplitz band
-    (:func:`_times_psi`); the scores and the representations' cotangent
-    are put back in the stocks' order on the way out. Its softmax sums and
-    attention products then add in rank order, so values and gradients
-    match the primitive composition to rtol 1e-12. Otherwise (ties, gaps,
-    at most 2(C-1) stocks) the stocks keep their order and the scores are
-    bitwise the composition's. The record has one VJP per operand: the
-    representations and each of :data:`SCORE_PARAMS`, all reading one
-    sweep per backward pass; the tape calls only those whose operand
-    requires grad. Raises :class:`NonFiniteError` whenever the primitive
-    composition would, from checks of the rank-prior logits, the attention
-    logits, the attended values and the head logits: a sigmoid of an
-    overflowed logit is finite, so the output alone would not show it.
+    window set's 1..I do at any I, the record runs with the stocks in rank
+    order, where psi is a Toeplitz view that the forward and the softmax
+    adjoint each multiply in one pass (:func:`_times_psi`); the scores and
+    the representations' cotangent are put back in the stocks' order on
+    the way out. Its softmax sums and attention products then add in rank
+    order, so values and gradients match the primitive composition to
+    rtol 1e-12. Otherwise (ties, gaps) the stocks keep their order and the
+    scores are bitwise the composition's. The record has one VJP per
+    operand: the representations and each of :data:`SCORE_PARAMS`, all
+    reading one sweep per backward pass; the tape calls only those whose
+    operand requires grad. Raises :class:`NonFiniteError` whenever the
+    primitive composition would, from checks of the rank-prior logits, the
+    attention logits (only when their bound H max|Q| max|K| max(table) is
+    not under ``_OVERFLOW_FREE``), the attended values and the head logits:
+    a sigmoid of an overflowed logit is finite, so the output alone would
+    not show it.
     """
     r, ranks, p, bins, order = _score_setup(rep.data, ranks, params)
     s, cache = _score_forward(r, ranks, p, bins)
@@ -821,10 +828,11 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
         M = GV',  N = A * (M - rowsum(A * M)),  D = N * psi / sqrt(H)
         C = diag(A) G Wv' + (DK) Wq' + diag(D) Q Wk'
 
-    The three terms are r_i's paths through V_i, Q_i and K_i. The forward,
-    the softmax adjoint and the stock order are those of :func:`score`
-    (``_score_forward`` and ``_softmax_adjoint``), run on plain arrays, so
-    nothing is recorded on any tape. Cost O(I^2 H).
+    The three terms are r_i's paths through V_i, Q_i and K_i. The forward
+    with its overflow bound, the softmax adjoint, whose D is one multiply
+    by psi's Toeplitz view for consecutive ranks, and the stock order are
+    those of :func:`score`, run on plain arrays, so nothing is recorded on
+    any tape. Cost O(I^2 H).
     """
     r, ranks, p, bins, order = _score_setup(rep, ranks, params)
     s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, bins)

@@ -890,8 +890,7 @@ def test_own_score_grads_record_nothing_on_an_active_tape():
 
 
 # psi is a Toeplitz band once the stocks are in rank order: with q=1 and
-# L=6, C = min(q(L-1), I-1) = 5, so the band applies above 2(C-1) = 8 stocks;
-# I = 8 is a permutation that keeps the row walk
+# L=6, C = min(q(L-1), I-1) = 5 from I = 6 on, and at most I-1 below
 _BAND_C = 5
 _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 
@@ -906,9 +905,10 @@ def _walked_rows(monkeypatch):
     """Patch the psi row walk to count the rows it visits."""
     rows, real = [], policy._psi_blocks
 
-    def counted(ranks, table, lo, hi):
-        rows.append(hi - lo)
-        return real(ranks, table, lo, hi)
+    def counted(ranks, c):
+        for block, dist in real(ranks, c):
+            rows.append(block.stop - block.start)
+            yield block, dist
 
     monkeypatch.setattr(policy, "_psi_blocks", counted)
     return rows
@@ -953,19 +953,41 @@ def test_banded_own_score_grads_match_per_stock_replays_of_score(n):
     np.testing.assert_allclose(own_score_grads(rep, ranks, params), expected, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("n", _BAND_SIZES)
+@pytest.mark.parametrize("n", [2, 3] + _BAND_SIZES)
 def test_the_psi_walk_visits_only_the_edge_rows_of_a_band(n, monkeypatch):
+    # the Toeplitz view covers every row, so a band has no edge rows left
+    # to walk at any I, I <= 2(C-1) included; a tie or a gap walks them all
     params, rep, ranks, _ = _band_case(n, 105 + n)
     rows = _walked_rows(monkeypatch)
     score(Tensor(rep), ranks, params)
-    walked = 2 * (_BAND_C - 1) if n > 2 * (_BAND_C - 1) else n
-    assert sum(rows) == walked  # the forward
-    rows.clear()
     own_score_grads(rep, ranks, params)
-    assert sum(rows) == 2 * walked  # the forward and the softmax adjoint
-    rows.clear()
-    score(Tensor(rep), np.where(ranks == 1, 2, ranks), params)  # a tie: every row walks
+    assert rows == []
+    for ranks in (np.where(ranks == 1, 2, ranks), np.where(ranks == 1, 0, ranks)):
+        score(Tensor(rep), ranks, params)
+        assert sum(rows) == n  # the forward
+        rows.clear()
+        own_score_grads(rep, ranks, params)
+        assert sum(rows) == 2 * n  # the forward and the softmax adjoint
+        rows.clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 2 * _BAND_C - 2, 2 * _BAND_C + 1, 3 * _BAND_C])
+def test_the_psi_view_multiplies_bitwise_as_the_walk(n, monkeypatch):
+    rng = np.random.default_rng(115 + n)
+    ranks = 1 + rng.permutation(n)
+    if policy._banded(ranks):  # already in rank order: swap the first two
+        ranks[:2] = ranks[1::-1]
+    table = rng.uniform(size=_BAND_C + 1)
+    src = rng.normal(size=(n, n))
+    rows = _walked_rows(monkeypatch)
+    walked = np.empty_like(src)
+    policy._times_psi(src, ranks, table, walked)
     assert sum(rows) == n
+    order = np.argsort(ranks)
+    viewed = src[order][:, order]  # in place, as the forward multiplies the logits
+    policy._times_psi(viewed, ranks[order], table, viewed)
+    assert sum(rows) == n
+    assert viewed.tobytes() == walked[order][:, order].tobytes()
 
 
 def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
@@ -980,6 +1002,66 @@ def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
             pair = generate(WinnerScores(ws.stock_ids, values.data), len(ws) // 4)
             legs.append((pair.long_indices, pair.short_indices))
         assert legs[0] == legs[1]
+
+
+@pytest.mark.parametrize("n", [2, 100, 800])
+def test_the_finiteness_bound_changes_no_bit_of_values_caches_or_gradients(n, monkeypatch):
+    # the forwards skip their per-step and (I, I) finiteness passes when a
+    # bound rules out overflow; forced off, every check runs
+    params = PolicyParams.init(120 + n)
+    rng = np.random.default_rng(121 + n)
+    windows = rng.normal(size=(n, 12, params.n_features))
+    ranks = 1 + rng.permutation(n)
+    cot = Tensor(rng.normal(size=n))
+    leaves = [params[name] for name in PARAM_ORDER]
+
+    def run():
+        p = {name: params[name].data for name in ENCODER_PARAMS}
+        rep, cache = policy._encode_forward(windows, p, lambda role, shape: np.empty(shape))
+        r, sorted_ranks, head, bins, _ = policy._score_setup(rep, ranks, params)
+        out = [rep, *cache, *policy._score_forward(r, sorted_ranks, head, bins)[1]]
+        x = Tensor(windows, requires_grad=True)
+        tape = ad.Tape()
+        with tape:
+            scores = policy_forward(x, ranks, params)
+            grads = tape.gradients((scores * cot).sum())
+        return out + [scores.data, grads[x]] + [grads[t] for t in leaves]
+
+    bounded = run()
+    monkeypatch.setattr(policy, "_OVERFLOW_FREE", 0.0)
+    checked = run()
+    assert len(bounded) == len(checked)
+    for a, b in zip(bounded, checked):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_a_step_or_width_too_large_for_int64_raises_data_error(tmp_path):
+    # q and rank_distance's L once went unchecked above: a q of 2^63 or more
+    # made the // q of score, own_score_grads, caan_forward and
+    # rank_distance raise a bare OverflowError, and so did the clamp to
+    # L - 1 for an L above 2^63
+    with pytest.raises(DataError, match="^rank_distance: l_cols must be at most 9223372036854775808,"):
+        rank_distance([1, 2], 1, 2**63 + 1)
+    assert rank_distance([1, 2], 1, 2**63).tolist() == [[0, 1], [1, 0]]
+    message = "^quantization step q must be at most 9223372036854775807"
+    for q in (2**63, 10**20):
+        with pytest.raises(DataError, match=message):
+            PolicyParams.init(0, q=q)
+        with pytest.raises(DataError, match=message):
+            rank_distance([1, 2], q, 4)
+        path = tmp_path / "q.ckpt"
+        PolicyParams.init(0).save(path)
+        text = path.read_text().replace("q=4\n", f"q={q}\n")
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            PolicyParams.load(path)
+    params = PolicyParams.init(0, q=2**63 - 1)
+    rep = np.random.default_rng(113).normal(size=(3, params.hidden))
+    ranks = [1, 9, 5]
+    values = score(Tensor(rep), ranks, params).data
+    assert values.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
+    own_score_grads(rep, ranks, params)
+    assert not rank_distance(ranks, params.q, params.l_cols).any()
 
 
 def test_ranks_whose_difference_would_wrap_raise_data_error():
