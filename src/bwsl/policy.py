@@ -12,21 +12,23 @@ with hand-written VJPs:
 - :func:`score`, the cross-asset attention and score head, with the
   softmax adjoint for the representations and each of its seven
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
-  forward and softmax adjoint. When the ranks are a permutation of
-  consecutive integers, such as a window set's 1..I, both run with the
-  stocks in rank order, where the rank prior psi is Toeplitz: a read-only
-  view of 2I-1 entries, multiplied in one pass (:func:`_times_psi`).
+  forward and softmax adjoint. The rank prior is psi[i, j] =
+  table[bin(r_i - r_j)], L entries (:func:`_rank_bins`). For ranks that
+  are a permutation of consecutive integers, such as a window set's 1..I,
+  both run with the stocks in rank order, where psi is a Toeplitz view of
+  2I-1 entries, multiplied in one pass (:func:`_times_psi`).
 
 Each encoder step is one GEMM of the stacked weights [Wx; Wh; b'] with
-the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which thereby
-holds the windows and the hidden states, then the attention's projection
-of the new h_k. Each forward bounds its magnitudes once per call, from
-the weights and the largest input; below 1e300 nothing can overflow, so
-the per-step and (I, I) finiteness passes run only above it. While a
-tape records, :func:`encode` writes its seven stocks-last arrays, four
-forward caches (``stack``, ``act``, ``cells``, ``u``) and three sweep
-buffers (``d_gates``, ``d_states``, ``d_pre``), into buffers leased from
-a per-thread workspace, one per role, which return when the record dies
+the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which
+thereby holds the windows and the hidden states, then the attention's
+projection of the new h_k. Each forward checks its parameters finite,
+then bounds its magnitudes once per call, from the weights and the
+largest input; below 1e300 nothing can overflow, so the per-step and
+(I, I) finiteness passes run only above it. While a tape records,
+:func:`encode` writes its seven stocks-last arrays, four forward caches
+(``stack``, ``act``, ``cells``, ``u``) and three sweep buffers
+(``d_gates``, ``d_states``, ``d_pre``), into buffers leased from a
+per-thread workspace, one per role, which return when the record dies
 (when its tape is dropped). The workspace keeps at most one spare buffer
 per role, the largest returned, and a smaller universe writes into a
 prefix of it, so successive recorded calls reuse the same memory. An
@@ -256,6 +258,19 @@ class WinnerScores:
     values: np.ndarray
 
 
+def _param_arrays(params: PolicyParams, names: tuple, caller: str) -> dict:
+    """The arrays of the tensors ``names``, each checked finite at O(size),
+    before any GEMM reads it: an inf or NaN weight would otherwise give
+    NumPy's RuntimeWarning (inf times a zero window), or finite scores (an
+    inf attention weight that a tanh saturates). Tensors can be edited in
+    place, so :meth:`PolicyParams.apply_update` cannot check this alone."""
+    p = {name: params[name].data for name in names}
+    for name, a in p.items():
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"{caller}: non-finite values in parameter {name}")
+    return p
+
+
 def _windows_tensor(windows, params: PolicyParams) -> Tensor:
     """``windows`` as a tensor, checked to be (I, K, F) with the parameters' F."""
     x = windows if isinstance(windows, Tensor) else Tensor(windows)
@@ -324,12 +339,19 @@ def _rank_ints(ranks) -> np.ndarray:
     return arr
 
 
+def _rank_bins(diff: np.ndarray, q: int, l_cols: int) -> np.ndarray:
+    """Bins min(floor(|d| / q), L - 1) of the int64 rank differences d, in place."""
+    np.abs(diff, out=diff)
+    np.floor_divide(diff, q, out=diff)
+    return np.minimum(diff, l_cols - 1, out=diff)
+
+
 def rank_distance(ranks: np.ndarray, q: int, l_cols: int) -> np.ndarray:
     """Quantized pairwise rank distance, clamped to the embedding width."""
     ranks = _rank_ints(ranks)
     q = whole_number(q, "quantization step q", 1, 2**63 - 1)
     l_cols = whole_number(l_cols, "rank_distance: l_cols", 1, 2**63)
-    return np.minimum(np.abs(ranks[:, None] - ranks[None, :]) // q, l_cols - 1)
+    return _rank_bins(np.subtract.outer(ranks, ranks), q, l_cols)
 
 
 def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor:
@@ -562,7 +584,8 @@ def encode(windows, params: PolicyParams) -> Tensor:
     the tape calls only those whose operand requires grad; each K-summed
     parameter gradient is one batched matmul summed over k. A recorded call
     takes its arrays from the workspace, and an untaped one keeps no
-    backward caches (module docstring).
+    backward caches (module docstring). A non-finite parameter raises
+    :class:`NonFiniteError`.
 
     Every op here works column by column, so stock i depends on window i
     alone; stocks first meet in :func:`score`.
@@ -570,7 +593,7 @@ def encode(windows, params: PolicyParams) -> Tensor:
     x = _windows_tensor(windows, params)
     if x.shape[1] == 0:
         raise ShapeError("encode: no hidden states, the windows have no look-back steps")
-    p = {name: params[name].data for name in ENCODER_PARAMS}
+    p = _param_arrays(params, ENCODER_PARAMS, "encode")
     take = _Lease(_spare()) if ad.recording() else _fresh
     rep, cache = _encode_forward(x.data, p, take)
     xs, _, _, states, u, _ = cache
@@ -607,17 +630,10 @@ def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarra
     return r, ranks
 
 
-def _prior_bins(q: int, l_cols: int, span: int) -> np.ndarray:
-    """Quantized bin of each clamped rank distance 0 .. C, C = min(q(L-1),
-    span): the first distance of the last bin, or the widest distance
-    between ranks ``span`` apart, when that is smaller."""
-    return np.arange(min(q * (l_cols - 1), span) + 1) // q
-
-
 def _banded(ranks: np.ndarray) -> bool:
-    """Whether psi[i, j] = table[min(|r_i - r_j|, C)] is Toeplitz in the
-    stocks' order, table[min(|i - j|, C)]: the ranks rise by one from
-    stock to stock."""
+    """Whether psi[i, j] = table[bin(r_i - r_j)] is Toeplitz in the
+    stocks' order, table[bin(i - j)]: the ranks rise by one from stock to
+    stock."""
     return bool((np.diff(ranks) == 1).all())
 
 
@@ -638,57 +654,55 @@ def _unsorted(x: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     return out
 
 
-# elements per row block of the rank prior: two 128 KB (rows, I) buffers,
-# reused from block to block, stand in for (I, I) distance and prior
-# arrays; larger blocks measured slower at I=200 and no faster at I=800
+# elements per row block of the rank prior: one 128 KB (rows, I) bin buffer
+# is reused from block to block (psi and d_psi are allocated per block);
+# larger blocks measured slower at I=200 and no faster at I=800
 _PRIOR_BLOCK = 1 << 14
 
 
-def _psi_blocks(ranks: np.ndarray, c: int):
-    """Row blocks of the clamped rank distances min(|r_i - r_j|, C): yields
-    (rows, dist), the distances of those rows in one buffer reused from
-    block to block."""
+def _psi_blocks(ranks: np.ndarray, q: int, l_cols: int):
+    """Row blocks of the rank-distance bins, bin(r_i - r_j) by
+    :func:`_rank_bins`: yields (rows, bins), the bins of those rows in one
+    buffer reused from block to block."""
     n = ranks.size
     step = max(1, _PRIOR_BLOCK // n)
-    buf = np.empty((min(step, n), n), dtype=np.intp)
+    buf = np.empty((min(step, n), n), dtype=np.int64)
     for start in range(0, n, step):
         rows = slice(start, min(start + step, n))
-        dist = buf[: rows.stop - start]
-        np.subtract.outer(ranks[rows], ranks, out=dist)
-        np.abs(dist, out=dist)
-        np.minimum(dist, c, out=dist)
-        yield rows, dist
+        bins = buf[: rows.stop - start]
+        np.subtract.outer(ranks[rows], ranks, out=bins)
+        yield rows, _rank_bins(bins, q, l_cols)
 
 
-def _times_psi(src: np.ndarray, ranks: np.ndarray, table: np.ndarray, out: np.ndarray) -> None:
+def _times_psi(src, ranks, q, table, out) -> None:
     """out = src * psi for an (I, I) array src (``out`` may be src itself),
-    psi[i, j] = table[min(|r_i - r_j|, C)], C = table.size - 1.
+    psi[i, j] = table[bin(r_i - r_j)] for the step q (:func:`_rank_bins`).
 
     When psi is Toeplitz (:func:`_banded`), it is a read-only strided view
-    of the 2I-1 entries v[m] = table[min(|m|, C)], m = -(I-1) .. I-1, row
-    i being v[-i .. I-1-i], so psi takes no I^2 memory and the product is
+    of the 2I-1 entries v[m] = table[bin(m)], m = -(I-1) .. I-1, row i
+    being v[-i .. I-1-i], so psi takes no I^2 memory and the product is
     one multiply. Otherwise the row walk :func:`_psi_blocks` gathers psi
     block by block. Each entry is one multiply by its own psi either way,
     so the view gives bitwise what the walk gives.
     """
-    n, c = ranks.size, table.size - 1
+    n = ranks.size
     if _banded(ranks):
-        v = table[np.minimum(np.abs(np.arange(1 - n, n)), c)]
+        v = table[_rank_bins(np.arange(1 - n, n), q, table.size)]
         strides = (-v.strides[0], v.strides[0])  # psi[i, j] = v[m = j - i]
         psi = np.lib.stride_tricks.as_strided(v[n - 1 :], (n, n), strides, writeable=False)
         np.multiply(src, psi, out=out)
         return
-    for rows, dist in _psi_blocks(ranks, c):
-        np.multiply(src[rows], table.take(dist, mode="clip"), out=out[rows])
+    for rows, bins in _psi_blocks(ranks, q, table.size):
+        np.multiply(src[rows], table.take(bins), out=out[rows])
 
 
-def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) -> tuple:
+def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple:
     """Forward of :func:`score` on (I, H) representations r, integer ranks,
-    the head's arrays ``p`` and the prior bins of the clamped rank distances
-    (:func:`_prior_bins`): the (I,) scores and the caches (query, key,
-    value, attended, attention, prior, table, scale) its adjoints read,
-    scale being the logits' 1/sqrt(H) and ``table`` psi * scale per clamped
-    rank distance.
+    the head's arrays ``p`` and the quantization step q: the (I,) scores
+    and the caches (query, key, value, attended, attention, prior, table,
+    scale) its adjoints read, scale being the logits' 1/sqrt(H) and
+    ``table`` psi * scale per quantized rank-distance bin, L entries for
+    any ranks.
 
     The float operations are those of :func:`caan_forward` and
     :func:`winner_scores`, in the same order, so the scores are bitwise
@@ -702,9 +716,9 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) 
     if not np.isfinite(prior_logits).all():
         raise NonFiniteError("score: non-finite rank-prior logits")
     prior = ad.logistic(prior_logits)
-    table = prior[bins] * scale
+    table = prior * scale
     logits = query @ key.T
-    _times_psi(logits, ranks, table, logits)
+    _times_psi(logits, ranks, q, table, logits)
     top = logits.max(axis=1, keepdims=True)
     # QK' sums stay under the bound; above it, a non-finite logit shows in a row max or min
     with np.errstate(over="ignore", invalid="ignore"):
@@ -726,75 +740,75 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, bins: np.ndarray) 
     return ad.logistic(head), (query, key, value, attended, attention, prior, table, scale)
 
 
-def _softmax_adjoint(attention, g, value, ranks, table) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_adjoint(attention, g, value, ranks, q, table) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of Z = softmax(psi * scale * QK') V for the cotangent G of Z,
-    ``table`` holding psi * scale: with M = GV', the cotangent of the
-    softmax's input N = A * (M - rowsum(A * M)) and that of QK',
-    D = N * psi * scale."""
+    ``table`` holding psi * scale per rank-distance bin: with M = GV', the
+    cotangent of the softmax's input N = A * (M - rowsum(A * M)) and that
+    of QK', D = N * psi * scale."""
     n = g @ value.T
     d = attention * n
     n -= d.sum(axis=1, keepdims=True)
     n *= attention
-    _times_psi(n, ranks, table, d)
+    _times_psi(n, ranks, q, table, d)
     return n, d
 
 
-def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, bins) -> tuple:
+def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: int) -> tuple:
     """Backward of :func:`score` for the cotangent g (I,) of its scores:
     the cotangents of the head logits (I,), of query, key and value
     (I, H) and of the prior logits w'E (L,)."""
     query, key, value, attended, attention, prior, table, scale = cache
     d_head = g * (s * (1.0 - s))
     d_attended = d_head[:, None] * p["w_score"]
-    n, d = _softmax_adjoint(attention, d_attended, value, ranks, table)
+    n, d = _softmax_adjoint(attention, d_attended, value, ranks, q, table)
     # dL/d(psi * scale) = N * QK', with QK' recomputed block by block rather
-    # than cached, summed per clamped rank distance, then per quantized bin
-    d_table = np.zeros(table.size)
-    for rows, dist in _psi_blocks(ranks, table.size - 1):
+    # than cached, summed per bin
+    d_prior = np.zeros(prior.size)
+    for rows, bins in _psi_blocks(ranks, q, prior.size):
         d_psi = query[rows] @ key.T
         d_psi *= n[rows]
-        d_table += np.bincount(dist.ravel(), weights=d_psi.ravel(), minlength=table.size)
-    d_prior = np.bincount(bins, weights=d_table, minlength=prior.size) * scale
-    return d_head, d @ key, d.T @ query, attention.T @ d_attended, d_prior * prior * (1.0 - prior)
+        d_prior += np.bincount(bins.ravel(), weights=d_psi.ravel(), minlength=prior.size)
+    d_prior = d_prior * scale * prior * (1.0 - prior)
+    return d_head, d @ key, d.T @ query, attention.T @ d_attended, d_prior
 
 
 def _score_setup(rep, ranks, params: PolicyParams) -> tuple:
-    """The checked inputs of :func:`score` (r, ranks, the head's arrays p,
-    the prior bins and the rank order): when the order is not None, the
-    rows of r and the ranks are put in it, an O(I H) row gather."""
+    """The checked inputs of :func:`score` (r, ranks, the head's arrays p
+    and the rank order): when the order is not None, the rows of r and the
+    ranks are put in it, an O(I H) row gather."""
     r, ranks = _score_inputs(rep, ranks, params)
-    p = {name: params[name].data for name in SCORE_PARAMS}
-    bins = _prior_bins(params.q, params.l_cols, ranks.max() - ranks.min())
+    p = _param_arrays(params, SCORE_PARAMS, "score")
     order = _rank_order(ranks)
     if order is not None:
         r, ranks = r[order], ranks[order]
-    return r, ranks, p, bins, order
+    return r, ranks, p, order
 
 
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
     """(I, H) representations -> winner scores (I,), coupled across stocks.
 
     The value of ``winner_scores(caan_forward(rep, ranks, params), params)``
-    as one tape record. When the ranks rise by one in rank order, as a
+    as one tape record, psi[i, j] being table[bin(r_i - r_j)]
+    (:func:`_rank_bins`). When the ranks rise by one in rank order, as a
     window set's 1..I do at any I, the record runs with the stocks in rank
     order, where psi is a Toeplitz view that the forward and the softmax
     adjoint each multiply in one pass (:func:`_times_psi`); the scores and
-    the representations' cotangent are put back in the stocks' order on
-    the way out. Its softmax sums and attention products then add in rank
+    the representations' cotangent are put back in the stocks' order on the
+    way out. Its softmax sums and attention products then add in rank
     order, so values and gradients match the primitive composition to
     rtol 1e-12. Otherwise (ties, gaps) the stocks keep their order and the
     scores are bitwise the composition's. The record has one VJP per
     operand: the representations and each of :data:`SCORE_PARAMS`, all
     reading one sweep per backward pass; the tape calls only those whose
-    operand requires grad. Raises :class:`NonFiniteError` whenever the
-    primitive composition would, from checks of the rank-prior logits, the
-    attention logits (only when their bound H max|Q| max|K| max(table) is
-    not under ``_OVERFLOW_FREE``), the attended values and the head logits:
-    a sigmoid of an overflowed logit is finite, so the output alone would
-    not show it.
+    operand requires grad. Raises :class:`NonFiniteError` for a non-finite
+    parameter, and whenever the primitive composition would, from checks of
+    the rank-prior logits, the attention logits (only when their bound
+    H max|Q| max|K| max(table) is not under ``_OVERFLOW_FREE``), the
+    attended values and the head logits: a sigmoid of an overflowed logit
+    is finite, so the output alone would not show it.
     """
-    r, ranks, p, bins, order = _score_setup(rep.data, ranks, params)
-    s, cache = _score_forward(r, ranks, p, bins)
+    r, ranks, p, order = _score_setup(rep.data, ranks, params)
+    s, cache = _score_forward(r, ranks, p, params.q)
     attended = cache[3]
 
     def d_rep(sw):
@@ -802,7 +816,7 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
         return _unsorted(d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T, order)
 
     def sweep(g):
-        return _score_sweep(g if order is None else g[order], s, cache, ranks, p, bins)
+        return _score_sweep(g if order is None else g[order], s, cache, ranks, p, params.q)
 
     pulls = (
         (rep, d_rep),
@@ -834,10 +848,10 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
     those of :func:`score`, run on plain arrays, so nothing is recorded on
     any tape. Cost O(I^2 H).
     """
-    r, ranks, p, bins, order = _score_setup(rep, ranks, params)
-    s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, bins)
+    r, ranks, p, order = _score_setup(rep, ranks, params)
+    s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, params.q)
     g = (s * (1.0 - s))[:, None] * p["w_score"]
-    _, d = _softmax_adjoint(attention, g, value, ranks, table)
+    _, d = _softmax_adjoint(attention, g, value, ranks, params.q, table)
     own = (
         np.diag(attention)[:, None] * (g @ p["wv"].T)
         + (d @ key) @ p["wq"].T

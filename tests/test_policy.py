@@ -703,6 +703,9 @@ _SCORE_CASES = {
     "wider_than_q_l": (5, 4, 8, [1, 100000, 40, 2, 33]),
     "one_bin": (4, 3, 1, [1, 2, 7, 3]),
     "paper_width": (40, 4, 16, list(range(40, 0, -1))),
+    # the prior table was once sized by the rank span: NumPy's bare
+    # ValueError ("array is too big")
+    "huge_q_wide_span": (3, 2**63 - 1, 16, [1, 2**62, 5]),
 }
 
 
@@ -823,6 +826,28 @@ def test_overflow_in_the_score_raises_non_finite(case, scorer):
         scorer(Tensor(rep), [1, 2, 3, 4], params)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("windows", ["zero", "random"])
+@pytest.mark.parametrize("name", PARAM_ORDER)
+def test_a_non_finite_parameter_raises_non_finite_naming_it(name, windows, bad):
+    # an inf weight once gave NumPy's RuntimeWarning from a matmul (in the
+    # encoder's weights, and in wv), or, in att_w1 or att_w2 over random
+    # windows, finite scores with no error at all
+    params = small_params(130)
+    data = params[name].data.copy()
+    data.flat[0] = bad
+    params[name].data = data  # a direct edit, which apply_update never sees
+    rng = np.random.default_rng(131)
+    x = np.zeros((4, 3, 7)) if windows == "zero" else rng.normal(size=(4, 3, 7))
+    caller = "encode" if name in ENCODER_PARAMS else "score"
+    message = f"^{caller}: non-finite values in parameter {name}$"
+    with pytest.raises(NonFiniteError, match=message):
+        policy_forward(x, [1, 2, 3, 4], params)
+    if name in SCORE_PARAMS:
+        with pytest.raises(NonFiniteError, match=message):
+            own_score_grads(rng.normal(size=(4, params.hidden)), [1, 2, 3, 4], params)
+
+
 def _replayed_own_score_grads(rep, ranks, params):
     """Oracle: one tape over ``score``, replayed once per stock, keeping row i."""
     leaf = Tensor(rep, requires_grad=True)
@@ -839,17 +864,18 @@ _SAME_ROWS[3] = _SAME_ROWS[1]
 
 
 @pytest.mark.parametrize(
-    "rep, ranks",
+    "rep, ranks, q",
     [
-        (_REP_RNG.normal(size=(2, 6)), [3, 8]),  # I = 2
-        (_REP_RNG.normal(size=(5, 6)), [4, 4, 4, 4, 4]),  # tied ranks, distance 0
-        (_REP_RNG.normal(size=(5, 6)), [1, 400, 2, 900, 37]),  # clamped last column
-        (_SAME_ROWS, [1, 5, 9, 5]),  # two identical representation rows
+        (_REP_RNG.normal(size=(2, 6)), [3, 8], 4),  # I = 2
+        (_REP_RNG.normal(size=(5, 6)), [4, 4, 4, 4, 4], 4),  # tied ranks, distance 0
+        (_REP_RNG.normal(size=(5, 6)), [1, 400, 2, 900, 37], 4),  # clamped last column
+        (_SAME_ROWS, [1, 5, 9, 5], 4),  # two identical representation rows
+        (_REP_RNG.normal(size=(3, 6)), [1, 2**62, 5], 2**63 - 1),  # q and rank span near 2^63
     ],
-    ids=["two_stocks", "tied_ranks", "clamped_distance", "identical_rows"],
+    ids=["two_stocks", "tied_ranks", "clamped_distance", "identical_rows", "huge_q_wide_span"],
 )
-def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks):
-    params = small_params(48)
+def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks, q):
+    params = small_params(48, q=q)
     ranks = np.asarray(ranks)
     d = rank_distance(ranks, params.q, params.l_cols)
     if len(set(ranks)) == 1:
@@ -889,8 +915,8 @@ def test_own_score_grads_record_nothing_on_an_active_tape():
     assert len(tape) == 0
 
 
-# psi is a Toeplitz band once the stocks are in rank order: with q=1 and
-# L=6, C = min(q(L-1), I-1) = 5 from I = 6 on, and at most I-1 below
+# psi is Toeplitz once the stocks are in rank order: with q=1 and L=6,
+# each distance below 5 has its own bin, and the last bin starts at 5
 _BAND_C = 5
 _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 
@@ -905,10 +931,10 @@ def _walked_rows(monkeypatch):
     """Patch the psi row walk to count the rows it visits."""
     rows, real = [], policy._psi_blocks
 
-    def counted(ranks, c):
-        for block, dist in real(ranks, c):
+    def counted(ranks, q, l_cols):
+        for block, bins in real(ranks, q, l_cols):
             rows.append(block.stop - block.start)
-            yield block, dist
+            yield block, bins
 
     monkeypatch.setattr(policy, "_psi_blocks", counted)
     return rows
@@ -956,7 +982,7 @@ def test_banded_own_score_grads_match_per_stock_replays_of_score(n):
 @pytest.mark.parametrize("n", [2, 3] + _BAND_SIZES)
 def test_the_psi_walk_visits_only_the_edge_rows_of_a_band(n, monkeypatch):
     # the Toeplitz view covers every row, so a band has no edge rows left
-    # to walk at any I, I <= 2(C-1) included; a tie or a gap walks them all
+    # to walk at any I, I <= 2(L-2) included; a tie or a gap walks them all
     params, rep, ranks, _ = _band_case(n, 105 + n)
     rows = _walked_rows(monkeypatch)
     score(Tensor(rep), ranks, params)
@@ -981,13 +1007,38 @@ def test_the_psi_view_multiplies_bitwise_as_the_walk(n, monkeypatch):
     src = rng.normal(size=(n, n))
     rows = _walked_rows(monkeypatch)
     walked = np.empty_like(src)
-    policy._times_psi(src, ranks, table, walked)
+    policy._times_psi(src, ranks, 1, table, walked)
     assert sum(rows) == n
     order = np.argsort(ranks)
     viewed = src[order][:, order]  # in place, as the forward multiplies the logits
-    policy._times_psi(viewed, ranks[order], table, viewed)
+    policy._times_psi(viewed, ranks[order], 1, table, viewed)
     assert sum(rows) == n
     assert viewed.tobytes() == walked[order][:, order].tobytes()
+
+
+@pytest.mark.parametrize("q", [1, 3, 2**63 - 1], ids=["q_one", "q_three", "q_huge"])
+@pytest.mark.parametrize(
+    "ranks",
+    [[1, 4, 4, 9, 2, 9, 4], [5, 1, 1000, 2**62, -3], list(range(12, 0, -1))],
+    ids=["ties", "gaps", "consecutive"],
+)
+def test_the_bin_rule_is_rank_distance(ranks, q):
+    l_cols = 5
+    want = [[min(abs(a - b) // q, l_cols - 1) for b in ranks] for a in ranks]
+    ranks = np.asarray(ranks)
+    diff = np.subtract.outer(ranks, ranks)
+    assert policy._rank_bins(diff, q, l_cols) is diff  # written over its input
+    assert diff.tolist() == want
+    assert rank_distance(ranks, q, l_cols).tolist() == want
+
+
+def test_the_prior_table_has_one_entry_per_bin():
+    params = small_params(132, q=2**63 - 1)
+    rep = np.random.default_rng(133).normal(size=(3, params.hidden))
+    for ranks in ([1, 2**62, 5], [1, 2, 3], [7, 7, 7]):
+        r, sorted_ranks, head, _ = policy._score_setup(rep, ranks, params)
+        table = policy._score_forward(r, sorted_ranks, head, params.q)[1][6]
+        assert table.shape == (params.l_cols,)
 
 
 def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
@@ -1018,8 +1069,8 @@ def test_the_finiteness_bound_changes_no_bit_of_values_caches_or_gradients(n, mo
     def run():
         p = {name: params[name].data for name in ENCODER_PARAMS}
         rep, cache = policy._encode_forward(windows, p, lambda role, shape: np.empty(shape))
-        r, sorted_ranks, head, bins, _ = policy._score_setup(rep, ranks, params)
-        out = [rep, *cache, *policy._score_forward(r, sorted_ranks, head, bins)[1]]
+        r, sorted_ranks, head, _ = policy._score_setup(rep, ranks, params)
+        out = [rep, *cache, *policy._score_forward(r, sorted_ranks, head, params.q)[1]]
         x = Tensor(windows, requires_grad=True)
         tape = ad.Tape()
         with tape:
