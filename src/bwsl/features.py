@@ -12,7 +12,9 @@ reads all K steps of the eligible rows as one (I, K, F) block and
 ``zscore_crosssection`` standardizes every (step, feature) column of it
 at once. Reducing axis 0 of a block adds the rows in the same order as
 reducing one step's (I, F) slice, so the block gives bitwise the values
-that K separate steps would.
+that K separate steps would. The window set then puts its stocks in rank
+order, by the raw ``pr`` at the decision time, so its ranks are 1..I and
+the rank prior psi of :mod:`policy` is Toeplitz in the stocks' order.
 """
 
 from __future__ import annotations
@@ -116,12 +118,13 @@ def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowSet:
-    """All eligible stocks' windows at one decision time, plus rank priors."""
+    """All eligible stocks' windows at one decision time, stocks in rank
+    order: row i holds the stock of rank i + 1."""
 
     t: int
     stock_ids: tuple[str, ...]
     features: np.ndarray  # (I, K, F)
-    ranks: np.ndarray  # (I,) 1 = highest price rising rate over (t-1, t]
+    ranks: np.ndarray  # (I,) 1..I, 1 = highest price rising rate over (t-1, t]
 
     def __len__(self) -> int:
         return len(self.stock_ids)
@@ -133,9 +136,10 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     Eligibility: all bars in [t-k, t] present. Standardization happens
     cross-sectionally at each of the k steps among the stocks eligible at t,
     all steps in one pass over the raw block. Ranks are dense over the
-    eligible set by the raw ``pr`` at t, ties broken by ascending stock_id.
-    NoEligibleStocksError when t comes before k look-back months or fewer
-    than 2 stocks are eligible.
+    eligible set by the raw ``pr`` at t, ties broken by ascending stock_id,
+    and the stocks come in rank order, ranks 1..I. NoEligibleStocksError
+    when t comes before k look-back months or fewer than 2 stocks are
+    eligible.
     """
     k = whole_number(k, "k", 1)
     pi = panel.index_of(t)
@@ -148,12 +152,13 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
         raise NoEligibleStocksError(
             f"fewer than 2 stocks have a complete window at {format_month(panel.start + pi)}"
         )
-    ids = [panel.stock_ids[i] for i in eligible]
     raw = raw_features(panel, eligible, pi, k)
-    # rank by the raw pr at t, read before the block is z-scored in place
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[descending_order(raw[:, -1, 0], panel.id_ranks[eligible])] = np.arange(1, len(ids) + 1)
-    return WindowSet(panel.start + pi, tuple(ids), zscore_crosssection(raw), ranks)
+    # rank by the raw pr at t, read before the block is z-scored in place;
+    # the z-scores sum over the stocks in panel order, then rows take rank order
+    order = descending_order(raw[:, -1, 0], panel.id_ranks[eligible])
+    ids = tuple(panel.stock_ids[i] for i in eligible[order])
+    ranks = np.arange(1, order.size + 1, dtype=np.int64)
+    return WindowSet(panel.start + pi, ids, zscore_crosssection(raw)[order], ranks)
 
 
 class PreparedPanel:

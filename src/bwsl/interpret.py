@@ -116,7 +116,7 @@ def average_sensitivity(
     if end is not None:
         e = prep.month(end)
         times = [t for t in times if t <= e]
-    acc = np.zeros((k, len(FEATURE_NAMES)))
+    acc = np.zeros((prep.k, len(FEATURE_NAMES)))
     samples = 0
     for t in times:
         ws = prep.windows(t)
@@ -137,5 +137,5 @@ def average_sensitivity(
         delta_bar=delta_bar,
         feature_means=delta_bar.mean(axis=1),
         samples=samples,
-        k=k,
+        k=prep.k,
     )

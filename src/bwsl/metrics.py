@@ -12,7 +12,8 @@ Degenerate denominators in a report are flagged rather than thrown: a
 series of fewer than 2 returns is flagged ``short_series`` and one of zero
 volatility ``zero_volatility`` (AVOL 0; sharpe, ASR and DDR NaN); otherwise
 MDD = 0 makes CR +inf with flag ``no_drawdown``, and no negative returns
-make DDR +inf with flag ``no_downside``.
+make DDR +inf with flag ``no_downside``. A mean, volatility or wealth that
+overflows float64 raises :class:`NonFiniteError`.
 
 Input rule: a series (returns, or wealth for :func:`max_drawdown`) is a
 1-d array of finite real numbers (ints and floats of any width) and
@@ -27,7 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, RuinError, ZeroVolatilityError, real_array, real_number, whole_number
+from .errors import (
+    DataError, NonFiniteError, RuinError, ZeroVolatilityError, real_array, real_number, whole_number,
+)
 
 CSV_COLUMNS = (
     "n_periods",
@@ -57,14 +60,19 @@ def _series(values, who: str) -> np.ndarray:
     return r
 
 
-def _measures(r: np.ndarray, theta: float, tc: float) -> tuple[float, float, float]:
+def _measures(r: np.ndarray, theta: float, tc: float, who: str) -> tuple[float, float, float]:
     """A, V and H = (A - theta)/V of a 1-d series. A is NaN for an empty
     series; V is 0.0 and H NaN at zero volatility: fewer than 2 returns,
-    all equal, or a spread whose variance underflows."""
+    all equal, or a spread whose variance underflows. NonFiniteError,
+    naming ``who``, when A or V overflows."""
     if r.size == 0:
         return math.nan, 0.0, math.nan
-    a = float(np.mean(r - tc))
-    v = 0.0 if np.ptp(r) == 0.0 else float(np.std(r))
+    with np.errstate(over="ignore"):
+        a = float(np.mean(r - tc))
+        v = 0.0 if np.ptp(r) == 0.0 else float(np.std(r))
+    for name, value in (("mean", a), ("volatility", v)):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{who}: the {name} of the returns overflows")
     return a, v, ((a - theta) / v if v else math.nan)
 
 
@@ -74,14 +82,16 @@ def sharpe(returns, theta: float = 0.0, tc: float = 0.0) -> float:
     theta, tc = real_number(theta, "sharpe: theta"), real_number(tc, "sharpe: tc")
     if r.size < 2:
         raise DataError("sharpe: need at least 2 returns")
-    _, v, h = _measures(r, theta, tc)
+    _, v, h = _measures(r, theta, tc, "sharpe")
     if v == 0.0:
         raise ZeroVolatilityError("sharpe: returns have zero volatility")
     return h
 
 
 def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
-    """Wealth series of length T+1 starting at 1: prod of (R_t + 1 - tc)."""
+    """Wealth series of length T+1 starting at 1: prod of (R_t + 1 - tc).
+    RuinError when a factor is not positive, NonFiniteError when the
+    wealth overflows."""
     r = _series(returns, "wealth: returns")
     tc = real_number(tc, "wealth: tc")
     factors = r + 1.0 - tc
@@ -90,7 +100,11 @@ def cumulative_wealth(returns, tc: float = 0.0) -> np.ndarray:
         raise RuinError(f"cumulative wealth ruined at period index {t}")
     wealth = np.empty(r.size + 1)
     wealth[0] = 1.0
-    np.cumprod(factors, out=wealth[1:])
+    with np.errstate(over="ignore"):
+        np.cumprod(factors, out=wealth[1:])
+    if not np.isfinite(wealth[-1]):
+        t = int(np.argmax(~np.isfinite(wealth))) - 1
+        raise NonFiniteError(f"cumulative wealth overflows at period index {t}")
     return wealth
 
 
@@ -161,7 +175,7 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
     ny = whole_number(periods_per_year, "report: periods_per_year", 1)
     wealth = cumulative_wealth(r, tc)
     mdd = max_drawdown(wealth)
-    a, v, h = _measures(r, theta, tc)
+    a, v, h = _measures(r, theta, tc, "report")
     apr = a * ny
     cr = math.inf if mdd == 0.0 else apr / mdd
     if v == 0.0:

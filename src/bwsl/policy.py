@@ -14,9 +14,9 @@ with hand-written VJPs:
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
   forward and softmax adjoint. The rank prior is psi[i, j] =
   table[bin(r_i - r_j)], L entries (:func:`_rank_bins`). For ranks that
-  are a permutation of consecutive integers, such as a window set's 1..I,
-  both run with the stocks in rank order, where psi is a Toeplitz view of
-  2I-1 entries, multiplied in one pass (:func:`_times_psi`).
+  rise by one from stock to stock, such as a window set's 1..I (its stocks
+  come in rank order), psi is a Toeplitz view of 2I-1 entries, multiplied
+  in one pass (:func:`_times_psi`).
 
 Each encoder step is one GEMM of the stacked weights [Wx; Wh; b'] with
 the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which
@@ -637,23 +637,6 @@ def _banded(ranks: np.ndarray) -> bool:
     return bool((np.diff(ranks) == 1).all())
 
 
-def _rank_order(ranks: np.ndarray) -> np.ndarray | None:
-    """The order that sorts the stocks by rank, when psi is Toeplitz in it
-    (:func:`_banded`), as for a window set's ranks 1..I at any I; None for
-    ties and gaps, which keep the stocks' order."""
-    order = np.argsort(ranks)
-    return order if _banded(ranks[order]) else None
-
-
-def _unsorted(x: np.ndarray, order: np.ndarray | None) -> np.ndarray:
-    """The rows of x, given in ``order``, back in the stocks' order."""
-    if order is None:
-        return x
-    out = np.empty_like(x)
-    out[order] = x
-    return out
-
-
 # elements per row block of the rank prior: one 128 KB (rows, I) bin buffer
 # is reused from block to block (psi and d_psi are allocated per block);
 # larger blocks measured slower at I=200 and no faster at I=800
@@ -706,9 +689,8 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple:
 
     The float operations are those of :func:`caan_forward` and
     :func:`winner_scores`, in the same order, so the scores are bitwise
-    theirs for stocks in the same order. QK' is multiplied by psi * scale
-    (:func:`_times_psi`), and psi is never stored. The logits buffer
-    becomes the attention A in place.
+    theirs. QK' is multiplied by psi * scale (:func:`_times_psi`), and psi
+    is never stored. The logits buffer becomes the attention A in place.
     """
     scale = 1.0 / np.sqrt(r.shape[1])
     query, key, value = r @ p["wq"], r @ p["wk"], r @ p["wv"]
@@ -773,50 +755,37 @@ def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: 
 
 
 def _score_setup(rep, ranks, params: PolicyParams) -> tuple:
-    """The checked inputs of :func:`score` (r, ranks, the head's arrays p
-    and the rank order): when the order is not None, the rows of r and the
-    ranks are put in it, an O(I H) row gather."""
+    """The checked inputs of :func:`score`: r, the ranks and the head's
+    arrays p."""
     r, ranks = _score_inputs(rep, ranks, params)
-    p = _param_arrays(params, SCORE_PARAMS, "score")
-    order = _rank_order(ranks)
-    if order is not None:
-        r, ranks = r[order], ranks[order]
-    return r, ranks, p, order
+    return r, ranks, _param_arrays(params, SCORE_PARAMS, "score")
 
 
 def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
     """(I, H) representations -> winner scores (I,), coupled across stocks.
 
-    The value of ``winner_scores(caan_forward(rep, ranks, params), params)``
-    as one tape record, psi[i, j] being table[bin(r_i - r_j)]
-    (:func:`_rank_bins`). When the ranks rise by one in rank order, as a
-    window set's 1..I do at any I, the record runs with the stocks in rank
-    order, where psi is a Toeplitz view that the forward and the softmax
-    adjoint each multiply in one pass (:func:`_times_psi`); the scores and
-    the representations' cotangent are put back in the stocks' order on the
-    way out. Its softmax sums and attention products then add in rank
-    order, so values and gradients match the primitive composition to
-    rtol 1e-12. Otherwise (ties, gaps) the stocks keep their order and the
-    scores are bitwise the composition's. The record has one VJP per
-    operand: the representations and each of :data:`SCORE_PARAMS`, all
-    reading one sweep per backward pass; the tape calls only those whose
-    operand requires grad. Raises :class:`NonFiniteError` for a non-finite
+    Bitwise the value of ``winner_scores(caan_forward(rep, ranks, params),
+    params)``, as one tape record, psi[i, j] being table[bin(r_i - r_j)]
+    (:func:`_rank_bins`). When the ranks rise by one from stock to stock,
+    as a window set's 1..I do, psi is a Toeplitz view that the forward and
+    the softmax adjoint each multiply in one pass; other ranks take a row
+    walk (:func:`_times_psi`). The record has one VJP per operand: the
+    representations and each of :data:`SCORE_PARAMS`, all reading one
+    sweep per backward pass; the tape calls only those whose operand
+    requires grad. Raises :class:`NonFiniteError` for a non-finite
     parameter, and whenever the primitive composition would, from checks of
     the rank-prior logits, the attention logits (only when their bound
     H max|Q| max|K| max(table) is not under ``_OVERFLOW_FREE``), the
     attended values and the head logits: a sigmoid of an overflowed logit
     is finite, so the output alone would not show it.
     """
-    r, ranks, p, order = _score_setup(rep.data, ranks, params)
+    r, ranks, p = _score_setup(rep.data, ranks, params)
     s, cache = _score_forward(r, ranks, p, params.q)
     attended = cache[3]
 
     def d_rep(sw):
         _, d_query, d_key, d_value, _ = sw
-        return _unsorted(d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T, order)
-
-    def sweep(g):
-        return _score_sweep(g if order is None else g[order], s, cache, ranks, p, params.q)
+        return d_query @ p["wq"].T + d_key @ p["wk"].T + d_value @ p["wv"].T
 
     pulls = (
         (rep, d_rep),
@@ -828,7 +797,7 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
         (params["rank_emb"], lambda sw: np.outer(p["rank_w"], sw[4])),
         (params["rank_w"], lambda sw: p["rank_emb"] @ sw[4]),
     )
-    return ad.emit("score", _unsorted(s, order), pulls, sweep)
+    return ad.emit("score", s, pulls, lambda g: _score_sweep(g, s, cache, ranks, p, params.q))
 
 
 def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
@@ -843,21 +812,20 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
         C = diag(A) G Wv' + (DK) Wq' + diag(D) Q Wk'
 
     The three terms are r_i's paths through V_i, Q_i and K_i. The forward
-    with its overflow bound, the softmax adjoint, whose D is one multiply
-    by psi's Toeplitz view for consecutive ranks, and the stock order are
-    those of :func:`score`, run on plain arrays, so nothing is recorded on
-    any tape. Cost O(I^2 H).
+    with its overflow bound and the softmax adjoint, whose D is one
+    multiply by psi's Toeplitz view for ranks rising by one, are those of
+    :func:`score`, run on plain arrays, so nothing is recorded on any
+    tape. Cost O(I^2 H).
     """
-    r, ranks, p, order = _score_setup(rep, ranks, params)
+    r, ranks, p = _score_setup(rep, ranks, params)
     s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, params.q)
     g = (s * (1.0 - s))[:, None] * p["w_score"]
     _, d = _softmax_adjoint(attention, g, value, ranks, params.q, table)
-    own = (
+    return (
         np.diag(attention)[:, None] * (g @ p["wv"].T)
         + (d @ key) @ p["wq"].T
         + np.diag(d)[:, None] * (query @ p["wk"].T)
     )
-    return _unsorted(own, order)
 
 
 def policy_forward(windows, ranks, params: PolicyParams) -> Tensor:

@@ -197,6 +197,8 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     own tape (``tests/rollout_oracle.py``); the two agree up to the order
     of floating-point summation.
     """
+    if len(starts) == 0:
+        raise DataError("epoch_gradient: at least one trajectory required")
     if len(starts) != len(thresholds):
         raise DataError("epoch_gradient: one threshold per trajectory required")
     thresholds = [real_number(h0, "epoch_gradient: threshold") for h0 in thresholds]

@@ -207,7 +207,8 @@ def test_build_windows_ranks_by_last_pr():
     closes[2, 3] = 1.1  # pr 1.1
     panel = panel_from_closes(closes)
     ws = build_windows(panel, START + 3, k=2)
-    np.testing.assert_array_equal(ws.ranks, [1, 3, 2])
+    assert ws.stock_ids == ("S0", "S2", "S1")  # in rank order
+    np.testing.assert_array_equal(ws.ranks, [1, 2, 3])
 
 
 def test_build_windows_rank_ties_break_by_stock_id():
@@ -224,7 +225,8 @@ def test_build_windows_excludes_stock_with_hole():
     closes = np.exp(rng.normal(0, 0.02, size=(3, 14))).cumprod(axis=1) + 1
     panel = panel_from_closes(closes, mask=mask)
     ws = build_windows(panel, START + 13, k=12)
-    assert ws.stock_ids == ("S0", "S2")
+    pr = closes[:, 13] / closes[:, 12]
+    assert ws.stock_ids == (("S0", "S2") if pr[0] > pr[2] else ("S2", "S0"))
 
 
 def test_build_windows_shape_and_last_row_is_t():
@@ -238,8 +240,10 @@ def test_build_windows_shape_and_last_row_is_t():
     close = panel.field("close")
     pr = close[:, 15] / close[:, 14]
     z = (pr - pr.mean()) / pr.std()
-    np.testing.assert_allclose(ws.features[:, -1, 0], z, atol=1e-12)
-    assert np.argmin(ws.ranks) == np.argmax(pr)
+    rows = [panel.stock_index(sid) for sid in ws.stock_ids]
+    np.testing.assert_allclose(ws.features[:, -1, 0], z[rows], atol=1e-12)
+    assert rows == np.argsort(-pr).tolist()  # rank order: highest pr first
+    np.testing.assert_array_equal(ws.ranks, np.arange(1, 6))
 
 
 def test_build_windows_needs_enough_history():
@@ -285,7 +289,9 @@ def test_prepared_panel_universe_and_windows():
     assert t == panel.start + 12
     ws = prep.windows(t)
     assert ws is not None and len(ws) == 6  # every stock is eligible
-    assert ws.stock_ids == panel.stock_ids
+    close = panel.field("close")
+    pr = close[:, 12] / close[:, 11]
+    assert ws.stock_ids == tuple(panel.stock_ids[i] for i in np.argsort(-pr))
     assert prep.windows(t) is ws  # cached
 
 
@@ -361,7 +367,8 @@ def test_build_windows_rank_ties_break_by_stock_id_whatever_the_row_order():
     closes[:, 3] = [1.1, 0.9, 1.1, 0.9]
     panel = panel_from_closes(closes, ids=["D", "C", "B", "A"])
     ws = build_windows(panel, START + 3, k=2)
-    np.testing.assert_array_equal(ws.ranks, [2, 4, 1, 3])
+    assert ws.stock_ids == ("B", "D", "A", "C")
+    np.testing.assert_array_equal(ws.ranks, [1, 2, 3, 4])
 
 
 def test_panel_id_ranks_give_each_row_its_place_in_ascending_id_order():
@@ -382,7 +389,8 @@ def _zscore_out_of_place(raw):
 
 
 def _per_step_windows(panel, t, k):
-    """Oracle: build_windows as K single-step reads and z-scores."""
+    """Oracle: build_windows as K single-step reads and z-scores, in panel
+    order, then the stocks put in rank order."""
     pi = panel.index_of(t)
     eligible = np.flatnonzero(panel.mask[:, pi - k : pi + 1].all(axis=1))
     ids = tuple(panel.stock_ids[i] for i in eligible)
@@ -393,9 +401,8 @@ def _per_step_windows(panel, t, k):
         assert z.tobytes() == _zscore_out_of_place(raw).tobytes()
         steps.append(z)
     order = sorted(range(len(ids)), key=lambda i: (-raw[i, 0], ids[i]))
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[order] = np.arange(1, len(ids) + 1)
-    return ids, np.stack(steps, axis=1), ranks
+    ranks = np.arange(1, len(ids) + 1, dtype=np.int64)
+    return tuple(ids[i] for i in order), np.stack(steps, axis=1)[order], ranks
 
 
 def test_build_windows_equals_the_per_step_composition_bitwise():
@@ -424,5 +431,5 @@ def test_build_windows_equals_the_per_step_composition_bitwise():
         assert not ws.features[:, :, FEATURE_NAMES.index("bm")].any()
         i2, i7 = ids_t.index("S5"), ids_t.index("S7")  # rows 2 and 7
         assert ws.ranks[i7] == ws.ranks[i2] + 1  # the tie goes to the lower id
-        universes.add(ids_t)
+        universes.add(frozenset(ids_t))
     assert len(universes) >= 4

@@ -250,3 +250,17 @@ def test_report_csv_layout():
     assert lines[0] == "feature,lag_1,lag_2,mean"
     assert lines[1].startswith("pr,0.0,1.0,")
     assert len(lines) == 1 + len(FEATURE_NAMES)
+
+
+@pytest.mark.parametrize("prepared", [False, True], ids=["panel", "prepared_panel"])
+def test_average_sensitivity_takes_a_whole_number_float_k(prepared):
+    # np.zeros((k, F)) raised a bare TypeError for k=12.0
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=30, seed=15))
+    params = small_params(16)
+    source = PreparedPanel(panel, 12) if prepared else panel
+    t = panel.start + 12
+    want = average_sensitivity(source, params, start=t, end=t, k=12)
+    got = average_sensitivity(source, params, start=t, end=t, k=12.0)
+    assert type(got.k) is int and got.k == 12
+    assert got.delta_bar.tobytes() == want.delta_bar.tobytes()
+    assert got.to_csv() == want.to_csv()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bwsl.errors import DataError, RuinError, ZeroVolatilityError
+from bwsl.errors import DataError, NonFiniteError, RuinError, ZeroVolatilityError
 from bwsl.metrics import cumulative_wealth, max_drawdown, report_or_degenerate, sharpe
 
 
@@ -242,3 +242,25 @@ def test_theta_or_tc_that_is_not_a_finite_real_raises_data_error(call, bad):
     # 1.0, and an int beyond the float range failed with a bare OverflowError
     with pytest.raises(DataError, match="(theta|tc) must be (a real number|finite)"):
         call(bad)
+
+
+def test_a_mean_or_volatility_that_overflows_raises_non_finite():
+    # the squares inside np.std overflowed: V was inf, so sharpe returned
+    # 0.0 (the true value is 1.0) with NumPy's overflow warning
+    with pytest.raises(NonFiniteError, match="^sharpe: the volatility of the returns overflows$"):
+        sharpe([3e154, 0.0])
+    with pytest.raises(NonFiniteError, match="^report: the volatility of the returns overflows$"):
+        report_or_degenerate([3e154, 0.0])
+    with pytest.raises(NonFiniteError, match="^sharpe: the mean of the returns overflows$"):
+        sharpe([1.7e308, 1.7e308])
+
+
+def test_a_wealth_that_overflows_raises_non_finite_naming_the_period():
+    # cumulative_wealth returned inf with NumPy's overflow warning, and the
+    # report then failed in max_drawdown, the wrong step
+    message = "^cumulative wealth overflows at period index 1$"
+    with pytest.raises(NonFiniteError, match=message):
+        cumulative_wealth([1e308, 1e308])
+    with pytest.raises(NonFiniteError, match=message):
+        report_or_degenerate([1e308, 1e308])
+    assert cumulative_wealth([1e154, 1e154])[-1] == (1e154 + 1.0) ** 2

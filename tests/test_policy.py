@@ -12,7 +12,7 @@ from bwsl import autodiff as ad
 from bwsl import policy
 from bwsl.autodiff import Tensor
 from bwsl.errors import DataError, NonFiniteError, ShapeError
-from bwsl.features import PreparedPanel
+from bwsl.features import PreparedPanel, build_windows
 from bwsl.market import SynthConfig, synth_market
 from bwsl.policy import (
     ENCODER_PARAMS,
@@ -915,8 +915,8 @@ def test_own_score_grads_record_nothing_on_an_active_tape():
     assert len(tape) == 0
 
 
-# psi is Toeplitz once the stocks are in rank order: with q=1 and L=6,
-# each distance below 5 has its own bin, and the last bin starts at 5
+# psi is Toeplitz for stocks in rank order, as a window set's: with q=1
+# and L=6, each distance below 5 has its own bin, and the last bin starts at 5
 _BAND_C = 5
 _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 
@@ -924,7 +924,7 @@ _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 def _band_case(n, seed):
     params = small_params(seed, hidden=4, embed=3, l_cols=_BAND_C + 1, q=1)
     rng = np.random.default_rng(seed + 1)
-    return params, rng.normal(size=(n, params.hidden)), 1 + rng.permutation(n), rng
+    return params, rng.normal(size=(n, params.hidden)), np.arange(1, n + 1), rng
 
 
 def _walked_rows(monkeypatch):
@@ -944,11 +944,9 @@ def _walked_rows(monkeypatch):
 def test_banded_score_matches_the_primitive_composition(n):
     params, rep, ranks, rng = _band_case(n, 90 + n)
     cot = rng.normal(size=n)
-    banded = n > 2 * (_BAND_C - 1)
     fused = _score_and_grads(score, rep, ranks, params, cot)
     oracle = _score_and_grads(_primitive_score, rep, ranks, params, cot)
-    if not banded:  # the walk keeps the stocks' order, so its scores are bitwise
-        assert fused[0].tobytes() == oracle[0].tobytes()
+    assert fused[0].tobytes() == oracle[0].tobytes()
     for name, got, want in zip(("scores", "rep") + SCORE_PARAMS, fused, oracle):
         assert got.shape == want.shape, name
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
@@ -997,6 +995,22 @@ def test_the_psi_walk_visits_only_the_edge_rows_of_a_band(n, monkeypatch):
         rows.clear()
 
 
+@pytest.mark.parametrize("n", [2, 3] + _BAND_SIZES)
+def test_permuted_consecutive_ranks_walk_every_row(n, monkeypatch):
+    # psi is Toeplitz only in the stocks' own order: no code puts them in
+    # rank order, so any other order of 1..I takes the walk
+    params, rep, ranks, rng = _band_case(n, 110 + n)
+    while policy._banded(ranks):
+        ranks = 1 + rng.permutation(n)
+    rows = _walked_rows(monkeypatch)
+    scores = score(Tensor(rep), ranks, params).data
+    assert sum(rows) == n  # the forward
+    rows.clear()
+    own_score_grads(rep, ranks, params)
+    assert sum(rows) == 2 * n  # the forward and the softmax adjoint
+    assert scores.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 2 * _BAND_C - 2, 2 * _BAND_C + 1, 3 * _BAND_C])
 def test_the_psi_view_multiplies_bitwise_as_the_walk(n, monkeypatch):
     rng = np.random.default_rng(115 + n)
@@ -1036,8 +1050,8 @@ def test_the_prior_table_has_one_entry_per_bin():
     params = small_params(132, q=2**63 - 1)
     rep = np.random.default_rng(133).normal(size=(3, params.hidden))
     for ranks in ([1, 2**62, 5], [1, 2, 3], [7, 7, 7]):
-        r, sorted_ranks, head, _ = policy._score_setup(rep, ranks, params)
-        table = policy._score_forward(r, sorted_ranks, head, params.q)[1][6]
+        r, int_ranks, head = policy._score_setup(rep, ranks, params)
+        table = policy._score_forward(r, int_ranks, head, params.q)[1][6]
         assert table.shape == (params.l_cols,)
 
 
@@ -1055,6 +1069,29 @@ def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
         assert legs[0] == legs[1]
 
 
+@pytest.mark.parametrize("n", [2, 3, 100, 800])
+def test_a_window_set_scores_bitwise_as_the_primitive_composition(n, monkeypatch):
+    # its stocks come in rank order, so score runs on them as given and
+    # multiplies by psi's Toeplitz view; no row is walked
+    from test_features import panel_from_closes
+
+    rng = np.random.default_rng(140 + n)
+    closes = np.exp(rng.normal(0, 0.05, size=(n, 14))).cumprod(axis=1) * 20
+    fields = {
+        name: np.exp(rng.normal(0, 0.3, size=(n, 14)))
+        for name in ("vol", "volume", "mcap", "pe", "bm", "div")
+    }
+    panel = panel_from_closes(closes, ids=[f"S{i}" for i in rng.permutation(n)], **fields)
+    ws = build_windows(panel, panel.end, 12)
+    assert len(ws) == n and ws.ranks.tolist() == list(range(1, n + 1))
+    params = PolicyParams.init(141 + n)
+    rep = encode(ws.features, params)
+    rows = _walked_rows(monkeypatch)
+    fused = score(rep, ws.ranks, params).data
+    assert rows == []
+    assert fused.tobytes() == _primitive_score(rep, ws.ranks, params).data.tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 100, 800])
 def test_the_finiteness_bound_changes_no_bit_of_values_caches_or_gradients(n, monkeypatch):
     # the forwards skip their per-step and (I, I) finiteness passes when a
@@ -1069,8 +1106,8 @@ def test_the_finiteness_bound_changes_no_bit_of_values_caches_or_gradients(n, mo
     def run():
         p = {name: params[name].data for name in ENCODER_PARAMS}
         rep, cache = policy._encode_forward(windows, p, lambda role, shape: np.empty(shape))
-        r, sorted_ranks, head, _ = policy._score_setup(rep, ranks, params)
-        out = [rep, *cache, *policy._score_forward(r, sorted_ranks, head, params.q)[1]]
+        r, int_ranks, head = policy._score_setup(rep, ranks, params)
+        out = [rep, *cache, *policy._score_forward(r, int_ranks, head, params.q)[1]]
         x = Tensor(windows, requires_grad=True)
         tape = ad.Tape()
         with tape:

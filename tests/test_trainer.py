@@ -65,7 +65,8 @@ def test_trajectory_constant_scores_tie_break_uniform_weights(panel):
     for t in range(panel.start + 5, panel.start + 5 + SMALL_CFG.t):
         step = period_step(prep, t, degenerate, SMALL_CFG)
         # scores all 0.5: membership by ascending id, weights uniform
-        assert step.pair.long_indices == tuple(range(step.pair.g))
+        ids = step.pair.stock_ids
+        assert tuple(ids[i] for i in step.pair.long_indices) == tuple(sorted(ids)[: step.pair.g])
         np.testing.assert_allclose(step.pair.b_plus, 1.0 / step.pair.g, atol=1e-12)
         assert step.score_dev == pytest.approx(0.0, abs=1e-15)
 
@@ -87,7 +88,8 @@ def test_trajectory_returns_match_hand_walkthrough(params):
 
         scores = policy_forward(ws.features, ws.ranks, params).data
         order = sorted(range(4), key=lambda i: (-scores[i], ws.stock_ids[i]))
-        z = closes[:, t_idx + 1] / closes[:, t_idx]
+        rows = [panel4.stock_index(sid) for sid in ws.stock_ids]
+        z = closes[rows, t_idx + 1] / closes[rows, t_idx]
         expected = z[order[0]] - z[order[-1]]  # g=1: singleton softmax weights
         returns.append(period_step(prep, panel4.start + t_idx, params, cfg).ret)
         assert returns[-1] == pytest.approx(expected, abs=1e-12)

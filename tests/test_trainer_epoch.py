@@ -43,6 +43,12 @@ def test_epoch_gradient_matches_per_trajectory_batch_gradient(panel):
     assert got.flat == 0
 
 
+def test_epoch_gradient_without_trajectories_raises_data_error(panel):
+    # NumPy warned of an invalid divide, then a bare ZeroDivisionError
+    with pytest.raises(DataError, match="^epoch_gradient: at least one trajectory required$"):
+        epoch_gradient(panel, [], [], small_params(1), CFG)
+
+
 def test_epoch_scores_each_distinct_decision_time_once(panel, monkeypatch):
     forward = trainer_mod.policy_forward
     calls = []
