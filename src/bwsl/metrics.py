@@ -12,8 +12,8 @@ Degenerate denominators in a report are flagged rather than thrown: a
 series of fewer than 2 returns is flagged ``short_series`` and one of zero
 volatility ``zero_volatility`` (AVOL 0; sharpe, ASR and DDR NaN); otherwise
 MDD = 0 makes CR +inf with flag ``no_drawdown``, and no negative returns
-make DDR +inf with flag ``no_downside``. A mean, volatility or wealth that
-overflows float64 raises :class:`NonFiniteError`.
+make DDR +inf with flag ``no_downside``. A mean, volatility, downside
+deviation or wealth that overflows float64 raises :class:`NonFiniteError`.
 
 Input rule: a series (returns, or wealth for :func:`max_drawdown`) is a
 1-d array of finite real numbers (ints and floats of any width) and
@@ -184,7 +184,10 @@ def report_or_degenerate(returns, theta=0.0, tc=0.001, periods_per_year=12):
     else:
         avol = v * math.sqrt(ny)
         asr = apr / avol
-        downside = float(np.sqrt(np.mean(np.minimum(r, 0.0) ** 2)))
+        with np.errstate(over="ignore"):
+            downside = float(np.sqrt(np.mean(np.minimum(r, 0.0) ** 2)))
+        if not math.isfinite(downside):
+            raise NonFiniteError("report: the downside deviation of the returns overflows")
         ddr = math.inf if downside == 0.0 else apr / downside
         flags = ["no_drawdown"] * (mdd == 0.0) + ["no_downside"] * (downside == 0.0)
     return PerformanceReport(

@@ -468,11 +468,13 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
     (F+H+1, 4H), on the step's block of ``stack`` (K+1, F+H+1, I): block k
     holds x_k, h_{k-1} and a row of ones, and h_k is written into the h
     rows of block k+1. So xs (K, F, I), the stocks-last windows, and states
-    (K, H, I), the hidden states h_k, are views of that one buffer. At step
-    k, act[k] (4H, I) holds the pre-activations, then, in place, the gate
-    activations; cells (K, H, I) holds c_k; u is the attention's tanh layer
-    (K, H, I), its att_w1' h_k written at step k while h_k is in cache,
-    and weights its softmax over K (K, I). Step k reads act[k] and cells[k]
+    (K, H, I), the hidden states h_k, are views of that one buffer. The
+    sigmoid rows of W are negated once per call, so at step k, act[k]
+    (4H, I) holds the pre-activations, negated on the sigmoid gates, then,
+    in place, the gate activations (exp, +1 and 1/. finish a sigmoid);
+    cells (K, H, I) holds c_k; u is the attention's tanh layer (K, H, I),
+    its att_w1' h_k written at step k while h_k is in cache, and weights
+    its softmax over K (K, I). Step k reads act[k] and cells[k]
     only at step k, and takes f * c_{k-1} before it writes c_k, so ``take``
     may hand out one slab for all K steps of either (:func:`_fresh`).
     Stocks run along the last axis, so each gate block of a step is one
@@ -483,6 +485,7 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
     h_dim = p["lstm_wh"].shape[0]
     gate_in, gate_forget, gate_out, cand, sig = _gate_blocks(h_dim)
     w = np.concatenate((p["lstm_wx"], p["lstm_wh"], p["lstm_b"][None, :])).T
+    np.negative(w[sig], out=w[sig])  # the GEMM gives -x on the sigmoid rows
     stack = take("stack", (k_steps + 1, f_dim + h_dim + 1, n))
     xs, states = stack[:-1, :f_dim], stack[1:, f_dim:-1]
     xs[...] = windows.transpose(1, 2, 0)
@@ -503,7 +506,10 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
         np.matmul(w, stack[k], out=a)
         if checked and not np.isfinite(a).all():
             raise NonFiniteError(f"encode: non-finite gate pre-activations at step {k}")
-        ad.logistic(a[sig], out=a[sig])
+        with np.errstate(over="ignore"):  # as in ad.logistic: 1/(1 + inf) is the rounded 0
+            np.exp(a[sig], out=a[sig])
+        a[sig] += 1.0
+        np.divide(1.0, a[sig], out=a[sig])
         np.tanh(a[cand], out=a[cand])
         forget = a[gate_forget] * c
         np.multiply(a[gate_in], a[cand], out=cells[k])
@@ -518,9 +524,7 @@ def _encode_forward(windows: np.ndarray, p: dict, take) -> tuple[np.ndarray, tup
     np.tanh(u, out=u)
     scores = p["att_w"] @ u
     weights = ad.normalized_exp(scores, axis=0)
-    rep = weights[0] * states[0]
-    for k in range(1, k_steps):
-        rep += weights[k] * states[k]
+    rep = np.einsum("ki,khi->hi", weights, states)
     return rep.T, (xs, act, cells, states, u, weights)
 
 

@@ -54,7 +54,8 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
 
     Ties break by ascending stock_id. Long-only mode returns an empty
     short leg. Raises :class:`ShapeError` unless there is one score per
-    stock and :class:`DataError` for a non-finite score.
+    stock and :class:`DataError` for a non-finite score or a repeated
+    stock id.
     """
     if mode not in MODES:
         raise DataError(f"unknown portfolio mode {mode!r}")
@@ -64,6 +65,11 @@ def select_legs(scores: np.ndarray, stock_ids, g: int, mode: str = LONG_SHORT):
         raise ShapeError(f"select_legs: {scores.size} scores for {n} stocks")
     if not np.isfinite(scores).all():
         raise DataError("winner scores must be finite")
+    seen = set()
+    for stock_id in stock_ids:
+        if stock_id in seen:
+            raise DataError(f"select_legs: stock id {stock_id!r} is repeated")
+        seen.add(stock_id)
     g = whole_number(g, "leg size g", 1)
     if mode == LONG_SHORT and 2 * g > n:
         raise DataError(f"legs overlap: 2*{g} > {n} stocks")

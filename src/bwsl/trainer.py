@@ -20,9 +20,10 @@ the batch surrogate is linear in the per-period log-probabilities:
     w_t = sum of A_n over the trajectories n whose window covers t.
 
 Sampled windows overlap, so an epoch (:func:`epoch_gradient`) scores and
-backpropagates each distinct decision time once, keeps that period's
-parameter gradient g_t and return, rebuilds every trajectory's returns
-and advantage from the stored returns, and combines (1/N) sum_t w_t g_t.
+backpropagates each distinct decision time once and keeps that period's
+return. A trajectory's returns and advantage are rebuilt from the stored
+returns at its last decision time, and the period's parameter gradient
+g_t is folded into (1/N) sum_t w_t g_t once w_t is final.
 :func:`period_step` is the one rollout step. Besides the epoch, only the
 tests' oracle (``tests/rollout_oracle.py``) calls it: that oracle records
 each trajectory on its own tape, which gives the reference for the
@@ -188,14 +189,29 @@ def _param_grads(tape: Tape, root: Tensor, params: PolicyParams, label: str) -> 
     return out
 
 
+def _fold(acc: dict[str, np.ndarray], w: float, grads: dict[str, np.ndarray]) -> None:
+    """acc += w * g for every parameter; a function of its own, so no frame
+    keeps the folded gradient alive."""
+    for name, g in grads.items():
+        acc[name] += w * g
+
+
 def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainConfig) -> EpochGradient:
     """(1/N) sum_n (H_n - H0_n) * grad sum_{t in n} log b(t) over the
     trajectories starting at ``starts``, with each distinct decision time
     scored and backpropagated once.
 
-    The tests check it against an oracle that gives every trajectory its
-    own tape (``tests/rollout_oracle.py``); the two agree up to the order
-    of floating-point summation.
+    Decision times run in ascending order. A trajectory is closed (its
+    Sharpe, flat flag and advantage) at its last decision time, and a
+    time's gradient g_u is folded into the sum as soon as every trajectory
+    holding u has closed, with w_u summed over those trajectories in
+    ascending order. Every window spans T times, so the gradients wait in
+    first-in first-out order and at most T are alive at once.
+
+    The tests check it bitwise against an oracle that holds every
+    gradient to the end, and against one that gives every trajectory its
+    own tape (``tests/rollout_oracle.py``); the latter agrees up to the
+    order of floating-point summation.
     """
     if len(starts) == 0:
         raise DataError("epoch_gradient: at least one trajectory required")
@@ -204,33 +220,39 @@ def epoch_gradient(panel, starts, thresholds, params: PolicyParams, cfg: TrainCo
     thresholds = [real_number(h0, "epoch_gradient: threshold") for h0 in thresholds]
     prep = PreparedPanel.of(panel, cfg.k)
     windows = [range(t0, t0 + cfg.t) for t0 in (prep.month(s) for s in starts)]
+    n = len(windows)
+    closing = sorted(range(n), key=lambda i: windows[i].start)  # windows close in start order
+    closed = 0
+    sharpes, advantages = np.zeros(n), np.zeros(n)
+    flat = 0
     steps: dict[int, PeriodStep] = {}
-    grads: dict[int, dict[str, np.ndarray]] = {}
+    grads: dict[int, dict[str, np.ndarray]] = {}  # not yet folded in, in time order
+    acc = {name: np.zeros(tensor.shape) for name, tensor in params.tensors().items()}
     for t in sorted({t for window in windows for t in window}):
         tape = Tape()
         with tape:
             steps[t] = period_step(prep, t, params, cfg)
         grads[t] = _param_grads(tape, steps[t].logprob, params, f"period {format_month(t)}")
+        while closed < n and windows[closing[closed]][-1] == t:
+            i = closing[closed]
+            returns = np.array([steps[u].ret for u in windows[i]])
+            sharpes[i], is_flat = _sharpe_or_flat(returns, cfg.theta, cfg.tc)
+            advantages[i] = sharpes[i] - thresholds[i]
+            flat += is_flat
+            closed += 1
+        while grads:
+            u = next(iter(grads))
+            if closed < n and windows[closing[closed]].start <= u:
+                break  # an open trajectory holds u
+            w = 0.0
+            for i, window in enumerate(windows):
+                if u in window:
+                    w += advantages[i]
+            _fold(acc, w, grads.pop(u))
 
-    n = len(starts)
-    sharpes, advantages = np.zeros(n), np.zeros(n)
-    weights = dict.fromkeys(steps, 0.0)
     score_dev = 0.0
-    flat = 0
-    for i, (window, h0) in enumerate(zip(windows, thresholds)):
-        held = [steps[t] for t in window]
-        sharpes[i], is_flat = _sharpe_or_flat(np.array([s.ret for s in held]), cfg.theta, cfg.tc)
-        advantages[i] = sharpes[i] - h0
-        flat += is_flat
-        score_dev += float(np.mean([s.score_dev for s in held]))
-        for t in window:
-            weights[t] += advantages[i]
-
-    # sum_t w_t g_t, accumulated in sorted-t order so results repeat bitwise
-    acc = {name: np.zeros(tensor.shape) for name, tensor in params.tensors().items()}
-    for t, w in weights.items():
-        for name, g in grads[t].items():
-            acc[name] += w * g
+    for window in windows:
+        score_dev += float(np.mean([steps[t].score_dev for t in window]))
     return EpochGradient(
         grads={name: g / n for name, g in acc.items()},
         sharpes=sharpes,

@@ -255,6 +255,13 @@ def test_a_mean_or_volatility_that_overflows_raises_non_finite():
         sharpe([1.7e308, 1.7e308])
 
 
+def test_a_downside_deviation_that_overflows_raises_non_finite():
+    # the squares of min(R, 0) overflowed: DDR was 0.0 with NumPy's
+    # overflow warning, while the mean and volatility are finite
+    with pytest.raises(NonFiniteError, match="^report: the downside deviation of the returns overflows$"):
+        report_or_degenerate([-1e160, -1e160 + 1e150], tc=-1e160 - 1e150)
+
+
 def test_a_wealth_that_overflows_raises_non_finite_naming_the_period():
     # cumulative_wealth returned inf with NumPy's overflow warning, and the
     # report then failed in max_drawdown, the wrong step

@@ -207,6 +207,16 @@ def test_select_legs_and_generate_reject_non_finite_scores(bad):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_select_legs_and_generate_reject_a_repeated_stock_id(mode):
+    # "a" went long and short at once, and realize_return gave 0.0
+    ids = ("a", "b", "a", "c", "b")
+    with pytest.raises(DataError, match="^select_legs: stock id 'a' is repeated$"):
+        select_legs(np.array([0.9, 0.2, 0.1, 0.5, 0.3]), ids, g=1, mode=mode)
+    with pytest.raises(DataError, match="^select_legs: stock id 'a' is repeated$"):
+        generate(WinnerScores(("a", "b", "a", "c"), np.array([0.9, 0.2, 0.1, 0.5])), 1, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_leg_logprob_value_is_read_from_the_pair(mode):
     rng = np.random.default_rng(21)
     values = rng.uniform(0.05, 0.95, size=9)

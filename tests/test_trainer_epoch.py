@@ -1,16 +1,19 @@
 """Deduplicated epoch gradient, best-parameter snapshot, flat trajectories,
 substitution events and the shared period read."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 import bwsl.trainer as trainer_mod
-from bwsl.errors import DataError
+from bwsl.autodiff import Tape
+from bwsl.errors import DataError, NonFiniteError
 from bwsl.features import PreparedPanel
-from bwsl.market import SynthConfig, synth_market
+from bwsl.market import SynthConfig, format_month, synth_market
 from bwsl.policy import PARAM_ORDER, PolicyParams
 from bwsl.trainer import TrainConfig, epoch_gradient, market_threshold, period_step, train
-from rollout_oracle import batch_gradient
+from rollout_oracle import batch_gradient, hold_every_gradient
 from test_features import START, panel_from_closes
 
 CFG = TrainConfig(t=3, n=6, epochs=1, eta=1e-3, k=4, seed=0, tc=0.0)
@@ -41,6 +44,83 @@ def test_epoch_gradient_matches_per_trajectory_batch_gradient(panel):
     assert got.advantages.tolist() == [h - h0 for h, h0 in zip(sharpes, thresholds)]
     assert got.score_dev == pytest.approx(np.mean(score_devs), rel=1e-12)
     assert got.flat == 0
+
+
+def assert_equals_hold_every_gradient_bitwise(panel, cfg, offsets):
+    prep = PreparedPanel(panel, cfg.k)
+    starts = [panel.start + o for o in offsets]
+    thresholds = [0.25 * j - 0.5 for j in range(len(starts))]
+    params = small_params(3)
+    expected, sharpes, advantages = hold_every_gradient(prep, starts, thresholds, params, cfg)
+    got = epoch_gradient(prep, starts, thresholds, params, cfg)
+    for name in PARAM_ORDER:
+        assert got.grads[name].tobytes() == expected[name].tobytes(), name
+    assert got.sharpes.tobytes() == sharpes.tobytes()
+    assert got.advantages.tobytes() == advantages.tobytes()
+    return got
+
+
+@pytest.mark.parametrize(
+    "offsets",
+    [[5, 6, 5, 7, 12, 13], [4, 10, 20], [20, 4, 8, 6, 4, 21]],
+    ids=["repeated_and_overlapping", "disjoint", "unsorted"],
+)
+def test_epoch_gradient_equals_the_hold_every_gradient_reduction_bitwise(panel, offsets):
+    assert assert_equals_hold_every_gradient_bitwise(panel, CFG, offsets).flat == 0
+
+
+def test_epoch_gradient_with_a_flat_trajectory_equals_the_hold_every_gradient_reduction():
+    # 4 stocks over 20 months; no close moves over months 8..11, so every
+    # period return of the trajectory from month 8 (t=3) is 0
+    factors = np.random.default_rng(19).uniform(0.9, 1.1, size=(4, 20))
+    factors[:, 9:12] = 1.0
+    cfg = TrainConfig(t=3, n=5, epochs=1, k=2, seed=0, tc=0.0)
+    got = assert_equals_hold_every_gradient_bitwise(
+        panel_from_closes(np.cumprod(factors, axis=1)), cfg, [8, 6, 9, 12, 3]
+    )
+    assert got.flat == 1 and got.sharpes[0] == 0.0
+
+
+def test_an_epoch_holds_at_most_t_period_gradients_at_once(panel, monkeypatch):
+    # 20 distinct decision times for T = 3; holding every gradient to the
+    # end kept all 20 alive
+    grads_of = trainer_mod._param_grads
+    made, peak = [], []
+
+    def tracked(*args):
+        out = grads_of(*args)
+        made.append([weakref.ref(g) for g in out.values()])
+        peak.append(sum(any(ref() is not None for ref in refs) for refs in made))
+        return out
+
+    monkeypatch.setattr(trainer_mod, "_param_grads", tracked)
+    s = panel.start
+    starts = [s + o for o in (4, 4, 5, 9, 13, 14, 18, 22, 26)]
+    epoch_gradient(panel, starts, [0.0] * len(starts), small_params(4), CFG)
+    distinct = {t0 + j for t0 in starts for j in range(CFG.t)}
+    assert len(made) == len(distinct) >= 6 * CFG.t
+    assert max(peak) == CFG.t
+
+
+def test_a_non_finite_period_gradient_names_its_period(panel, monkeypatch):
+    # the 6th distinct time, index 9, comes after the trajectories from 4
+    # and 5 have closed and the gradients of 4..7 have been folded in
+    params = small_params(5)
+    calls = []
+
+    class PoisonedTape(Tape):
+        def gradients(self, root):
+            calls.append(1)
+            if len(calls) == 6:
+                return {tensor: np.full(tensor.shape, np.inf) for tensor in params.tensors().values()}
+            return super().gradients(root)
+
+    monkeypatch.setattr(trainer_mod, "Tape", PoisonedTape)
+    s = panel.start
+    starts = [s + 4, s + 5, s + 9, s + 8]
+    with pytest.raises(NonFiniteError, match=rf"^period {format_month(s + 9)}: non-finite gradient for "):
+        epoch_gradient(panel, starts, [0.0] * len(starts), params, CFG)
+    assert len(calls) == 6
 
 
 def test_epoch_gradient_without_trajectories_raises_data_error(panel):
