@@ -13,8 +13,8 @@ reads all K steps of the eligible rows as one (I, K, F) block and
 at once. Reducing axis 0 of a block adds the rows in the same order as
 reducing one step's (I, F) slice, so the block gives bitwise the values
 that K separate steps would. The window set then puts its stocks in rank
-order, by the raw ``pr`` at the decision time, so its ranks are 1..I and
-the rank prior psi of :mod:`policy` is Toeplitz in the stocks' order.
+order, by the raw ``pr`` at the decision time, so a stock's row is its
+rank, and the rank prior psi of :mod:`policy` is Toeplitz in row order.
 """
 
 from __future__ import annotations
@@ -119,15 +119,21 @@ def zscore_crosssection(raw: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class WindowSet:
     """All eligible stocks' windows at one decision time, stocks in rank
-    order: row i holds the stock of rank i + 1."""
+    order: row i holds the stock of rank i + 1, rank 1 having the highest
+    price rising rate over (t-1, t]. Scoring reads the rank from the row,
+    so ``ranks`` is derived from the rows, never stored."""
 
     t: int
     stock_ids: tuple[str, ...]
     features: np.ndarray  # (I, K, F)
-    ranks: np.ndarray  # (I,) 1..I, 1 = highest price rising rate over (t-1, t]
 
     def __len__(self) -> int:
         return len(self.stock_ids)
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """(I,) 1..I, the rank of each row's stock."""
+        return np.arange(1, len(self) + 1, dtype=np.int64)
 
 
 def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
@@ -157,8 +163,7 @@ def build_windows(panel: MarketPanel, t, k: int) -> WindowSet:
     # the z-scores sum over the stocks in panel order, then rows take rank order
     order = descending_order(raw[:, -1, 0], panel.id_ranks[eligible])
     ids = tuple(panel.stock_ids[i] for i in eligible[order])
-    ranks = np.arange(1, order.size + 1, dtype=np.int64)
-    return WindowSet(panel.start + pi, ids, zscore_crosssection(raw)[order], ranks)
+    return WindowSet(panel.start + pi, ids, zscore_crosssection(raw)[order])
 
 
 class PreparedPanel:

@@ -43,12 +43,11 @@ from .market import format_month
 from .policy import PolicyParams, encode, own_score_grads
 
 
-def input_sensitivity(
-    windows, ranks, params: PolicyParams, stock_index: int
-) -> np.ndarray:
+def input_sensitivity(windows, params: PolicyParams, stock_index: int) -> np.ndarray:
     """(K, F) gradient of stock ``stock_index``'s score w.r.t. its window.
 
-    ``windows`` is the (I, K, F) block of all eligible stocks; scores are
+    ``windows`` is the (I, K, F) block of all eligible stocks, in rank
+    order as in a window set (:func:`policy.score`); scores are
     computed jointly (the attention couples stocks) but only the stock's
     own window block of the gradient is returned.
     """
@@ -58,10 +57,10 @@ def input_sensitivity(
     i = whole_number(stock_index, "stock index", None)
     if not 0 <= i < windows.shape[0]:
         raise DataError(f"stock index {i} out of range for {windows.shape[0]} stocks")
-    return _own_window_grads(windows, ranks, params, [i])[0]
+    return _own_window_grads(windows, params, [i])[0]
 
 
-def _own_window_grads(windows: np.ndarray, ranks, params: PolicyParams, stocks) -> np.ndarray:
+def _own_window_grads(windows: np.ndarray, params: PolicyParams, stocks) -> np.ndarray:
     """(len(stocks), K, F): each listed stock's score gradient w.r.t. its
     own window, from the closed-form head cotangent and one encoder
     backward."""
@@ -71,7 +70,7 @@ def _own_window_grads(windows: np.ndarray, ranks, params: PolicyParams, stocks) 
     with encoder:
         rep = encode(x, params.constants())
     cotangent = np.zeros(rep.shape)
-    cotangent[stocks] = own_score_grads(rep.data, ranks, params)[stocks]
+    cotangent[stocks] = own_score_grads(rep.data, params)[stocks]
     with encoder:
         root = (rep * Tensor(cotangent)).sum()
     return encoder.gradients(root)[x][stocks]
@@ -122,7 +121,7 @@ def average_sensitivity(
         ws = prep.windows(t)
         if ws is None:
             continue
-        acc += _own_window_grads(ws.features, ws.ranks, params, range(len(ws))).sum(axis=0)
+        acc += _own_window_grads(ws.features, params, range(len(ws))).sum(axis=0)
         samples += len(ws)
     if samples == 0:
         bounds = ""

@@ -208,8 +208,11 @@ def save_panel(panel: MarketPanel, path) -> None:
                 format(float(panel.field(f)[si, pi]), ".12g") for f in _NUMERIC_FIELDS
             )
             out.append(f"{stock_id},{format_month(panel.start + pi)},{nums}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(out) + "\n")
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ with hand-written VJPs:
 - :func:`score`, the cross-asset attention and score head, with the
   softmax adjoint for the representations and each of its seven
   parameters (:data:`SCORE_PARAMS`). :func:`own_score_grads` reuses its
-  forward and softmax adjoint. The rank prior is psi[i, j] =
-  table[bin(r_i - r_j)], L entries (:func:`_rank_bins`). For ranks that
-  rise by one from stock to stock, such as a window set's 1..I (its stocks
-  come in rank order), psi is a Toeplitz view of 2I-1 entries, multiplied
-  in one pass (:func:`_times_psi`).
+  forward and softmax adjoint. The stocks come in rank order, as in a
+  window set: row i holds the stock of rank i + 1, so no fused function
+  takes ranks. The rank prior psi[i, j] = table[bin(j - i)], L entries
+  (:func:`_rank_bins`), is then a relative-position term, a Toeplitz view
+  of 2I-1 entries (:func:`_toeplitz`) multiplied in one pass.
 
 Each encoder step is one GEMM of the stacked weights [Wx; Wh; b'] with
 the step's block [x_k; h_{k-1}; 1] of the ``stack`` buffer, which
@@ -188,8 +188,22 @@ class PolicyParams:
 
     def apply_update(self, deltas: dict[str, np.ndarray]) -> None:
         """Replace each tensor's array by data + delta (old arrays untouched,
-        so tapes recorded before the update stay valid)."""
+        so tapes recorded before the update stay valid). Every delta is
+        checked before any tensor changes: DataError for an unknown name, a
+        delta that is not an array of real numbers, or one whose shape is
+        not its tensor's (it would broadcast into the tensor)."""
+        checked = {}
         for name, delta in deltas.items():
+            if name not in self._tensors:
+                raise DataError(f"apply_update: unknown tensor {name!r}")
+            delta = real_array(delta, f"apply_update: {name} delta")
+            if delta.shape != self._tensors[name].shape:
+                raise DataError(
+                    f"apply_update: {name} delta has shape {delta.shape}, "
+                    f"expected {self._tensors[name].shape}"
+                )
+            checked[name] = delta
+        for name, delta in checked.items():
             t = self._tensors[name]
             t.data = t.data + delta
 
@@ -201,8 +215,11 @@ class PolicyParams:
             shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "scalar"
             values = " ".join(float(v).hex() for v in arr.ravel())
             lines.append(f"{name} {shape} {values}".rstrip())
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as e:
+            raise DataError(f"cannot write checkpoint {path}: {e}") from None
 
     @classmethod
     def load(cls, path) -> "PolicyParams":
@@ -358,7 +375,10 @@ def caan_forward(rep: Tensor, ranks: np.ndarray, params: PolicyParams) -> Tensor
     """Cross-asset attention softmax(psi * QK'/sqrt(H)) V: each stock
     attends over all stocks' values, with its logits multiplied by the rank
     prior psi before normalization."""
-    _, ranks = _score_inputs(rep.data, ranks, params)
+    ranks = _rank_ints(ranks)
+    _score_inputs(rep.data, params)
+    if len(ranks) != rep.shape[0]:
+        raise ShapeError("caan: ranks misaligned with representations")
     query = rep @ params["wq"]
     key = rep @ params["wk"]
     value = rep @ params["wv"]
@@ -618,84 +638,49 @@ def encode(windows, params: PolicyParams) -> Tensor:
     return ad.emit("encode", rep, pulls, lambda g: _encode_sweep(g, cache, p, take))
 
 
-def _score_inputs(r: np.ndarray, ranks, params: PolicyParams) -> tuple[np.ndarray, np.ndarray]:
-    """The (I, H) representations r and the ranks as (I,) integers, checked
-    with the shape errors of the primitive composition."""
+def _score_inputs(r: np.ndarray, params: PolicyParams) -> np.ndarray:
+    """The (I, H) representations r, checked with the shape errors of the
+    primitive composition."""
     r = real_array(r, "score: representations")
-    ranks = _rank_ints(ranks)
     if r.ndim != 2 or r.shape[0] < 2:
         raise ShapeError("caan: need representations for at least 2 stocks")
-    if len(ranks) != r.shape[0]:
-        raise ShapeError("caan: ranks misaligned with representations")
     if r.shape[1] != params.hidden:
         raise ShapeError(
             f"matmul: inner dimensions differ, {r.shape} @ {params['wq'].shape}"
         )
-    return r, ranks
+    return r
 
 
-def _banded(ranks: np.ndarray) -> bool:
-    """Whether psi[i, j] = table[bin(r_i - r_j)] is Toeplitz in the
-    stocks' order, table[bin(i - j)]: the ranks rise by one from stock to
-    stock."""
-    return bool((np.diff(ranks) == 1).all())
+def _toeplitz(v: np.ndarray) -> np.ndarray:
+    """The read-only (I, I) view [i, j] -> v[I-1 + j - i] of the 2I-1
+    entries v, one per m = j - i = -(I-1) .. I-1: row i is v[I-1-i ..
+    2I-2-i], so the view takes no I^2 memory."""
+    n = (v.size + 1) // 2
+    strides = (-v.strides[0], v.strides[0])
+    return np.lib.stride_tricks.as_strided(v[n - 1 :], (n, n), strides, writeable=False)
 
 
-# elements per row block of the rank prior: one 128 KB (rows, I) bin buffer
-# is reused from block to block (psi and d_psi are allocated per block);
-# larger blocks measured slower at I=200 and no faster at I=800
+# elements per row block of the rank prior's gradient: d_psi and the
+# block's bins are allocated per block; larger blocks measured slower at
+# I=200 and no faster at I=800
 _PRIOR_BLOCK = 1 << 14
 
 
-def _psi_blocks(ranks: np.ndarray, q: int, l_cols: int):
-    """Row blocks of the rank-distance bins, bin(r_i - r_j) by
-    :func:`_rank_bins`: yields (rows, bins), the bins of those rows in one
-    buffer reused from block to block."""
-    n = ranks.size
-    step = max(1, _PRIOR_BLOCK // n)
-    buf = np.empty((min(step, n), n), dtype=np.int64)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        bins = buf[: rows.stop - start]
-        np.subtract.outer(ranks[rows], ranks, out=bins)
-        yield rows, _rank_bins(bins, q, l_cols)
-
-
-def _times_psi(src, ranks, q, table, out) -> None:
-    """out = src * psi for an (I, I) array src (``out`` may be src itself),
-    psi[i, j] = table[bin(r_i - r_j)] for the step q (:func:`_rank_bins`).
-
-    When psi is Toeplitz (:func:`_banded`), it is a read-only strided view
-    of the 2I-1 entries v[m] = table[bin(m)], m = -(I-1) .. I-1, row i
-    being v[-i .. I-1-i], so psi takes no I^2 memory and the product is
-    one multiply. Otherwise the row walk :func:`_psi_blocks` gathers psi
-    block by block. Each entry is one multiply by its own psi either way,
-    so the view gives bitwise what the walk gives.
-    """
-    n = ranks.size
-    if _banded(ranks):
-        v = table[_rank_bins(np.arange(1 - n, n), q, table.size)]
-        strides = (-v.strides[0], v.strides[0])  # psi[i, j] = v[m = j - i]
-        psi = np.lib.stride_tricks.as_strided(v[n - 1 :], (n, n), strides, writeable=False)
-        np.multiply(src, psi, out=out)
-        return
-    for rows, bins in _psi_blocks(ranks, q, table.size):
-        np.multiply(src[rows], table.take(bins), out=out[rows])
-
-
-def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple:
-    """Forward of :func:`score` on (I, H) representations r, integer ranks,
-    the head's arrays ``p`` and the quantization step q: the (I,) scores
-    and the caches (query, key, value, attended, attention, prior, table,
-    scale) its adjoints read, scale being the logits' 1/sqrt(H) and
-    ``table`` psi * scale per quantized rank-distance bin, L entries for
-    any ranks.
+def _score_forward(r: np.ndarray, p: dict, q: int) -> tuple:
+    """Forward of :func:`score` on (I, H) representations r, the head's
+    arrays ``p`` and the quantization step q: the (I,) scores and the
+    caches (query, key, value, attended, attention, prior, psi, bins,
+    scale) its adjoints read, scale being the logits' 1/sqrt(H), ``bins``
+    the (I, I) view of bin(j - i) and ``psi`` that of psi * scale
+    (:func:`_toeplitz`), both over 2I-1 entries. The table psi * scale per
+    quantized rank-distance bin has L entries for any I.
 
     The float operations are those of :func:`caan_forward` and
-    :func:`winner_scores`, in the same order, so the scores are bitwise
-    theirs. QK' is multiplied by psi * scale (:func:`_times_psi`), and psi
-    is never stored. The logits buffer becomes the attention A in place.
+    :func:`winner_scores` on ranks 1..I, in the same order, so the scores
+    are bitwise theirs. QK' is multiplied by the view of psi * scale in one
+    pass. The logits buffer becomes the attention A in place.
     """
+    n = r.shape[0]
     scale = 1.0 / np.sqrt(r.shape[1])
     query, key, value = r @ p["wq"], r @ p["wk"], r @ p["wv"]
     prior_logits = p["rank_w"] @ p["rank_emb"]
@@ -703,8 +688,10 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple:
         raise NonFiniteError("score: non-finite rank-prior logits")
     prior = ad.logistic(prior_logits)
     table = prior * scale
+    bins = _rank_bins(np.arange(1 - n, n), q, table.size)
+    psi = _toeplitz(table[bins])
     logits = query @ key.T
-    _times_psi(logits, ranks, q, table, logits)
+    logits *= psi
     top = logits.max(axis=1, keepdims=True)
     # QK' sums stay under the bound; above it, a non-finite logit shows in a row max or min
     with np.errstate(over="ignore", invalid="ignore"):
@@ -723,68 +710,69 @@ def _score_forward(r: np.ndarray, ranks: np.ndarray, p: dict, q: int) -> tuple:
     head += p["b_score"]
     if not np.isfinite(head).all():
         raise NonFiniteError("score: non-finite head logits")
-    return ad.logistic(head), (query, key, value, attended, attention, prior, table, scale)
+    cache = (query, key, value, attended, attention, prior, psi, _toeplitz(bins), scale)
+    return ad.logistic(head), cache
 
 
-def _softmax_adjoint(attention, g, value, ranks, q, table) -> tuple[np.ndarray, np.ndarray]:
+def _softmax_adjoint(attention, g, value, psi) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of Z = softmax(psi * scale * QK') V for the cotangent G of Z,
-    ``table`` holding psi * scale per rank-distance bin: with M = GV', the
-    cotangent of the softmax's input N = A * (M - rowsum(A * M)) and that
-    of QK', D = N * psi * scale."""
+    ``psi`` being the view of psi * scale: with M = GV', the cotangent of
+    the softmax's input N = A * (M - rowsum(A * M)) and that of QK',
+    D = N * psi * scale."""
     n = g @ value.T
     d = attention * n
     n -= d.sum(axis=1, keepdims=True)
     n *= attention
-    _times_psi(n, ranks, q, table, d)
+    np.multiply(n, psi, out=d)
     return n, d
 
 
-def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, ranks, p: dict, q: int) -> tuple:
+def _score_sweep(g: np.ndarray, s: np.ndarray, cache: tuple, p: dict) -> tuple:
     """Backward of :func:`score` for the cotangent g (I,) of its scores:
     the cotangents of the head logits (I,), of query, key and value
     (I, H) and of the prior logits w'E (L,)."""
-    query, key, value, attended, attention, prior, table, scale = cache
+    query, key, value, attended, attention, prior, psi, bins, scale = cache
     d_head = g * (s * (1.0 - s))
     d_attended = d_head[:, None] * p["w_score"]
-    n, d = _softmax_adjoint(attention, d_attended, value, ranks, q, table)
+    n, d = _softmax_adjoint(attention, d_attended, value, psi)
     # dL/d(psi * scale) = N * QK', with QK' recomputed block by block rather
     # than cached, summed per bin
     d_prior = np.zeros(prior.size)
-    for rows, bins in _psi_blocks(ranks, q, prior.size):
+    step = max(1, _PRIOR_BLOCK // len(query))
+    for start in range(0, len(query), step):
+        rows = slice(start, start + step)
         d_psi = query[rows] @ key.T
         d_psi *= n[rows]
-        d_prior += np.bincount(bins.ravel(), weights=d_psi.ravel(), minlength=prior.size)
+        d_prior += np.bincount(bins[rows].ravel(), weights=d_psi.ravel(), minlength=prior.size)
     d_prior = d_prior * scale * prior * (1.0 - prior)
     return d_head, d @ key, d.T @ query, attention.T @ d_attended, d_prior
 
 
-def _score_setup(rep, ranks, params: PolicyParams) -> tuple:
-    """The checked inputs of :func:`score`: r, the ranks and the head's
-    arrays p."""
-    r, ranks = _score_inputs(rep, ranks, params)
-    return r, ranks, _param_arrays(params, SCORE_PARAMS, "score")
+def _score_setup(rep, params: PolicyParams) -> tuple:
+    """The checked inputs of :func:`score`: r and the head's arrays p."""
+    return _score_inputs(rep, params), _param_arrays(params, SCORE_PARAMS, "score")
 
 
-def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
-    """(I, H) representations -> winner scores (I,), coupled across stocks.
+def score(rep: Tensor, params: PolicyParams) -> Tensor:
+    """(I, H) representations in rank order -> winner scores (I,), coupled
+    across stocks.
 
     Bitwise the value of ``winner_scores(caan_forward(rep, ranks, params),
-    params)``, as one tape record, psi[i, j] being table[bin(r_i - r_j)]
-    (:func:`_rank_bins`). When the ranks rise by one from stock to stock,
-    as a window set's 1..I do, psi is a Toeplitz view that the forward and
-    the softmax adjoint each multiply in one pass; other ranks take a row
-    walk (:func:`_times_psi`). The record has one VJP per operand: the
-    representations and each of :data:`SCORE_PARAMS`, all reading one
-    sweep per backward pass; the tape calls only those whose operand
-    requires grad. Raises :class:`NonFiniteError` for a non-finite
-    parameter, and whenever the primitive composition would, from checks of
-    the rank-prior logits, the attention logits (only when their bound
-    H max|Q| max|K| max(table) is not under ``_OVERFLOW_FREE``), the
-    attended values and the head logits: a sigmoid of an overflowed logit
-    is finite, so the output alone would not show it.
+    params)`` for ranks 1..I, as one tape record: row i is the stock of
+    rank i + 1, so psi[i, j] is table[bin(j - i)] (:func:`_rank_bins`), a
+    Toeplitz view that the forward and the softmax adjoint each multiply in
+    one pass. The record has one VJP per operand: the representations and
+    each of :data:`SCORE_PARAMS`, all reading one sweep per backward pass;
+    the tape calls only those whose operand requires grad. Raises
+    :class:`NonFiniteError` for a non-finite parameter, and whenever the
+    primitive composition would, from checks of the rank-prior logits, the
+    attention logits (only when their bound H max|Q| max|K| max(table) is
+    not under ``_OVERFLOW_FREE``), the attended values and the head logits:
+    a sigmoid of an overflowed logit is finite, so the output alone would
+    not show it.
     """
-    r, ranks, p = _score_setup(rep.data, ranks, params)
-    s, cache = _score_forward(r, ranks, p, params.q)
+    r, p = _score_setup(rep.data, params)
+    s, cache = _score_forward(r, p, params.q)
     attended = cache[3]
 
     def d_rep(sw):
@@ -801,13 +789,13 @@ def score(rep: Tensor, ranks, params: PolicyParams) -> Tensor:
         (params["rank_emb"], lambda sw: np.outer(p["rank_w"], sw[4])),
         (params["rank_w"], lambda sw: p["rank_emb"] @ sw[4]),
     )
-    return ad.emit("score", s, pulls, lambda g: _score_sweep(g, s, cache, ranks, p, params.q))
+    return ad.emit("score", s, pulls, lambda g: _score_sweep(g, s, cache, p))
 
 
-def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
+def own_score_grads(rep: np.ndarray, params: PolicyParams) -> np.ndarray:
     """Own-row Jacobian of :func:`score` for all stocks at once: the (I, H)
     matrix C whose row i is ds_i/dr_i, every other row of the (I, H) array
-    ``rep`` held fixed.
+    ``rep``, in rank order, held fixed.
 
     With A = softmax(psi * QK'/sqrt(H)), Z = AV and s = sigmoid(Zw + b), the
     cotangent of Z is G = diag(s(1 - s)) w', and, by the softmax adjoint,
@@ -817,14 +805,13 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
 
     The three terms are r_i's paths through V_i, Q_i and K_i. The forward
     with its overflow bound and the softmax adjoint, whose D is one
-    multiply by psi's Toeplitz view for ranks rising by one, are those of
-    :func:`score`, run on plain arrays, so nothing is recorded on any
-    tape. Cost O(I^2 H).
+    multiply by psi's Toeplitz view, are those of :func:`score`, run on
+    plain arrays, so nothing is recorded on any tape. Cost O(I^2 H).
     """
-    r, ranks, p = _score_setup(rep, ranks, params)
-    s, (query, key, value, _, attention, _, table, _) = _score_forward(r, ranks, p, params.q)
+    r, p = _score_setup(rep, params)
+    s, (query, key, value, _, attention, _, psi, _, _) = _score_forward(r, p, params.q)
     g = (s * (1.0 - s))[:, None] * p["w_score"]
-    _, d = _softmax_adjoint(attention, g, value, ranks, params.q, table)
+    _, d = _softmax_adjoint(attention, g, value, psi)
     return (
         np.diag(attention)[:, None] * (g @ p["wv"].T)
         + (d @ key) @ p["wq"].T
@@ -832,12 +819,12 @@ def own_score_grads(rep: np.ndarray, ranks, params: PolicyParams) -> np.ndarray:
     )
 
 
-def policy_forward(windows, ranks, params: PolicyParams) -> Tensor:
-    """Windows of all eligible stocks -> winner scores (I,)."""
-    return score(encode(windows, params), ranks, params)
+def policy_forward(windows, params: PolicyParams) -> Tensor:
+    """Windows of all eligible stocks, in rank order -> winner scores (I,)."""
+    return score(encode(windows, params), params)
 
 
 def score_window_set(window_set: WindowSet, params: PolicyParams) -> WinnerScores:
     """Plain-number scoring of a prepared window set (no tape required)."""
-    scores = policy_forward(window_set.features, window_set.ranks, params)
+    scores = policy_forward(window_set.features, params)
     return WinnerScores(window_set.stock_ids, scores.data.copy())

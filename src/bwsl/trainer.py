@@ -147,7 +147,7 @@ def period_step(prep: PreparedPanel, t: int, params: PolicyParams, cfg: TrainCon
     oracle both build on it.
     """
     ws, z, events = prep.period_data(t)
-    scores = policy_forward(ws.features, ws.ranks, params)
+    scores = policy_forward(ws.features, params)
     g = leg_size(len(ws), cfg.g)
     pair = generate(WinnerScores(ws.stock_ids, scores.data.copy()), g, cfg.mode)
     return PeriodStep(

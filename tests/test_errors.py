@@ -21,9 +21,10 @@ FIELDS = {name: np.ones((2, 3)) for name in ("close", "vol", "volume", "mcap", "
 
 # name -> (call on the malformed value, shape of a well-formed value)
 ENTRY_POINTS = {
-    "policy_forward": (lambda v: policy_forward(v, [1, 2, 3], PARAMS), (3, 2, N_FEATURES)),
-    "input_sensitivity": (lambda v: input_sensitivity(v, [1, 2, 3], PARAMS, 0), (3, 2, N_FEATURES)),
-    "own_score_grads": (lambda v: own_score_grads(v, [1, 2, 3], PARAMS), (3, 4)),
+    "policy_forward": (lambda v: policy_forward(v, PARAMS), (3, 2, N_FEATURES)),
+    "input_sensitivity": (lambda v: input_sensitivity(v, PARAMS, 0), (3, 2, N_FEATURES)),
+    "own_score_grads": (lambda v: own_score_grads(v, PARAMS), (3, 4)),
+    "apply_update": (lambda v: PARAMS.copy().apply_update({"w_score": v}), (4,)),
     "tensor": (ad.Tensor, (2, 2)),
     "select_legs": (lambda v: select_legs(v, IDS, 1), (4,)),
     "generate": (lambda v: generate(WinnerScores(IDS, v), 1), (4,)),
@@ -96,3 +97,27 @@ def test_real_array_passes_ints_and_floats_of_any_width():
         out = errors.real_array(np.arange(3, dtype=dtype), "x")
         assert out.dtype == np.float64 and out.tolist() == [0.0, 1.0, 2.0]
     assert errors.real_array([1, 2.5], "x").tolist() == [1.0, 2.5]
+
+
+@pytest.mark.parametrize(
+    "deltas, message",
+    [
+        ({"w_score": np.zeros(4), "nope": np.zeros(4)}, "^apply_update: unknown tensor 'nope'$"),
+        ({"w_score": np.zeros(4), "b_score": np.zeros(3)},
+         r"^apply_update: b_score delta has shape \(3,\), expected \(\)$"),
+        ({"wq": np.zeros((4, 1))}, r"^apply_update: wq delta has shape \(4, 1\), expected \(4, 4\)$"),
+        ({"w_score": "0.5"}, "^apply_update: w_score delta must be an array of real numbers"),
+    ],
+    ids=["unknown_name", "broadcast_scalar", "broadcast_matrix", "string"],
+)
+def test_apply_update_rejects_a_bad_delta_before_changing_any_tensor(deltas, message):
+    # an unknown name raised a bare KeyError and a string a bare
+    # UFuncTypeError; a (3,) delta turned the scalar b_score into shape (3,),
+    # so the next forward raised NumPy's ValueError and a saved checkpoint
+    # could not be loaded
+    params = PARAMS.copy()
+    before = {name: t.data for name, t in params.tensors().items()}
+    with pytest.raises(DataError, match=message):
+        params.apply_update(deltas)
+    for name, t in params.tensors().items():
+        assert t.data is before[name], name

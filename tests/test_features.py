@@ -10,6 +10,7 @@ from bwsl.errors import DataError, NoEligibleStocksError
 from bwsl.features import (
     FEATURE_NAMES,
     PreparedPanel,
+    WindowSet,
     build_windows,
     descending_order,
     raw_features,
@@ -209,6 +210,18 @@ def test_build_windows_ranks_by_last_pr():
     ws = build_windows(panel, START + 3, k=2)
     assert ws.stock_ids == ("S0", "S2", "S1")  # in rank order
     np.testing.assert_array_equal(ws.ranks, [1, 2, 3])
+
+
+def test_a_window_set_reads_its_ranks_from_its_rows():
+    # scoring takes row i as the stock of rank i + 1, so a window set holds
+    # no ranks that could say otherwise
+    panel = panel_from_closes(np.ones((3, 4)))
+    ws = build_windows(panel, START + 3, k=2)
+    assert ws.ranks.tolist() == [1, 2, 3] and ws.ranks.dtype == np.int64
+    with pytest.raises(TypeError):
+        WindowSet(ws.t, ws.stock_ids, ws.features, ws.ranks)
+    with pytest.raises(AttributeError):
+        ws.ranks = np.array([3, 2, 1])
 
 
 def test_build_windows_rank_ties_break_by_stock_id():

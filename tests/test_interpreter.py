@@ -22,68 +22,65 @@ def small_params(seed=0):
 @pytest.fixture(scope="module")
 def case():
     rng = np.random.default_rng(1)
-    windows = rng.normal(size=(4, 3, 7))
-    ranks = np.array([2, 4, 1, 3])
-    return windows, ranks
+    return rng.normal(size=(4, 3, 7))
 
 
 def test_constant_score_head_gives_zero_sensitivity(case):
-    windows, ranks = case
+    windows = case
     params = small_params(2)
     params["w_score"].data = np.zeros_like(params["w_score"].data)
     params["b_score"].data = np.zeros(())
-    sens = input_sensitivity(windows, ranks, params, 1)
+    sens = input_sensitivity(windows, params, 1)
     np.testing.assert_array_equal(sens, np.zeros((3, 7)))
 
 
 def test_sensitivity_shape_is_k_by_f(case):
-    windows, ranks = case
-    sens = input_sensitivity(windows, ranks, small_params(3), 2)
+    windows = case
+    sens = input_sensitivity(windows, small_params(3), 2)
     assert sens.shape == (3, 7)
     # duplicating the stock's window into a new stock keeps the shape
     bigger = np.concatenate([windows, windows[2:3]], axis=0)
-    sens2 = input_sensitivity(bigger, np.append(ranks, 5), small_params(3), 2)
+    sens2 = input_sensitivity(bigger, small_params(3), 2)
     assert sens2.shape == (3, 7)
 
 
 def test_sensitivity_rejects_a_single_window(case):
-    windows, ranks = case
+    windows = case
     with pytest.raises(DataError, match="windows must be"):
-        input_sensitivity(windows[0], ranks, small_params(3), 0)
+        input_sensitivity(windows[0], small_params(3), 0)
 
 
 @pytest.mark.parametrize("stock", [-1, 4])
 def test_sensitivity_rejects_an_out_of_range_stock(case, stock):
-    windows, ranks = case
+    windows = case
     with pytest.raises(DataError, match="out of range"):
-        input_sensitivity(windows, ranks, small_params(3), stock)
+        input_sensitivity(windows, small_params(3), stock)
 
 
 def test_sensitivity_rejects_a_fractional_stock_index(case):
     # 1.5 used to be truncated and True read as 1, each explaining stock 1
-    windows, ranks = case
+    windows = case
     params = small_params(3)
     for index in (1.5, True):
         with pytest.raises(DataError, match="stock index must be a whole number"):
-            input_sensitivity(windows, ranks, params, index)
-    whole = input_sensitivity(windows, ranks, params, 1.0)
-    assert whole.tobytes() == input_sensitivity(windows, ranks, params, 1).tobytes()
+            input_sensitivity(windows, params, index)
+    whole = input_sensitivity(windows, params, 1.0)
+    assert whole.tobytes() == input_sensitivity(windows, params, 1).tobytes()
 
 
-def test_windows_without_look_back_steps_raise_shape_error(case):
+def test_windows_without_look_back_steps_raise_shape_error():
     # an (I, 0, F) block used to fail with a bare IndexError
-    _, ranks = case
     windows = np.zeros((4, 0, 7))
     with pytest.raises(ShapeError, match="no hidden states"):
         encode(windows, small_params(3))
     with pytest.raises(ShapeError, match="no hidden states"):
-        input_sensitivity(windows, ranks, small_params(3), 0)
+        input_sensitivity(windows, small_params(3), 0)
 
 
 def test_sensitivity_matches_finite_differences(case):
-    windows, ranks = case
+    windows = case
     params = small_params(4)
-    sens = input_sensitivity(windows, ranks, params, 0)
+    sens = input_sensitivity(windows, params, 0)
     rng = np.random.default_rng(5)
     eps = 1e-6
     worst = 0.0
@@ -94,8 +91,8 @@ def test_sensitivity_matches_finite_differences(case):
         up[0, k, f] += eps
         down = windows.copy()
         down[0, k, f] -= eps
-        s_up = policy_forward(up, ranks, params).data[0]
-        s_down = policy_forward(down, ranks, params).data[0]
+        s_up = policy_forward(up, params).data[0]
+        s_down = policy_forward(down, params).data[0]
         central = (s_up - s_down) / (2 * eps)
         err = abs(sens[k, f] - central) / max(1.0, abs(sens[k, f]))
         worst = max(worst, err)
@@ -121,21 +118,21 @@ def test_average_sensitivity_skips_a_decision_time_with_one_eligible_stock():
 
 
 def test_lag_orientation_most_recent_row_is_last(case):
-    windows, ranks = case
+    windows = case
     params = small_params(6)
-    sens = input_sensitivity(windows, ranks, params, 1)
+    sens = input_sensitivity(windows, params, 1)
     # perturbing only the most recent row moves the score as row index K
     eps = 1e-6
     bumped = windows.copy()
     bumped[1, -1, :] += eps
-    moved = policy_forward(bumped, ranks, params).data[1]
-    base = policy_forward(windows, ranks, params).data[1]
+    moved = policy_forward(bumped, params).data[1]
+    base = policy_forward(windows, params).data[1]
     predicted = base + eps * sens[-1, :].sum()
     assert moved == pytest.approx(predicted, abs=1e-9)
 
 
 def test_sensitivity_linearity_in_score_head(case):
-    windows, ranks = case
+    windows = case
     params_a = small_params(7)
     params_b = params_a.copy()
     rng = np.random.default_rng(8)
@@ -146,8 +143,8 @@ def test_sensitivity_linearity_in_score_head(case):
     # sigmoid is nonlinear; linearity holds for the pre-squash logit, so
     # compare gradients of the logit via the chain rule s' = s(1-s) * logit'
     def logit_sens(params, i):
-        s = policy_forward(windows, ranks, params).data[i]
-        return input_sensitivity(windows, ranks, params, i) / (s * (1 - s))
+        s = policy_forward(windows, params).data[i]
+        return input_sensitivity(windows, params, i) / (s * (1 - s))
 
     total = logit_sens(params_sum, 0)
     parts = logit_sens(params_a, 0) + logit_sens(params_b, 0)
@@ -159,16 +156,15 @@ def test_split_tapes_match_per_stock_replays_of_the_full_tape():
     # stock, keeping row i of the window gradient
     rng = np.random.default_rng(15)
     windows = rng.normal(size=(6, 4, 7))
-    ranks = np.array([1, 9, 3, 17, 6, 12])
     params = small_params(16)
     stocks = [4, 0, 3]
     x = Tensor(windows, requires_grad=True)
     tape = Tape()
     with tape:
-        scores = policy_forward(x, ranks, params)
+        scores = policy_forward(x, params)
         roots = [scores[i] for i in stocks]
     expected = np.stack([tape.gradients(r)[x][i] for i, r in zip(stocks, roots)])
-    got = interpret._own_window_grads(windows, ranks, params, stocks)
+    got = interpret._own_window_grads(windows, params, stocks)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
@@ -207,7 +203,7 @@ def test_average_sensitivity_single_time_is_plain_mean():
     ws = prep.windows(t)
     acc = np.zeros((4, 7))
     for i in range(len(ws)):
-        acc += input_sensitivity(ws.features, ws.ranks, params, i)
+        acc += input_sensitivity(ws.features, params, i)
     expected = (acc / len(ws))[::-1].T
     np.testing.assert_allclose(report.delta_bar, expected, atol=1e-12)
     assert report.samples == len(ws)

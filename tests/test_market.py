@@ -98,6 +98,15 @@ def test_save_load_roundtrip_keeps_a_missing_bar_missing(tmp_path):
         np.testing.assert_array_equal(again.field(name), panel.field(name))
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_save_panel_to_an_unwritable_path_raises_data_error(tmp_path, where):
+    # a path in a missing directory used to raise a bare FileNotFoundError
+    path = tmp_path / "absent" / "saved.csv" if where == "missing_directory" else tmp_path
+    panel = synth_market(SynthConfig(num_stocks=4, num_periods=26, seed=3))
+    with pytest.raises(DataError, match="^cannot write "):
+        save_panel(panel, path)
+
+
 def test_save_load_roundtrip_is_byte_identical(tmp_path):
     cfg = SynthConfig(num_stocks=5, num_periods=30, seed=3)
     panel = synth_market(cfg)

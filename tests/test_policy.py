@@ -177,8 +177,6 @@ def test_non_integer_ranks_raise_data_error(ranks):
     params = small_params(16)
     rep = np.random.default_rng(17).normal(size=(3, params.hidden))
     for fn in (
-        lambda: score(Tensor(rep), ranks, params),
-        lambda: own_score_grads(rep, ranks, params),
         lambda: caan_forward(Tensor(rep), ranks, params),
         lambda: rank_distance(ranks, params.q, params.l_cols),
     ):
@@ -212,9 +210,9 @@ def test_rank_distance_rejects_a_step_or_width_below_one(q, l_cols, message):
 def test_integral_ranks_of_any_dtype_score_alike():
     params = small_params(18)
     rep = Tensor(np.random.default_rng(19).normal(size=(3, params.hidden)))
-    expected = score(rep, np.array([1, 7, 3]), params).data
+    expected = caan_forward(rep, np.array([1, 7, 3]), params).data
     for ranks in ([1.0, 7.0, 3.0], np.array([1, 7, 3], np.uint8), np.array([1, 7, 3], np.int32)):
-        assert score(rep, ranks, params).data.tobytes() == expected.tobytes()
+        assert caan_forward(rep, ranks, params).data.tobytes() == expected.tobytes()
 
 
 def test_prior_weight_clamps_to_embedding_width():
@@ -274,9 +272,8 @@ def test_policy_forward_matches_reference_recomputation():
     params = small_params(23)
     rng = np.random.default_rng(24)
     windows = rng.normal(size=(4, 3, 7))
-    ranks = np.array([2, 4, 1, 3])
-    scores = policy_forward(windows, ranks, params).data
-    np.testing.assert_allclose(scores, reference_forward(windows, ranks, params), atol=1e-12)
+    scores = policy_forward(windows, params).data
+    np.testing.assert_allclose(scores, reference_forward(windows, np.arange(1, 5), params), atol=1e-12)
     assert np.all((scores > 0) & (scores < 1))
 
 
@@ -284,34 +281,33 @@ def test_policy_forward_identical_inputs_give_identical_scores():
     params = small_params(25)
     one = np.random.default_rng(26).normal(size=(3, 7))
     windows = np.stack([one] * 4)
-    ranks = np.array([1, 2, 3, 4])  # equal PR ties broken by id
-    scores = policy_forward(windows, ranks, params).data
-    # identical windows but distinct ranks: scores need not all match; with
-    # identical ranks distance structure is symmetric for (1,2,3,4) only
-    # pairwise, so check the truly symmetric construction instead
-    same_rank_scores = policy_forward(windows, np.array([1, 1, 1, 1]), params).data
-    np.testing.assert_allclose(same_rank_scores, same_rank_scores[0], atol=1e-12)
+    # the rows' ranks differ, so each row weighs the values by its own
+    # prior, but every value row is the same: so are the scores
+    scores = policy_forward(windows, params).data
     assert scores.shape == (4,)
+    np.testing.assert_allclose(scores, scores[0], atol=1e-12)
 
 
 def test_policy_forward_end_to_end_permutation_equivariance():
+    # the reference network is equivariant under a joint permutation of
+    # windows and ranks; the fused one reads row i as rank i + 1, so
+    # scoring windows[perm] is scoring the windows with ranks
+    # argsort(perm) + 1, row for row in perm's order
     params = small_params(27)
     rng = np.random.default_rng(28)
     n = 16
     windows = rng.normal(size=(n, 6, 7))
-    ranks = 1 + rng.permutation(n)
-    base = policy_forward(windows, ranks, params).data
     for _ in range(10):
         perm = rng.permutation(n)
-        permuted = policy_forward(windows[perm], ranks[perm], params).data
-        assert np.max(np.abs(permuted - base[perm])) <= 1e-10
+        permuted = policy_forward(windows[perm], params).data
+        unpermuted = reference_forward(windows, 1 + np.argsort(perm), params)
+        assert np.max(np.abs(permuted - unpermuted[perm])) <= 1e-10
 
 
 def test_policy_gradients_match_finite_differences():
     params = small_params(29, hidden=8, embed=4, l_cols=8)
     rng = np.random.default_rng(30)
     windows = rng.normal(size=(5, 4, 7))
-    ranks = 1 + rng.permutation(5)
     worst = 0.0
     for name in PARAM_ORDER:
         original = params[name]
@@ -320,7 +316,7 @@ def test_policy_gradients_match_finite_differences():
             swapped = dict(params.tensors())
             swapped[name] = t
             trial = PolicyParams(swapped, params.q)
-            return policy_forward(windows, ranks, trial)[0]
+            return policy_forward(windows, trial)[0]
 
         worst = max(
             worst,
@@ -351,7 +347,6 @@ def test_encode_and_score_gradients_match_finite_differences():
     params = small_params(45, hidden=8)
     rng = np.random.default_rng(46)
     windows = Tensor(rng.normal(size=(5, 4, 7)), requires_grad=True)
-    ranks = 1 + rng.permutation(5)
     rep = Tensor(encode(windows, params).data, requires_grad=True)
     cot = rng.normal(size=rep.shape)
     worst = max(
@@ -359,7 +354,7 @@ def test_encode_and_score_gradients_match_finite_differences():
             lambda x: (encode(x, params) * Tensor(cot)).sum(), windows, eps=1e-6,
             max_coords=30, rng=rng,
         ),
-        ad.finite_diff_check(lambda r: score(r, ranks, params)[2], rep, eps=1e-6),
+        ad.finite_diff_check(lambda r: score(r, params)[2], rep, eps=1e-6),
     )
     assert worst <= 1e-4
 
@@ -679,52 +674,52 @@ def test_overflowing_gate_pre_activations_raise_non_finite(case, encoder):
         encoder(windows, params)
 
 
-def _primitive_score(rep, ranks, params):
-    return winner_scores(caan_forward(rep, np.asarray(ranks), params), params)
+def _primitive_score(rep, params):
+    """The reference composition on ranks 1..I: the fused score reads row i
+    as the stock of rank i + 1."""
+    return winner_scores(caan_forward(rep, np.arange(1, rep.shape[0] + 1), params), params)
 
 
-def _score_and_grads(scorer, rep, ranks, params, cot):
+def _score_and_grads(scorer, rep, params, cot):
     """Scores, then the gradients of sum(scores * cot) w.r.t. the
     representations and the seven head parameters, from one backward."""
     x = Tensor(rep, requires_grad=True)
     tape = ad.Tape()
     with tape:
-        scores = scorer(x, ranks, params)
+        scores = scorer(x, params)
         root = (scores * Tensor(cot)).sum()
     grads = tape.gradients(root)
     return [scores.data, grads[x]] + [grads[params[n]] for n in SCORE_PARAMS]
 
 
 _SCORE_CASES = {
-    # name: (I, q, L, ranks)
-    "two_stocks": (2, 4, 8, [3, 8]),
-    "q_one": (6, 1, 8, [1, 2, 3, 4, 5, 6]),
-    "gaps_and_duplicates": (7, 2, 5, [1, 4, 4, 9, 2, 9, 4]),
-    "wider_than_q_l": (5, 4, 8, [1, 100000, 40, 2, 33]),
-    "one_bin": (4, 3, 1, [1, 2, 7, 3]),
-    "paper_width": (40, 4, 16, list(range(40, 0, -1))),
-    # the prior table was once sized by the rank span: NumPy's bare
-    # ValueError ("array is too big")
-    "huge_q_wide_span": (3, 2**63 - 1, 16, [1, 2**62, 5]),
+    # name: (I, q, L)
+    "two_stocks": (2, 4, 8),
+    "q_one": (6, 1, 8),
+    "wider_than_q_l": (40, 2, 8),  # I > q(L-1): the last bin is reached
+    "one_bin": (4, 3, 1),
+    "paper_width": (40, 4, 16),
+    "partial_block": (5, 1, 4),
+    "huge_q": (3, 2**63 - 1, 16),
 }
 
 
 @pytest.mark.parametrize("block", [1 << 14, 12], ids=["one_block", "row_blocks"])
 @pytest.mark.parametrize("case", list(_SCORE_CASES), ids=list(_SCORE_CASES))
 def test_fused_score_matches_the_primitive_composition(case, block, monkeypatch):
-    # 12 elements per block splits every case into row blocks, the last
-    # one partial for I = 5 and 7
+    # 12 elements per block splits every case of four or more stocks into
+    # row blocks of the rank prior's gradient, the last one partial for
+    # I = 4 and 5
     monkeypatch.setattr(policy, "_PRIOR_BLOCK", block)
-    n, q, l_cols, ranks = _SCORE_CASES[case]
+    n, q, l_cols = _SCORE_CASES[case]
     params = small_params(70 + n, hidden=6, embed=4, l_cols=l_cols, q=q)
     rng = np.random.default_rng(71 + n)
     rep = rng.normal(size=(n, params.hidden))
-    ranks = np.asarray(ranks)
     cot = rng.normal(size=n)
-    untaped = score(Tensor(rep), ranks, params).data
-    assert untaped.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
-    fused = _score_and_grads(score, rep, ranks, params, cot)
-    oracle = _score_and_grads(_primitive_score, rep, ranks, params, cot)
+    untaped = score(Tensor(rep), params).data
+    assert untaped.tobytes() == _primitive_score(Tensor(rep), params).data.tobytes()
+    fused = _score_and_grads(score, rep, params, cot)
+    oracle = _score_and_grads(_primitive_score, rep, params, cot)
     assert fused[0].tobytes() == oracle[0].tobytes()
     for name, got, want in zip(("rep",) + SCORE_PARAMS, fused[1:], oracle[1:]):
         assert got.shape == want.shape, name
@@ -741,7 +736,7 @@ def test_score_is_one_tape_record():
     rep = Tensor(np.random.default_rng(73).normal(size=(5, params.hidden)), requires_grad=True)
     tape = ad.Tape()
     with tape:
-        score(rep, [2, 5, 1, 4, 3], params)
+        score(rep, params)
     assert len(tape) == 1
 
 
@@ -749,10 +744,9 @@ def test_score_values_and_gradients_repeat_bitwise():
     params = small_params(74)
     rng = np.random.default_rng(75)
     rep = rng.normal(size=(9, params.hidden))
-    ranks = 1 + rng.permutation(9)
     cot = rng.normal(size=9)
-    first = _score_and_grads(score, rep, ranks, params, cot)
-    second = _score_and_grads(score, rep, ranks, params, cot)
+    first = _score_and_grads(score, rep, params, cot)
+    second = _score_and_grads(score, rep, params, cot)
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
 
@@ -761,14 +755,13 @@ def test_each_backward_over_one_score_record_sweeps_its_own_cotangent(monkeypatc
     params = small_params(78)
     rng = np.random.default_rng(79)
     rep = rng.normal(size=(6, params.hidden))
-    ranks = 1 + rng.permutation(6)
     cots = [rng.normal(size=6) for _ in range(2)]
-    expected = [_score_and_grads(score, rep, ranks, params, c)[1:] for c in cots]
+    expected = [_score_and_grads(score, rep, params, c)[1:] for c in cots]
     sweeps = _count_calls(monkeypatch, "_score_sweep")
     x = Tensor(rep, requires_grad=True)
     tape = ad.Tape()
     with tape:
-        scores = score(x, ranks, params)
+        scores = score(x, params)
         roots = [(scores * Tensor(c)).sum() for c in cots]
     for passes, (root, want) in enumerate(zip(roots, expected), start=1):
         grads = tape.gradients(root)
@@ -815,7 +808,7 @@ def _overflowing_prior(params):
 )
 @pytest.mark.parametrize(
     "scorer",
-    [score, _primitive_score, lambda rep, ranks, params: own_score_grads(rep.data, ranks, params)],
+    [score, _primitive_score, lambda rep, params: own_score_grads(rep.data, params)],
     ids=["fused", "primitive", "own_score_grads"],
 )
 def test_overflow_in_the_score_raises_non_finite(case, scorer):
@@ -823,7 +816,7 @@ def test_overflow_in_the_score_raises_non_finite(case, scorer):
     rep, what = case(params)
     match = f"score: non-finite {what}" if scorer is not _primitive_score else "matmul"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=match):
-        scorer(Tensor(rep), [1, 2, 3, 4], params)
+        scorer(Tensor(rep), params)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
@@ -842,18 +835,18 @@ def test_a_non_finite_parameter_raises_non_finite_naming_it(name, windows, bad):
     caller = "encode" if name in ENCODER_PARAMS else "score"
     message = f"^{caller}: non-finite values in parameter {name}$"
     with pytest.raises(NonFiniteError, match=message):
-        policy_forward(x, [1, 2, 3, 4], params)
+        policy_forward(x, params)
     if name in SCORE_PARAMS:
         with pytest.raises(NonFiniteError, match=message):
-            own_score_grads(rng.normal(size=(4, params.hidden)), [1, 2, 3, 4], params)
+            own_score_grads(rng.normal(size=(4, params.hidden)), params)
 
 
-def _replayed_own_score_grads(rep, ranks, params):
+def _replayed_own_score_grads(rep, params):
     """Oracle: one tape over ``score``, replayed once per stock, keeping row i."""
     leaf = Tensor(rep, requires_grad=True)
     tape = ad.Tape()
     with tape:
-        scores = score(leaf, ranks, params)
+        scores = score(leaf, params)
         roots = [scores[i] for i in range(len(rep))]
     return np.stack([tape.gradients(r)[leaf][i] for i, r in enumerate(roots)])
 
@@ -864,46 +857,45 @@ _SAME_ROWS[3] = _SAME_ROWS[1]
 
 
 @pytest.mark.parametrize(
-    "rep, ranks, q",
+    "rep, q",
     [
-        (_REP_RNG.normal(size=(2, 6)), [3, 8], 4),  # I = 2
-        (_REP_RNG.normal(size=(5, 6)), [4, 4, 4, 4, 4], 4),  # tied ranks, distance 0
-        (_REP_RNG.normal(size=(5, 6)), [1, 400, 2, 900, 37], 4),  # clamped last column
-        (_SAME_ROWS, [1, 5, 9, 5], 4),  # two identical representation rows
-        (_REP_RNG.normal(size=(3, 6)), [1, 2**62, 5], 2**63 - 1),  # q and rank span near 2^63
+        (_REP_RNG.normal(size=(2, 6)), 4),  # I = 2
+        (_REP_RNG.normal(size=(12, 6)), 1),  # rank distances past the last bin
+        (_SAME_ROWS, 4),  # two identical representation rows
+        (_REP_RNG.normal(size=(3, 6)), 2**63 - 1),  # q near 2^63
     ],
-    ids=["two_stocks", "tied_ranks", "clamped_distance", "identical_rows", "huge_q_wide_span"],
+    ids=["two_stocks", "clamped_distance", "identical_rows", "huge_q"],
 )
-def test_own_score_grads_match_per_stock_replays_of_score(rep, ranks, q):
+def test_own_score_grads_match_per_stock_replays_of_score(rep, q):
     params = small_params(48, q=q)
-    ranks = np.asarray(ranks)
-    d = rank_distance(ranks, params.q, params.l_cols)
-    if len(set(ranks)) == 1:
-        assert not d.any()
-    if ranks.max() - ranks.min() > params.q * params.l_cols:
+    d = rank_distance(np.arange(1, len(rep) + 1), params.q, params.l_cols)
+    if len(rep) > params.q * params.l_cols:
         assert d.max() == params.l_cols - 1
-    expected = _replayed_own_score_grads(rep, ranks, params)
-    np.testing.assert_allclose(own_score_grads(rep, ranks, params), expected, rtol=1e-12, atol=0)
+    expected = _replayed_own_score_grads(rep, params)
+    np.testing.assert_allclose(own_score_grads(rep, params), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(
-    "rep, ranks",
-    [
-        (np.ones((3, 6)), [1, 2]),
-        (np.ones((1, 6)), [1]),
-        (np.ones((3, 5)), [1, 2, 3]),
-        (np.ones((3, 6)), [[1], [2], [3]]),  # len() matches, so only a 1-d check catches it
-    ],
-    ids=["misaligned_ranks", "single_stock", "wrong_width", "two_d_ranks"],
+    "rep", [np.ones((1, 6)), np.ones((3, 5))], ids=["single_stock", "wrong_width"]
 )
-def test_own_score_grads_raise_the_caan_shape_errors(rep, ranks):
+def test_own_score_grads_raise_the_caan_shape_errors(rep):
     params = small_params(49)
     with pytest.raises(ShapeError) as caan_error:
-        caan_forward(Tensor(rep), np.asarray(ranks), params)
+        caan_forward(Tensor(rep), np.arange(1, len(rep) + 1), params)
     with pytest.raises(ShapeError, match=f"^{re.escape(str(caan_error.value))}$"):
-        own_score_grads(rep, ranks, params)
+        own_score_grads(rep, params)
     with pytest.raises(ShapeError, match=f"^{re.escape(str(caan_error.value))}$"):
-        score(Tensor(rep), ranks, params)
+        score(Tensor(rep), params)
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [([1, 2], "misaligned"), ([[1], [2], [3]], "1-d")],  # len() matches, so only a 1-d check catches it
+    ids=["misaligned_ranks", "two_d_ranks"],
+)
+def test_caan_forward_rejects_ranks_not_one_per_stock(ranks, message):
+    with pytest.raises(ShapeError, match=message):
+        caan_forward(Tensor(np.ones((3, 6))), ranks, small_params(49))
 
 
 def test_own_score_grads_record_nothing_on_an_active_tape():
@@ -911,12 +903,12 @@ def test_own_score_grads_record_nothing_on_an_active_tape():
     rep = np.random.default_rng(51).normal(size=(4, 6))
     tape = ad.Tape()
     with tape:
-        own_score_grads(rep, [1, 2, 3, 4], params)
+        own_score_grads(rep, params)
     assert len(tape) == 0
 
 
-# psi is Toeplitz for stocks in rank order, as a window set's: with q=1
-# and L=6, each distance below 5 has its own bin, and the last bin starts at 5
+# psi is Toeplitz in row order: with q=1 and L=6, each distance below 5
+# has its own bin, and the last bin starts at 5
 _BAND_C = 5
 _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 
@@ -924,28 +916,15 @@ _BAND_SIZES = [2 * _BAND_C - 2, 2 * _BAND_C - 1, 2 * _BAND_C + 1, 3 * _BAND_C]
 def _band_case(n, seed):
     params = small_params(seed, hidden=4, embed=3, l_cols=_BAND_C + 1, q=1)
     rng = np.random.default_rng(seed + 1)
-    return params, rng.normal(size=(n, params.hidden)), np.arange(1, n + 1), rng
-
-
-def _walked_rows(monkeypatch):
-    """Patch the psi row walk to count the rows it visits."""
-    rows, real = [], policy._psi_blocks
-
-    def counted(ranks, q, l_cols):
-        for block, bins in real(ranks, q, l_cols):
-            rows.append(block.stop - block.start)
-            yield block, bins
-
-    monkeypatch.setattr(policy, "_psi_blocks", counted)
-    return rows
+    return params, rng.normal(size=(n, params.hidden)), rng
 
 
 @pytest.mark.parametrize("n", _BAND_SIZES)
 def test_banded_score_matches_the_primitive_composition(n):
-    params, rep, ranks, rng = _band_case(n, 90 + n)
+    params, rep, rng = _band_case(n, 90 + n)
     cot = rng.normal(size=n)
-    fused = _score_and_grads(score, rep, ranks, params, cot)
-    oracle = _score_and_grads(_primitive_score, rep, ranks, params, cot)
+    fused = _score_and_grads(score, rep, params, cot)
+    oracle = _score_and_grads(_primitive_score, rep, params, cot)
     assert fused[0].tobytes() == oracle[0].tobytes()
     for name, got, want in zip(("scores", "rep") + SCORE_PARAMS, fused, oracle):
         assert got.shape == want.shape, name
@@ -954,17 +933,17 @@ def test_banded_score_matches_the_primitive_composition(n):
 
 @pytest.mark.parametrize("n", _BAND_SIZES[1:])
 def test_banded_score_gradients_match_finite_differences(n):
-    params, rep, ranks, rng = _band_case(n, 95 + n)
+    params, rep, rng = _band_case(n, 95 + n)
     cot = Tensor(rng.normal(size=n))
     worst = ad.finite_diff_check(
-        lambda r: (score(r, ranks, params) * cot).sum(), Tensor(rep, requires_grad=True), eps=1e-6
+        lambda r: (score(r, params) * cot).sum(), Tensor(rep, requires_grad=True), eps=1e-6
     )
     for name in SCORE_PARAMS:
 
         def weighted(t, name=name):
             swapped = dict(params.tensors())
             swapped[name] = t
-            return (score(Tensor(rep), ranks, PolicyParams(swapped, params.q)) * cot).sum()
+            return (score(Tensor(rep), PolicyParams(swapped, params.q)) * cot).sum()
 
         worst = max(worst, ad.finite_diff_check(weighted, params[name], eps=1e-6))
     assert worst <= 1e-6
@@ -972,62 +951,26 @@ def test_banded_score_gradients_match_finite_differences(n):
 
 @pytest.mark.parametrize("n", _BAND_SIZES)
 def test_banded_own_score_grads_match_per_stock_replays_of_score(n):
-    params, rep, ranks, _ = _band_case(n, 100 + n)
-    expected = _replayed_own_score_grads(rep, ranks, params)
-    np.testing.assert_allclose(own_score_grads(rep, ranks, params), expected, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("n", [2, 3] + _BAND_SIZES)
-def test_the_psi_walk_visits_only_the_edge_rows_of_a_band(n, monkeypatch):
-    # the Toeplitz view covers every row, so a band has no edge rows left
-    # to walk at any I, I <= 2(L-2) included; a tie or a gap walks them all
-    params, rep, ranks, _ = _band_case(n, 105 + n)
-    rows = _walked_rows(monkeypatch)
-    score(Tensor(rep), ranks, params)
-    own_score_grads(rep, ranks, params)
-    assert rows == []
-    for ranks in (np.where(ranks == 1, 2, ranks), np.where(ranks == 1, 0, ranks)):
-        score(Tensor(rep), ranks, params)
-        assert sum(rows) == n  # the forward
-        rows.clear()
-        own_score_grads(rep, ranks, params)
-        assert sum(rows) == 2 * n  # the forward and the softmax adjoint
-        rows.clear()
-
-
-@pytest.mark.parametrize("n", [2, 3] + _BAND_SIZES)
-def test_permuted_consecutive_ranks_walk_every_row(n, monkeypatch):
-    # psi is Toeplitz only in the stocks' own order: no code puts them in
-    # rank order, so any other order of 1..I takes the walk
-    params, rep, ranks, rng = _band_case(n, 110 + n)
-    while policy._banded(ranks):
-        ranks = 1 + rng.permutation(n)
-    rows = _walked_rows(monkeypatch)
-    scores = score(Tensor(rep), ranks, params).data
-    assert sum(rows) == n  # the forward
-    rows.clear()
-    own_score_grads(rep, ranks, params)
-    assert sum(rows) == 2 * n  # the forward and the softmax adjoint
-    assert scores.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
+    params, rep, _ = _band_case(n, 100 + n)
+    expected = _replayed_own_score_grads(rep, params)
+    np.testing.assert_allclose(own_score_grads(rep, params), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 2 * _BAND_C - 2, 2 * _BAND_C + 1, 3 * _BAND_C])
-def test_the_psi_view_multiplies_bitwise_as_the_walk(n, monkeypatch):
+def test_the_psi_view_multiplies_bitwise_as_the_walk(n):
+    # the walk gathers each row of psi from the reference's bins for ranks
+    # 1..I; the view reads the same entries from bin(m), m = -(I-1) .. I-1
     rng = np.random.default_rng(115 + n)
-    ranks = 1 + rng.permutation(n)
-    if policy._banded(ranks):  # already in rank order: swap the first two
-        ranks[:2] = ranks[1::-1]
     table = rng.uniform(size=_BAND_C + 1)
     src = rng.normal(size=(n, n))
-    rows = _walked_rows(monkeypatch)
-    walked = np.empty_like(src)
-    policy._times_psi(src, ranks, 1, table, walked)
-    assert sum(rows) == n
-    order = np.argsort(ranks)
-    viewed = src[order][:, order]  # in place, as the forward multiplies the logits
-    policy._times_psi(viewed, ranks[order], 1, table, viewed)
-    assert sum(rows) == n
-    assert viewed.tobytes() == walked[order][:, order].tobytes()
+    want = rank_distance(np.arange(1, n + 1), 1, table.size)
+    walked = np.stack([src[i] * table[want[i]] for i in range(n)])
+    bins = policy._rank_bins(np.arange(1 - n, n), 1, table.size)
+    assert policy._toeplitz(bins).tolist() == want.tolist()
+    psi = policy._toeplitz(table[bins])
+    assert psi.shape == (n, n) and not psi.flags.writeable
+    src *= psi  # in place, as the forward multiplies the logits
+    assert src.tobytes() == walked.tobytes()
 
 
 @pytest.mark.parametrize("q", [1, 3, 2**63 - 1], ids=["q_one", "q_three", "q_huge"])
@@ -1048,11 +991,11 @@ def test_the_bin_rule_is_rank_distance(ranks, q):
 
 def test_the_prior_table_has_one_entry_per_bin():
     params = small_params(132, q=2**63 - 1)
-    rep = np.random.default_rng(133).normal(size=(3, params.hidden))
-    for ranks in ([1, 2**62, 5], [1, 2, 3], [7, 7, 7]):
-        r, int_ranks, head = policy._score_setup(rep, ranks, params)
-        table = policy._score_forward(r, int_ranks, head, params.q)[1][6]
-        assert table.shape == (params.l_cols,)
+    rng = np.random.default_rng(133)
+    for n in (2, 3, 40):
+        r, head = policy._score_setup(rng.normal(size=(n, params.hidden)), params)
+        prior = policy._score_forward(r, head, params.q)[1][5]
+        assert prior.shape == (params.l_cols,)
 
 
 def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
@@ -1063,16 +1006,16 @@ def test_banded_and_primitive_scores_pick_the_same_legs_in_a_backtest():
         ws = prep.windows(t)
         rep = encode(ws.features, params)
         legs = []
-        for values in (score(rep, ws.ranks, params), _primitive_score(rep, ws.ranks, params)):
+        for values in (score(rep, params), _primitive_score(rep, params)):
             pair = generate(WinnerScores(ws.stock_ids, values.data), len(ws) // 4)
             legs.append((pair.long_indices, pair.short_indices))
         assert legs[0] == legs[1]
 
 
 @pytest.mark.parametrize("n", [2, 3, 100, 800])
-def test_a_window_set_scores_bitwise_as_the_primitive_composition(n, monkeypatch):
-    # its stocks come in rank order, so score runs on them as given and
-    # multiplies by psi's Toeplitz view; no row is walked
+def test_a_window_set_scores_bitwise_as_the_primitive_composition(n):
+    # its stocks come in rank order, so score's row i is the stock of the
+    # window set's rank i + 1
     from test_features import panel_from_closes
 
     rng = np.random.default_rng(140 + n)
@@ -1086,10 +1029,9 @@ def test_a_window_set_scores_bitwise_as_the_primitive_composition(n, monkeypatch
     assert len(ws) == n and ws.ranks.tolist() == list(range(1, n + 1))
     params = PolicyParams.init(141 + n)
     rep = encode(ws.features, params)
-    rows = _walked_rows(monkeypatch)
-    fused = score(rep, ws.ranks, params).data
-    assert rows == []
-    assert fused.tobytes() == _primitive_score(rep, ws.ranks, params).data.tobytes()
+    fused = score(rep, params).data
+    primitive = winner_scores(caan_forward(rep, ws.ranks, params), params)
+    assert fused.tobytes() == primitive.data.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 100, 800])
@@ -1099,19 +1041,18 @@ def test_the_finiteness_bound_changes_no_bit_of_values_caches_or_gradients(n, mo
     params = PolicyParams.init(120 + n)
     rng = np.random.default_rng(121 + n)
     windows = rng.normal(size=(n, 12, params.n_features))
-    ranks = 1 + rng.permutation(n)
     cot = Tensor(rng.normal(size=n))
     leaves = [params[name] for name in PARAM_ORDER]
 
     def run():
         p = {name: params[name].data for name in ENCODER_PARAMS}
         rep, cache = policy._encode_forward(windows, p, lambda role, shape: np.empty(shape))
-        r, int_ranks, head = policy._score_setup(rep, ranks, params)
-        out = [rep, *cache, *policy._score_forward(r, int_ranks, head, params.q)[1]]
+        r, head = policy._score_setup(rep, params)
+        out = [rep, *cache, *policy._score_forward(r, head, params.q)[1]]
         x = Tensor(windows, requires_grad=True)
         tape = ad.Tape()
         with tape:
-            scores = policy_forward(x, ranks, params)
+            scores = policy_forward(x, params)
             grads = tape.gradients((scores * cot).sum())
         return out + [scores.data, grads[x]] + [grads[t] for t in leaves]
 
@@ -1145,11 +1086,10 @@ def test_a_step_or_width_too_large_for_int64_raises_data_error(tmp_path):
             PolicyParams.load(path)
     params = PolicyParams.init(0, q=2**63 - 1)
     rep = np.random.default_rng(113).normal(size=(3, params.hidden))
-    ranks = [1, 9, 5]
-    values = score(Tensor(rep), ranks, params).data
-    assert values.tobytes() == _primitive_score(Tensor(rep), ranks, params).data.tobytes()
-    own_score_grads(rep, ranks, params)
-    assert not rank_distance(ranks, params.q, params.l_cols).any()
+    values = score(Tensor(rep), params).data
+    assert values.tobytes() == _primitive_score(Tensor(rep), params).data.tobytes()
+    own_score_grads(rep, params)
+    assert not rank_distance([1, 2, 3], params.q, params.l_cols).any()
 
 
 def test_ranks_whose_difference_would_wrap_raise_data_error():
@@ -1160,8 +1100,6 @@ def test_ranks_whose_difference_would_wrap_raise_data_error():
     rep = np.random.default_rng(111).normal(size=(2, params.hidden))
     ranks = [2**62, -(2**62)]
     for fn in (
-        lambda r: score(Tensor(rep), r, params),
-        lambda r: own_score_grads(rep, r, params),
         lambda r: caan_forward(Tensor(rep), r, params),
         lambda r: rank_distance(r, params.q, params.l_cols),
     ):
@@ -1176,11 +1114,10 @@ def test_the_prior_table_is_sized_by_the_universe_not_by_q():
     # took 308 ms and 230 MB
     params = PolicyParams.init(0, q=10**6)
     rep = Tensor(np.random.default_rng(112).normal(size=(10, params.hidden)))
-    ranks = np.arange(10, 0, -1)
-    score(rep, ranks, params)
+    score(rep, params)
     tracemalloc.start()
     try:
-        score(rep, ranks, params)
+        score(rep, params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1200,6 +1137,14 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path):
     path2 = tmp_path / "ckpt2.txt"
     loaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_checkpoint_save_to_an_unwritable_path_raises_data_error(tmp_path, where):
+    # a path in a missing directory used to raise a bare FileNotFoundError
+    path = tmp_path / "absent" / "ckpt.txt" if where == "missing_directory" else tmp_path
+    with pytest.raises(DataError, match="^cannot write checkpoint "):
+        small_params(33).save(path)
 
 
 def _edited_checkpoint(tmp_path, edit):
@@ -1321,7 +1266,7 @@ def test_policy_params_reject_plain_arrays_and_unshaped_tensors(edit, message):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda p: policy_forward(np.zeros((3, 7)), [1, 2, 3], p), r"windows must be \(I, K, F\)"),
+        (lambda p: policy_forward(np.zeros((3, 7)), p), r"windows must be \(I, K, F\)"),
         (lambda p: lstm_encode(np.zeros((3, 2, 5)), p), "window has 5 features, parameters expect"),
         (lambda p: history_attention([], p), "no hidden states"),
         (lambda p: history_attention([Tensor(np.zeros(6))], p), r"states must be \(I, H\)"),

@@ -86,7 +86,7 @@ def test_trajectory_returns_match_hand_walkthrough(params):
         ws = prep.windows(panel4.start + t_idx)
         from bwsl.policy import policy_forward
 
-        scores = policy_forward(ws.features, ws.ranks, params).data
+        scores = policy_forward(ws.features, params).data
         order = sorted(range(4), key=lambda i: (-scores[i], ws.stock_ids[i]))
         rows = [panel4.stock_index(sid) for sid in ws.stock_ids]
         z = closes[rows, t_idx + 1] / closes[rows, t_idx]
